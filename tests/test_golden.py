@@ -1,0 +1,37 @@
+"""Golden pins: sha256 of the exact bytes written by default-seed commands.
+
+Fixed-seed output is byte-identical by contract, so any change to the RNG
+draw order, the routing arithmetic, the estimators or the report formatting
+shows up here.  The digests were taken once and must not be edited to make
+a change pass: a mismatch means the change altered seeded results.
+"""
+import hashlib
+
+import pytest
+
+from qwalk.cli import main
+
+GOLDEN = [
+    ("jeong_steps7", ("jeong", "--steps", "7", "--particles", "2000"),
+     "5a2274f41935d675fd55d024dd67365388138f9d6b1037f59bf7c4e8e8693116"),
+    ("robens_taps", ("robens", "--taps", "--format", "json", "--particles", "2000"),
+     "12ff94a8d2b1519f6b84739b8c297b93a8d771c5537bb31b5e53b40c61051499"),
+    ("robens_minus", ("robens", "--removal", "minus", "--format", "json",
+                      "--particles", "2000"),
+     "37b6aac6f4a17dfa2317444ee98bf83d7103ecb693bb0c368fd7aeb5571bc7eb"),
+    ("compare_robens", ("compare", "--network", "robens", "--format", "json",
+                        "--particles", "2000"),
+     "bdb0ca386c1c27ed1107d4ab41a8bf4aa97b35778f514d2c8e2f6b049042acb1"),
+    ("lgi", ("lgi", "--replicates", "2", "--particles", "2000", "--workers", "1"),
+     "598e2397d6db84514f82475a02c121488c8903f00331b8e3919437c5d9a6ba50"),
+]
+
+
+@pytest.mark.parametrize("name,argv,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_default_seed_output_bytes_are_pinned(tmp_path, monkeypatch, capsys,
+                                              name, argv, digest):
+    monkeypatch.delenv("QWALK_SEED", raising=False)
+    out = tmp_path / "report"
+    assert main(list(argv) + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
