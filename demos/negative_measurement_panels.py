@@ -72,18 +72,14 @@ def main() -> None:
     freq_d = {x: freq_b.get(x, 0.0) + freq_c.get(x, 0.0) for x in SITES}
     show("(d) = (b) + (c): symmetric, unlike (a)", freq_d, None)
 
-    tagged = {-1: {}, 1: {}}
-    for rec in untouched.records:
-        sub = tagged[rec.taps["t2"].site]
-        sub[rec.final_site] = sub.get(rec.final_site, 0) + 1
-    freq_e = {x: tagged[-1].get(x, 0) / PARTICLES for x in SITES}
-    freq_f = {x: tagged[1].get(x, 0) / PARTICLES for x in SITES}
+    tagged = untouched.t2  # tagged[x2][x]: observed at x2 on t2, detected at x
+    freq_e = {x: tagged[-1][x] / PARTICLES for x in SITES}
+    freq_f = {x: tagged[1][x] / PARTICLES for x in SITES}
     show("(e) untouched walk, particles observed at x=-1", freq_e, None)
     show("(f) untouched walk, particles observed at x=+1", freq_f, None)
 
-    resum_exact = all(
-        tagged[-1].get(x, 0) + tagged[1].get(x, 0) == untouched.counts[x]
-        for x in SITES)
+    resum_exact = all(tagged[-1][x] + tagged[1][x] == untouched.counts[x]
+                      for x in SITES)
     print(f"\n(e) + (f) re-sums to (a) exactly: {resum_exact}")
     print("(b) differs from (e), and (c) from (f): removal changes what the")
     print("downstream units learn, observation does not.")

@@ -28,7 +28,6 @@ from .errors import (
     EmptyRun,
     InsufficientReplicates,
     InvalidLevels,
-    MissingTaps,
     QwalkError,
     UnsupportedStep,
     UnwiredPort,
@@ -49,9 +48,7 @@ from .leggett_garg import (
 from .network import (
     Network,
     RemovalFilter,
-    RunRecord,
     RunResult,
-    TapObservation,
     build_jeong,
     build_robens,
     run,
@@ -74,12 +71,12 @@ __all__ = [
     "adaptive_update", "beam_splitter_unitary", "bs_route", "derive_seed",
     "detect", "hadamard_apply", "pbs_route", "pbs_unitary", "phase_shift",
     "DegenerateAmplitude", "EmptyRun", "InsufficientReplicates",
-    "InvalidLevels", "MissingTaps", "QwalkError", "UnsupportedStep",
+    "InvalidLevels", "QwalkError", "UnsupportedStep",
     "UnwiredPort",
     "LgiComponents", "LgiResult", "SINGLE_RUN", "THREE_RUN",
     "k_single_run", "k_three_run", "q3_of_site", "replicate_stats",
     "run_protocol", "single_run_replicate", "three_run_replicate",
-    "Network", "RemovalFilter", "RunRecord", "RunResult", "TapObservation",
+    "Network", "RemovalFilter", "RunResult",
     "build_jeong", "build_robens", "run",
     "DOWN", "StateVector", "UP", "hadamard_walk", "jeong_evolve",
     "srw_distribution", "table1_closed_form", "total_variation",

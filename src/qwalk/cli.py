@@ -257,34 +257,24 @@ def cmd_robens(cfg: RunConfig) -> tuple[dict, str]:
     elif cfg.removal == "plus":
         filters = [RemovalFilter("t2", -1)]
     counts: dict[int, int] = {s: 0 for s in net.detector_sites}
-    part_minus: dict[int, int] = {s: 0 for s in net.detector_sites}
-    part_plus: dict[int, int] = {s: 0 for s in net.detector_sites}
+    t2: dict[int, dict[int, int]] = {-1: {}, +1: {}}
     removed = 0
     for r in range(cfg.replicates):
         result = run(net, cfg.particles, rng.derive(r), filters=filters,
                      taps_enabled=cfg.taps)
         _merge_counts(counts, result.counts)
         removed += result.removed
-        for rec in result.records:
-            if rec.final_site is None:
-                continue
-            tap = rec.taps.get("t2")
-            if tap is not None:
-                part = part_minus if tap.site < 0 else part_plus
-                part[rec.final_site] += 1
+        for x2, row in result.t2.items():
+            _merge_counts(t2[x2], row)
     emitted = cfg.particles * cfg.replicates
     oracle = _robens_oracle(cfg.removal)
     rows = _site_rows(counts, emitted, oracle)
     results: dict = {"sites": rows, "emitted": emitted, "removed": removed}
     if cfg.taps:
         results["panels"] = {
-            "t2_minus": [{"site": x, "count": part_minus[x],
-                          "frequency": part_minus[x] / emitted}
-                         for x in sorted(part_minus)],
-            "t2_plus": [{"site": x, "count": part_plus[x],
-                         "frequency": part_plus[x] / emitted}
-                        for x in sorted(part_plus)],
-        }
+            name: [{"site": x, "count": c, "frequency": c / emitted}
+                   for x, c in sorted(t2[x2].items())]
+            for name, x2 in (("t2_minus", -1), ("t2_plus", +1))}
     report = {
         "config": _config_echo(cfg),
         "results": results,

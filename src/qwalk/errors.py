@@ -25,9 +25,5 @@ class EmptyRun(QwalkError):
     """A distribution required by an estimator contains no counts."""
 
 
-class MissingTaps(QwalkError):
-    """A trajectory record lacks the tap observation required by the estimator."""
-
-
 class InsufficientReplicates(QwalkError):
     """At least two replicate values are needed for a standard error."""

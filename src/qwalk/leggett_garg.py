@@ -29,8 +29,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .core import RngStream
-from .errors import EmptyRun, InsufficientReplicates, MissingTaps
-from .network import RemovalFilter, RunRecord, build_robens, run
+from .errors import EmptyRun, InsufficientReplicates
+from .network import RemovalFilter, build_robens, run
 
 THREE_RUN = "three_run"
 SINGLE_RUN = "single_run"
@@ -99,33 +99,21 @@ def k_three_run(unconditioned: dict[int, int],
                      LgiComponents(q3_mean, q3q2_mean, p_plus, p_minus), 1)
 
 
-def k_single_run(records: list[RunRecord],
+def k_single_run(t2_table: dict[int, dict[int, int]],
                  unconditioned: dict[int, int]) -> LgiResult:
-    """K from one tapped run plus a separate unconditioned run for <Q(t3)>.
+    """K from one tapped run's t2 table plus a separate unconditioned run for <Q(t3)>.
 
-    <Q(t3)Q(t2)> = sum over x2 of P(x2) <Q(t3)>_{x2} with Q(t2) = 1; computed
-    from integer tallies, which makes it identical to the plain <Q(t3)> of
-    the tapped dataset, so feeding the tapped run's own distribution as
-    ``unconditioned`` yields K = 1 exactly.
+    ``t2_table[x2][x]`` counts the tapped particles that crossed t2 at x2 and
+    were detected at x.  <Q(t3)Q(t2)> = sum over x2 of P(x2) <Q(t3)>_{x2}
+    with Q(t2) = 1; computed from integer tallies, which makes it identical
+    to the plain <Q(t3)> of the tapped dataset, so feeding the tapped run's
+    own distribution as ``unconditioned`` yields K = 1 exactly.
     """
-    if not records:
-        raise EmptyRun("no trajectory records")
-    n = len(records)
-    n_minus = n_plus = 0
-    s_minus = s_plus = 0
-    for rec in records:
-        tap = rec.taps.get("t2")
-        if tap is None:
-            raise MissingTaps(f"record {rec.particle_index} has no t2 observation")
-        if rec.final_site is None:
-            raise EmptyRun(f"record {rec.particle_index} never reached a detector")
-        q3 = q3_of_site(rec.final_site)
-        if tap.site < 0:
-            n_minus += 1
-            s_minus += q3
-        else:
-            n_plus += 1
-            s_plus += q3
+    s_minus, n_minus = _q3_stats(t2_table.get(-1, {}))
+    s_plus, n_plus = _q3_stats(t2_table.get(+1, {}))
+    n = n_minus + n_plus
+    if n == 0:
+        raise EmptyRun("t2 table has no counts")
     s_u, n_u = _q3_stats(unconditioned)
     if n_u == 0:
         raise EmptyRun("unconditioned run has no counts")
@@ -163,7 +151,7 @@ def single_run_replicate(particles: int, gamma: float, rng: RngStream) -> LgiRes
     net = build_robens(gamma)
     tapped = run(net, particles, rng.derive(0), taps_enabled=True)
     uncond = run(net, particles, rng.derive(1))
-    return k_single_run(tapped.records, uncond.counts)
+    return k_single_run(tapped.t2, uncond.counts)
 
 
 def _replicate_worker(args: tuple[str, int, int, float]) -> LgiResult:

@@ -16,9 +16,10 @@ single-input PBSs at the edges are instantiated rather than optimized away.
 
 The polarized network carries three labeled cut points: t1 on the wire
 leaving the source, t2 on the two wires leaving the first merge column
-(sites -1 and +1), and t3 on the wires entering the detectors.  A tap at a
-cut point copies (site, message) into the particle's trajectory record and
-touches nothing else; a removal filter absorbs every particle crossing one
+(sites -1 and +1), and t3 on the wires entering the detectors.  With taps
+enabled the loop notes the t2 site each particle crosses and, at
+detection, tallies it into a (t2 site x detector site) table; it touches
+nothing else.  A removal filter absorbs every particle crossing one
 annotated wire, which is the ideal negative measurement used by the
 Leggett-Garg analysis.
 
@@ -26,7 +27,7 @@ A run is strictly sequential: a particle finishes (detector or filter)
 before the next one is emitted, and the adaptive registers persist across
 all particles of the run.  ``run`` reseeds every adaptive unit from the
 supplied stream and resets its registers, so identical seeds reproduce
-bit-identical counts and records.
+bit-identical counts and tables.
 """
 from __future__ import annotations
 
@@ -36,7 +37,6 @@ from .core import (
     BeamSplitter,
     Detector,
     HadamardUnit,
-    Message,
     PhaseShifter,
     PolarizingBeamSplitter,
     RngStream,
@@ -46,13 +46,6 @@ from .core import (
 from .errors import InvalidLevels, QwalkError, UnwiredPort
 
 MAX_LEVELS = 12  # unit count grows as levels^2; desk-scale bound
-
-
-class TapObservation(NamedTuple):
-    """What a tap saw: the lattice site of the wire and a copy of the message."""
-
-    site: int
-    message: Message
 
 
 class RemovalFilter(NamedTuple):
@@ -66,50 +59,23 @@ class RemovalFilter(NamedTuple):
     site: int
 
 
-class RunRecord:
-    """Per-particle trajectory log: tap observations and where it ended."""
-
-    __slots__ = ("particle_index", "taps", "removed_at", "final_site")
-
-    def __init__(self, particle_index: int):
-        self.particle_index = particle_index
-        self.taps: dict[str, TapObservation] = {}
-        self.removed_at: str | None = None
-        self.final_site: int | None = None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RunRecord):
-            return NotImplemented
-        return (self.particle_index == other.particle_index
-                and self.taps == other.taps
-                and self.removed_at == other.removed_at
-                and self.final_site == other.final_site)
-
-    def __repr__(self) -> str:
-        return (f"RunRecord({self.particle_index}, taps={self.taps}, "
-                f"removed_at={self.removed_at}, final_site={self.final_site})")
-
-
 class RunResult(NamedTuple):
     counts: dict[int, int]
-    records: list[RunRecord]
+    #: t2[x2][x] = particles that crossed t2 at x2 and were detected at x;
+    #: every detector site for both t2 sites when taps are on, else empty
+    t2: dict[int, dict[int, int]]
     removed: int
 
 
 class Wire:
     """Directed connection into one input port, optionally carrying a cut-point tag."""
 
-    __slots__ = ("dst", "dst_port", "tap_label", "tap_site", "tap_pol", "absorb")
+    __slots__ = ("dst", "dst_port", "tap_label", "tap_site", "absorb")
 
     def __init__(self, dst, dst_port: int, tap=None):
         self.dst = dst
         self.dst_port = dst_port
-        if tap is None:
-            self.tap_label = None
-            self.tap_site = None
-            self.tap_pol = None
-        else:
-            self.tap_label, self.tap_site, self.tap_pol = tap
+        self.tap_label, self.tap_site = tap if tap is not None else (None, None)
         self.absorb = False  # set per run by active removal filters
 
 
@@ -140,7 +106,7 @@ class Network:
         src.out[src_port] = wire
         self.wires.append(wire)
         if tap is not None:
-            label, site, _pol = tap
+            label, site = tap
             self.cut_points.setdefault(label, {})[site] = wire
         return wire
 
@@ -251,7 +217,7 @@ def build_robens(gamma: float = 0.95) -> Network:
     net = Network(gamma)
     source = net.add(Source())
     # pending[site] = (unit, out_port, tap annotation for the next wire)
-    pending: dict[int, tuple] = {0: (source, 0, ("t1", 0, "h"))}
+    pending: dict[int, tuple] = {0: (source, 0, ("t1", 0))}
     for jump in range(1, 5):
         splits: dict[int, PolarizingBeamSplitter] = {}
         for x in sorted(pending):
@@ -272,9 +238,9 @@ def build_robens(gamma: float = 0.95) -> Network:
             net.mark_dark(merge, 1)
             tap = None
             if jump == 1:
-                tap = ("t2", x2, "h" if x2 < 0 else "v")
+                tap = ("t2", x2)
             elif jump == 4:
-                tap = ("t3", x2, None)
+                tap = ("t3", x2)
             nxt[x2] = (merge, 0, tap)
         pending = nxt
     for x2 in sorted(pending):
@@ -292,8 +258,9 @@ def run(net: Network, n_particles: int, rng: RngStream,
     """Send ``n_particles`` through the network one at a time.
 
     Adaptive registers are reset at the start and persist across all
-    particles of the run.  Returns the detector counts, the per-particle
-    records (empty unless ``taps_enabled``), and the removed tally.
+    particles of the run.  Returns the detector counts, the t2 table (empty
+    unless ``taps_enabled``; a network without a t2 cut point cannot be
+    tapped), and the removed tally.
     """
     if n_particles < 1:
         raise ValueError(f"n_particles must be >= 1, got {n_particles}")
@@ -303,35 +270,38 @@ def run(net: Network, n_particles: int, rng: RngStream,
         if sites is None or f.site not in sites:
             raise ValueError(f"no cut point {f.label!r} at site {f.site}")
         filter_wires.append(sites[f.site])
+    t2: dict[int, dict[int, int]] = {}
+    if taps_enabled:
+        if "t2" not in net.cut_points:
+            raise ValueError("taps need a t2 cut point; this network has none")
+        t2 = {x2: {site: 0 for site in net.detector_sites}
+              for x2 in sorted(net.cut_points["t2"])}
 
     net.reset(rng)
     counts = {site: 0 for site in net.detector_sites}
-    records: list[RunRecord] = []
     removed = 0
     for wire in filter_wires:
         wire.absorb = True
     try:
         source_wire = net.source.out[0]
-        for index in range(n_particles):
-            rec = RunRecord(index) if taps_enabled else None
+        for _ in range(n_particles):
             wire = source_wire
             m = SOURCE_MESSAGE
+            x2 = None
             while True:
                 label = wire.tap_label
                 if label is not None:
-                    if rec is not None:
-                        rec.taps[label] = TapObservation(wire.tap_site, m)
                     if wire.absorb:
                         removed += 1
-                        if rec is not None:
-                            rec.removed_at = label
                         break
+                    if label == "t2":
+                        x2 = wire.tap_site
                 unit = wire.dst
                 if unit.is_detector:
                     site = unit.site
                     counts[site] += 1
-                    if rec is not None:
-                        rec.final_site = site
+                    if taps_enabled:
+                        t2[x2][site] += 1
                     break
                 port, m = unit.interact(wire.dst_port, m)
                 wire = unit.out[port]
@@ -339,11 +309,9 @@ def run(net: Network, n_particles: int, rng: RngStream,
                     raise UnwiredPort(
                         f"particle reached dangling port {port} of "
                         f"{type(unit).__name__}")
-            if rec is not None:
-                records.append(rec)
     finally:
         for wire in filter_wires:
             wire.absorb = False
     if sum(counts.values()) + removed != n_particles:
         raise QwalkError("conservation breach: emitted != detected + removed")
-    return RunResult(counts, records, removed)
+    return RunResult(counts, t2, removed)

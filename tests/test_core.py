@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qwalk.core import (
@@ -21,6 +21,7 @@ from qwalk.core import (
     pbs_unitary,
     phase_shift,
 )
+from qwalk.core import HadamardUnit, PhaseShifter
 from qwalk.errors import DegenerateAmplitude
 
 H_IN = Message(1.0 + 0.0j, 0.0 + 0.0j)
@@ -146,6 +147,33 @@ def test_routing_matches_four_by_four_unitary():
             assert m_out.c_h == pytest.approx(expected[0], abs=1e-9)
             assert m_out.c_v == pytest.approx(expected[1], abs=1e-9)
 
+unit_messages = st.builds(
+    lambda theta, alpha, beta: Message(math.cos(theta) * cmath.exp(1j * alpha),
+                                       math.sin(theta) * cmath.exp(1j * beta)),
+    st.floats(0, math.pi / 2), st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi))
+
+@given(st.lists(st.tuples(st.integers(0, 1), unit_messages), min_size=1, max_size=30),
+       st.floats(0.0, 0.99), st.floats(0.0, 1.0, exclude_max=True),
+       unit_messages, st.floats(-10.0, 10.0))
+@settings(max_examples=150, deadline=None)
+def test_units_emit_unit_norm_messages(arrivals, gamma, u, m, phi):
+    # registers reached by any sequence of unit-norm arrivals are valid;
+    # routing from them, and every stateless unit, emits a unit-norm message
+    state = AdaptiveState(gamma)
+    for port, arrival in arrivals:
+        adaptive_update(state, port, arrival)
+    amplitude = (state.w0 * (abs(state.y0h) ** 2 + abs(state.y0v) ** 2)
+                 + state.w1 * (abs(state.y1h) ** 2 + abs(state.y1v) ** 2))
+    assume(amplitude > 1e-12)  # averaged messages can cancel to ~0 only by fine tuning
+    for route in (bs_route, pbs_route):
+        port, out = route(state, 0, m, u)
+        assert port in (0, 1)
+        assert abs(out.norm() - 1.0) < 1e-9
+    for unit in (PhaseShifter(phi), HadamardUnit()):
+        port, out = unit.interact(0, m)
+        assert port == 0
+        assert abs(out.norm() - 1.0) < 1e-9
+
 def test_unadapted_state_is_degenerate_without_update():
     with pytest.raises(DegenerateAmplitude):
         bs_route(AdaptiveState(0.9), 0, H_IN, 0.5)
@@ -186,6 +214,34 @@ def test_h_and_v_rails_merge_onto_one_port():
         assert port == 0
         assert m.c_h == pytest.approx(math.sqrt(0.5), abs=1e-12)
         assert m.c_v == pytest.approx(1j * math.sqrt(0.5), abs=1e-12)
+
+
+@given(st.lists(unit_messages, min_size=1, max_size=20),
+       st.lists(st.floats(0, 2 * math.pi), min_size=1, max_size=20),
+       st.floats(0.0, 0.99), st.floats(0.0, 1.0, exclude_max=True))
+@settings(max_examples=100, deadline=None)
+def test_pbs_fed_pure_rails_emits_pure_polarization(messages, phases, gamma, u):
+    # a PBS fed on port 0 only (any messages) emits pure h on port 0 and
+    # pure v on port 1; fed only pure h on port 0, or only pure v on port 1,
+    # it emits everything on port 0 in that same pure polarization.  These
+    # are the feeds of the first splitting PBS and of the two merges behind
+    # the t2 taps of the polarized network.
+    split = AdaptiveState(gamma)
+    for arrival in messages:
+        adaptive_update(split, 0, arrival)
+        port, out = pbs_route(split, 0, arrival, u)
+        assert (out.c_v if port == 0 else out.c_h) == 0
+    merge_h = AdaptiveState(gamma)
+    merge_v = AdaptiveState(gamma)
+    for phase in phases:
+        h = Message(cmath.exp(1j * phase), 0j)
+        v = Message(0j, cmath.exp(1j * phase))
+        adaptive_update(merge_h, 0, h)
+        adaptive_update(merge_v, 1, v)
+        port, out = pbs_route(merge_h, 0, h, u)
+        assert port == 0 and out.c_v == 0 and abs(abs(out.c_h) - 1.0) < 1e-12
+        port, out = pbs_route(merge_v, 1, v, u)
+        assert port == 0 and out.c_h == 0 and abs(abs(out.c_v) - 1.0) < 1e-12
 
 
 # --- stateless transforms -------------------------------------------------------

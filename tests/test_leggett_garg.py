@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qwalk.core import Message, RngStream
-from qwalk.errors import EmptyRun, InsufficientReplicates, MissingTaps
+from qwalk.core import RngStream
+from qwalk.errors import EmptyRun, InsufficientReplicates
 from qwalk.leggett_garg import (
     SINGLE_RUN,
     THREE_RUN,
@@ -17,14 +17,7 @@ from qwalk.leggett_garg import (
     single_run_replicate,
     three_run_replicate,
 )
-from qwalk.network import RunRecord, TapObservation
-
-
-def make_record(index, t2_site, final_site):
-    rec = RunRecord(index)
-    rec.taps["t2"] = TapObservation(t2_site, Message(1.0 + 0j, 0j))
-    rec.final_site = final_site
-    return rec
+from qwalk.network import build_jeong, run
 
 
 # --- readout ------------------------------------------------------------------
@@ -85,18 +78,16 @@ def test_three_run_rejects_empty_distributions():
 def test_same_dataset_gives_k_of_exactly_one():
     # law of total expectation: partitioning by the t2 observation and
     # recombining reproduces the plain mean, so K == 1 bit-exactly
-    records = [make_record(i, -1 if i % 3 else 1, site)
-               for i, site in enumerate([-4, -2, -2, 0, 2, 4, -2, 2, 0, -4, 2, -2])]
-    counts = {}
-    for rec in records:
-        counts[rec.final_site] = counts.get(rec.final_site, 0) + 1
-    result = k_single_run(records, counts)
+    t2 = {-1: {-4: 0, -2: 3, 0: 1, 2: 3, 4: 1},
+          +1: {-4: 2, -2: 1, 0: 1, 2: 0, 4: 0}}
+    counts = {x: t2[-1][x] + t2[1][x] for x in t2[-1]}
+    result = k_single_run(t2, counts)
     assert result.k == 1.0
 
 def test_single_run_partition_fractions():
-    records = [make_record(0, -1, -2), make_record(1, -1, 0),
-               make_record(2, 1, 2), make_record(3, 1, 4)]
-    result = k_single_run(records, {-2: 1, 0: 1, 2: 1, 4: 1})
+    t2 = {-1: {-4: 0, -2: 1, 0: 1, 2: 0, 4: 0},
+          +1: {-4: 0, -2: 0, 0: 0, 2: 1, 4: 1}}
+    result = k_single_run(t2, {-2: 1, 0: 1, 2: 1, 4: 1})
     assert result.components.p_minus == 0.5
     assert result.components.p_plus == 0.5
     assert result.components.q3q2_mean == 0.0
@@ -104,16 +95,15 @@ def test_single_run_partition_fractions():
     assert result.k == 1.0
 
 def test_single_run_requires_taps():
-    rec = RunRecord(0)
-    rec.final_site = 2
-    with pytest.raises(MissingTaps):
-        k_single_run([rec], {2: 1})
+    # only a network with a t2 cut point can be tapped for the t2 table
+    with pytest.raises(ValueError):
+        run(build_jeong(2, 0.0, 0.0), 10, RngStream(1), taps_enabled=True)
 
 def test_single_run_rejects_empty_inputs():
     with pytest.raises(EmptyRun):
-        k_single_run([], {0: 1})
+        k_single_run({}, {0: 1})
     with pytest.raises(EmptyRun):
-        k_single_run([make_record(0, -1, 0)], {})
+        k_single_run({-1: {0: 1}, +1: {0: 0}}, {})
 
 
 # --- classical enumeration oracle -------------------------------------------------

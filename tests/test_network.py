@@ -78,7 +78,7 @@ def test_counts_conserved_across_configurations():
         result = run(robens, 400, rng.derive(i + 1), filters=filters,
                      taps_enabled=True)
         assert sum(result.counts.values()) + result.removed == 400
-        assert len(result.records) == 400
+        assert sum(sum(row.values()) for row in result.t2.values()) + result.removed == 400
 
 def test_identical_seeds_reproduce_runs_bit_exactly():
     net = build_robens(0.95)
@@ -86,7 +86,7 @@ def test_identical_seeds_reproduce_runs_bit_exactly():
     b = run(net, 300, RngStream(77), taps_enabled=True)
     assert a.counts == b.counts
     assert a.removed == b.removed
-    assert a.records == b.records
+    assert a.t2 == b.t2
 
 def test_different_seeds_differ():
     net = build_robens(0.95)
@@ -108,47 +108,56 @@ def test_taps_are_non_invasive():
     tapped = run(net, 500, RngStream(31), taps_enabled=True)
     assert silent.counts == tapped.counts
     assert silent.removed == tapped.removed
-    assert silent.records == [] and len(tapped.records) == 500
+    assert silent.t2 == {}
+    assert sum(sum(row.values()) for row in tapped.t2.values()) == 500
 
 def test_tap_sites_match_polarization():
+    # t2 taps sit on the first merge column.  The merge at x2 = -1 is fed
+    # only on port 0 by the h output of the first splitting PBS, the one at
+    # +1 only on port 1 by its v output, and that splitting PBS is fed only
+    # on port 0; test_pbs_fed_pure_rails_emits_pure_polarization shows such
+    # feeds make the t2 messages pure h at -1 and pure v at +1.
     net = build_robens(0.95)
-    result = run(net, 400, RngStream(13), taps_enabled=True)
-    for rec in result.records:
-        assert set(rec.taps) == {"t1", "t2", "t3"}
-        t2 = rec.taps["t2"]
-        assert t2.site in (-1, 1)
-        h_weight = abs(t2.message.c_h)
-        # after the first jump the rails carry exactly pure polarization
-        assert h_weight == pytest.approx(1.0 if t2.site == -1 else 0.0, abs=1e-12)
-        assert rec.taps["t3"].site == rec.final_site
+    feeds: dict[int, list] = {}  # id(unit) -> [(source unit, out port, in port)]
+    emitter = {}  # id(wire) -> unit whose output it is
+    for unit in net.units:
+        for port, wire in enumerate(unit.out):
+            if wire is not None:
+                feeds.setdefault(id(wire.dst), []).append((unit, port, wire.dst_port))
+                emitter[id(wire)] = unit
+    assert sorted(net.cut_points["t2"]) == [-1, 1]
+    for x2, wire in net.cut_points["t2"].items():
+        merge = emitter[id(wire)]
+        assert isinstance(merge, PolarizingBeamSplitter)
+        assert merge.out.index(wire) == 0
+        rail = 0 if x2 < 0 else 1
+        [(split, out_port, in_port)] = feeds[id(merge)]
+        assert isinstance(split, PolarizingBeamSplitter)
+        assert (out_port, in_port) == (rail, rail)
+        assert [in_port for _u, _p, in_port in feeds[id(split)]] == [0]
+    # t3 taps: each wire enters the detector of its own site
+    for site, wire in net.cut_points["t3"].items():
+        assert isinstance(wire.dst, Detector) and wire.dst.site == site
+    assert sorted(net.cut_points["t3"]) == net.detector_sites
 
 def test_tap_partition_resums_to_total():
     net = build_robens(0.95)
     result = run(net, 600, RngStream(99), taps_enabled=True)
-    partition = {}
-    for rec in result.records:
-        key = rec.taps["t2"].site
-        sub = partition.setdefault(key, {})
-        sub[rec.final_site] = sub.get(rec.final_site, 0) + 1
-    merged = {}
-    for sub in partition.values():
-        for site, count in sub.items():
-            merged[site] = merged.get(site, 0) + count
-    assert merged == {s: c for s, c in result.counts.items() if c}
+    assert sorted(result.t2) == [-1, 1]
+    assert all(sorted(row) == net.detector_sites for row in result.t2.values())
+    merged = {x: result.t2[-1][x] + result.t2[1][x] for x in net.detector_sites}
+    assert merged == result.counts
 
 def test_removal_filter_semantics():
     net = build_robens(0.95)
     result = run(net, 500, RngStream(41), filters=[RemovalFilter("t2", +1)],
                  taps_enabled=True)
     assert 0 < result.removed < 500
-    for rec in result.records:
-        if rec.removed_at is not None:
-            assert rec.removed_at == "t2"
-            assert rec.taps["t2"].site == +1
-            assert rec.final_site is None
-        else:
-            assert rec.taps["t2"].site == -1
-            assert rec.final_site is not None
+    # every particle crossing t2 at +1 was absorbed: none is tallied there,
+    # and the survivors all crossed at -1
+    assert all(c == 0 for c in result.t2[1].values())
+    assert sum(result.t2[-1].values()) + result.removed == 500
+    assert result.t2[-1] == result.counts
 
 def test_unknown_filter_rejected():
     net = build_robens(0.95)
@@ -226,10 +235,7 @@ def test_removal_and_observation_give_different_branch_statistics():
     kept_minus = run(net, n, RngStream(71), filters=[RemovalFilter("t2", +1)])
     kept_plus = run(net, n, RngStream(73), filters=[RemovalFilter("t2", -1)])
     observed = run(net, n, RngStream(72), taps_enabled=True)
-    tagged: dict[int, dict[int, int]] = {-1: {}, 1: {}}
-    for rec in observed.records:
-        sub = tagged[rec.taps["t2"].site]
-        sub[rec.final_site] = sub.get(rec.final_site, 0) + 1
+    tagged = observed.t2
     joint_invasive = {(x2, x): c / n
                       for x2, counts in ((-1, kept_minus.counts), (1, kept_plus.counts))
                       for x, c in counts.items()}
