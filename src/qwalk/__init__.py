@@ -14,13 +14,11 @@ from .core import (
     RngStream,
     SOURCE_MESSAGE,
     adaptive_update,
-    beam_splitter_unitary,
     bs_route,
     derive_seed,
     detect,
     hadamard_apply,
     pbs_route,
-    pbs_unitary,
     phase_shift,
 )
 from .errors import (
@@ -68,8 +66,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveState", "Message", "RngStream", "SOURCE_MESSAGE",
-    "adaptive_update", "beam_splitter_unitary", "bs_route", "derive_seed",
-    "detect", "hadamard_apply", "pbs_route", "pbs_unitary", "phase_shift",
+    "adaptive_update", "bs_route", "derive_seed", "detect",
+    "hadamard_apply", "pbs_route", "phase_shift",
     "DegenerateAmplitude", "EmptyRun", "InsufficientReplicates",
     "InvalidLevels", "QwalkError", "UnsupportedStep",
     "UnwiredPort",

@@ -35,8 +35,6 @@ import math
 import random
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DegenerateAmplitude
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -224,31 +222,6 @@ def detect(site: int, counts: dict[int, int]) -> dict[int, int]:
     """Count one particle at ``site``; the particle leaves the network."""
     counts[site] = counts.get(site, 0) + 1
     return counts
-
-
-def beam_splitter_unitary() -> np.ndarray:
-    """4x4 beam-splitter unitary in (port, polarization) = (0h, 0v, 1h, 1v) order."""
-    m_bs = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) * _INV_SQRT2
-    return np.kron(m_bs, np.eye(2, dtype=complex))
-
-
-def pbs_unitary() -> np.ndarray:
-    """4x4 polarizing-beam-splitter unitary: h transmitted, v reflected with phase i."""
-    u = np.zeros((4, 4), dtype=complex)
-    u[0, 0] = 1.0       # out0h <- in0h
-    u[1, 3] = 1.0j      # out0v <- i * in1v
-    u[2, 2] = 1.0       # out1h <- in1h
-    u[3, 1] = 1.0j      # out1v <- i * in0v
-    return u
-
-
-def _assert_unitary(u: np.ndarray, name: str) -> None:
-    if not np.allclose(u.conj().T @ u, np.eye(4), atol=1e-12):
-        raise AssertionError(f"{name} matrix is not unitary")
-
-
-_assert_unitary(beam_splitter_unitary(), "beam splitter")
-_assert_unitary(pbs_unitary(), "polarizing beam splitter")
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,34 @@ from qwalk.core import (
     Message,
     RngStream,
     adaptive_update,
-    beam_splitter_unitary,
     bs_route,
     derive_seed,
     detect,
     hadamard_apply,
     pbs_route,
-    pbs_unitary,
     phase_shift,
 )
 from qwalk.core import HadamardUnit, PhaseShifter
 from qwalk.errors import DegenerateAmplitude
+
+INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def beam_splitter_unitary() -> np.ndarray:
+    """4x4 beam-splitter unitary in (port, polarization) = (0h, 0v, 1h, 1v) order."""
+    m_bs = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) * INV_SQRT2
+    return np.kron(m_bs, np.eye(2, dtype=complex))
+
+
+def pbs_unitary() -> np.ndarray:
+    """4x4 polarizing-beam-splitter unitary: h transmitted, v reflected with phase i."""
+    u = np.zeros((4, 4), dtype=complex)
+    u[0, 0] = 1.0       # out0h <- in0h
+    u[1, 3] = 1.0j      # out0v <- i * in1v
+    u[2, 2] = 1.0       # out1h <- in1h
+    u[3, 1] = 1.0j      # out1v <- i * in0v
+    return u
+
 
 H_IN = Message(1.0 + 0.0j, 0.0 + 0.0j)
 V_IN = Message(0.0 + 0.0j, 1.0 + 0.0j)
