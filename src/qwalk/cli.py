@@ -71,6 +71,10 @@ class RunConfig:
             raise ConfigError(f"particles must be >= 1, got {self.particles}")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
+        for name in ("phi1", "phi2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.replicates < 1:

@@ -197,7 +197,7 @@ def _pick_port(z0h: complex, z0v: complex, z1h: complex, z1v: complex,
     p0 = z0h.real ** 2 + z0h.imag ** 2 + z0v.real ** 2 + z0v.imag ** 2
     p1 = z1h.real ** 2 + z1h.imag ** 2 + z1v.real ** 2 + z1v.imag ** 2
     total = p0 + p1
-    if total < 1e-30:
+    if not total >= 1e-30:  # also catches a NaN total
         raise DegenerateAmplitude(
             f"routing amplitudes vanished (p0={p0!r}, p1={p1!r})")
     if u < p0 / total:

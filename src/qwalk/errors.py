@@ -6,7 +6,7 @@ class QwalkError(Exception):
 
 
 class DegenerateAmplitude(QwalkError):
-    """All routing amplitudes of an adaptive unit vanished (p0 + p1 < 1e-30)."""
+    """Routing amplitudes of an adaptive unit vanished (p0 + p1 < 1e-30) or are NaN."""
 
 
 class InvalidLevels(QwalkError):

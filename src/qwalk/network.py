@@ -31,6 +31,7 @@ bit-identical counts and tables.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple
 
 from .core import (
@@ -170,6 +171,8 @@ def build_jeong(levels: int, phi1: float, phi2: float, gamma: float = 0.95) -> N
     """
     if not 1 <= levels <= MAX_LEVELS:
         raise InvalidLevels(f"levels must be in 1..{MAX_LEVELS}, got {levels}")
+    if not (math.isfinite(phi1) and math.isfinite(phi2)):
+        raise ValueError(f"phases must be finite, got phi1={phi1}, phi2={phi2}")
     net = Network(gamma)
     source = net.add(Source())
     top = net.add(BeamSplitter(gamma))

@@ -120,6 +120,12 @@ def test_lgi_single_replicate_is_config_error(capsys):
     ("jeong", "--particles", "0"),
     ("robens", "--replicates", "0"),
     ("jeong", "--seed", "not-a-number"),
+    ("jeong", "--phi1", "nan"),
+    ("jeong", "--phi1", "inf"),
+    ("jeong", "--phi1=-inf"),
+    ("jeong", "--phi2", "nan"),
+    ("jeong", "--phi2", "inf"),
+    ("jeong", "--phi2=-inf"),
 ])
 def test_invalid_config_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

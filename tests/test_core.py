@@ -195,6 +195,13 @@ def test_unadapted_state_is_degenerate_without_update():
     with pytest.raises(DegenerateAmplitude):
         bs_route(AdaptiveState(0.9), 0, H_IN, 0.5)
 
+@pytest.mark.parametrize("route", [bs_route, pbs_route])
+def test_nan_amplitudes_are_degenerate(route):
+    # a NaN total must not fall through to a silent choice of port 1
+    state = make_state(0.9, (0.5, 0.5), (complex(math.nan, 0.0), 0.0), (1.0, 0.0))
+    with pytest.raises(DegenerateAmplitude):
+        route(state, 0, H_IN, 0.5)
+
 def test_update_before_route_avoids_degeneracy():
     state = AdaptiveState(0.9)
     adaptive_update(state, 0, H_IN)

@@ -54,6 +54,12 @@ def test_polarized_network_layout():
     assert sorted(net.cut_points["t2"]) == [-1, 1]
     assert sorted(net.cut_points["t3"]) == [-4, -2, 0, 2, 4]
 
+@pytest.mark.parametrize("phases", [(math.nan, PHI2), (PHI1, math.inf),
+                                    (-math.inf, PHI2)])
+def test_mesh_phases_must_be_finite(phases):
+    with pytest.raises(ValueError):
+        build_jeong(3, *phases)
+
 def test_validation_catches_dangling_port():
     net = Network(0.9)
     source = net.add(Source())
