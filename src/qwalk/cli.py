@@ -144,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lgi", help="Leggett-Garg K for both protocols")
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel replicate processes (default: cpu count)")
+                   help="parallel replicate processes, >= 1; capped at the "
+                        "replicate count (default: cpu count)")
     add_common(p, replicates_default=10)
 
     p = sub.add_parser("oracle", help="exact theory, no simulation")
@@ -330,6 +331,8 @@ def _verdict(k: float, stderr: float) -> str:
 
 
 def cmd_lgi(cfg: RunConfig, workers: int | None) -> tuple[dict, str]:
+    if workers is not None and workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     if cfg.replicates < 2:
         raise ConfigError(
             f"lgi needs at least 2 replicates for error bars, got {cfg.replicates}")

@@ -169,15 +169,20 @@ def run_protocol(protocol: str, *, particles: int = 100_000, gamma: float = 0.95
 
     Returns (aggregate, per-replicate results).  The aggregate K is computed
     from the averaged components so K = 1 + <Q3Q2> - <Q3> holds exactly;
-    stderr is the standard error over the per-replicate K values.
+    stderr is the standard error over the per-replicate K values.  At most
+    ``min(workers, replicates)`` worker processes run (``workers`` defaults
+    to the CPU count); one worker runs the replicates in this process.
     """
     if protocol not in (THREE_RUN, SINGLE_RUN):
         raise ValueError(f"unknown protocol {protocol!r}")
     jobs = [(protocol, rng.derive(r).seed, particles, gamma)
             for r in range(replicates)]
     if workers is None:
-        workers = min(replicates, os.cpu_count() or 1)
-    if workers > 1 and replicates > 1:
+        workers = os.cpu_count() or 1
+    # the pool starts all of its worker processes up front: never more
+    # than there are replicates to run
+    workers = min(workers, replicates)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate_worker, jobs))
     else:

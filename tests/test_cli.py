@@ -126,6 +126,8 @@ def test_lgi_single_replicate_is_config_error(capsys):
     ("jeong", "--phi2", "nan"),
     ("jeong", "--phi2", "inf"),
     ("jeong", "--phi2=-inf"),
+    ("lgi", "--workers", "0", "--replicates", "2", "--particles", "10"),
+    ("lgi", "--workers", "-1", "--replicates", "2", "--particles", "10"),
 ])
 def test_invalid_config_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

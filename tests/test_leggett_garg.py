@@ -166,6 +166,34 @@ def test_run_protocol_parallel_matches_serial():
                                replicates=2, rng=RngStream(4), workers=2)
     assert serial == parallel
 
+class RecordingExecutor:
+    """Stands in for ProcessPoolExecutor: records the pool size, runs in process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+@pytest.mark.parametrize("workers,pools", [(5000, [3]), (2, [2]), (None, [3]), (1, [])])
+def test_run_protocol_pool_never_exceeds_replicates(monkeypatch, workers, pools):
+    import qwalk.leggett_garg as lg
+
+    monkeypatch.setattr(lg, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(lg.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    run_protocol(THREE_RUN, particles=20, gamma=0.9, replicates=3,
+                 rng=RngStream(5), workers=workers)
+    assert RecordingExecutor.sizes == pools
+
 def test_run_protocol_rejects_unknown_protocol():
     with pytest.raises(ValueError):
         run_protocol("both", particles=10, replicates=2, rng=RngStream(1))
