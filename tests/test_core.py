@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from qwalk.core import (
     AdaptiveState,
+    HadamardUnit,
     Message,
+    PhaseShifter,
     RngStream,
     adaptive_update,
     bs_route,
@@ -19,7 +21,6 @@ from qwalk.core import (
     pbs_route,
     phase_shift,
 )
-from qwalk.core import HadamardUnit, PhaseShifter
 from qwalk.errors import DegenerateAmplitude
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
