@@ -16,7 +16,6 @@ from .core import (
     adaptive_update,
     bs_route,
     derive_seed,
-    detect,
     hadamard_apply,
     pbs_route,
     phase_shift,
@@ -66,7 +65,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveState", "Message", "RngStream", "SOURCE_MESSAGE",
-    "adaptive_update", "bs_route", "derive_seed", "detect",
+    "adaptive_update", "bs_route", "derive_seed",
     "hadamard_apply", "pbs_route", "phase_shift",
     "DegenerateAmplitude", "EmptyRun", "InsufficientReplicates",
     "InvalidLevels", "QwalkError", "UnsupportedStep",

@@ -23,14 +23,15 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .errors import QwalkError
 from .core import RngStream
 from .leggett_garg import SINGLE_RUN, THREE_RUN, run_protocol
-from .network import RemovalFilter, build_jeong, build_robens, run
+from .network import MAX_LEVELS, RemovalFilter, build_jeong, build_robens, run
 from .theory import (
     DOWN,
+    MAX_ORACLE_STEPS,
     StateVector,
     UP,
     hadamard_walk,
@@ -79,7 +80,7 @@ class RunConfig:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
-        mesh_bound = 20 if self.mode == "oracle" else 12
+        mesh_bound = MAX_ORACLE_STEPS if self.mode == "oracle" else MAX_LEVELS
         runs_mesh = (self.mode in ("jeong", "oracle")
                      or (self.mode == "compare" and self.network == "jeong"))
         if runs_mesh and self.walk != "hadamard" and self.steps > mesh_bound:
@@ -311,12 +312,10 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, str]:
 
 def cmd_compare(cfg: RunConfig) -> tuple[dict, str]:
     if cfg.network == "robens":
-        robens_cfg = RunConfig(**{**asdict(cfg), "mode": "robens",
-                                  "network": None, "removal": "none"})
-        report, csv_text = cmd_robens(robens_cfg)
+        report, csv_text = cmd_robens(
+            replace(cfg, mode="robens", network=None, removal="none"))
     else:
-        jeong_cfg = RunConfig(**{**asdict(cfg), "mode": "jeong", "network": None})
-        report, csv_text = cmd_jeong(jeong_cfg)
+        report, csv_text = cmd_jeong(replace(cfg, mode="jeong", network=None))
     report["config"] = _config_echo(cfg)
     rows = report["results"]["sites"]
     report["results"]["abs_errors"] = [
@@ -416,7 +415,13 @@ def main(argv: list[str] | None = None) -> int:
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     else:
         text = csv_text
-    _write_output(text, getattr(args, "out", None))
+    out = getattr(args, "out", None)
+    try:
+        _write_output(text, out)
+    except OSError as exc:
+        print(f"qwalk: cannot write {out or 'stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     return 0
 
 

@@ -218,15 +218,11 @@ def hadamard_apply(m: Message) -> Message:
     return Message((m.c_h + m.c_v) * _INV_SQRT2, (m.c_h - m.c_v) * _INV_SQRT2)
 
 
-def detect(site: int, counts: dict[int, int]) -> dict[int, int]:
-    """Count one particle at ``site``; the particle leaves the network."""
-    counts[site] = counts.get(site, 0) + 1
-    return counts
-
-
 # ---------------------------------------------------------------------------
-# Processing units.  A unit interacts with one particle at a time; ``out`` is
-# filled with wires by the owning network.
+# Processing units.  Units describe the graph: ``out`` is filled with wires by
+# the owning network, and ``network.run`` compiles the graph into flat tables
+# whose event loop applies the functions above inline.  ``state`` holds an
+# adaptive unit's registers as they stood at the end of the last run.
 
 
 class Source:
@@ -235,7 +231,6 @@ class Source:
     __slots__ = ("out",)
     n_inputs = 0
     n_outputs = 1
-    is_detector = False
     is_adaptive = False
 
     def __init__(self):
@@ -245,20 +240,15 @@ class Source:
 class PhaseShifter:
     """Multiplies the passing message by e^{i phi}.  1 input, 1 output."""
 
-    __slots__ = ("phi", "_factor", "out")
+    __slots__ = ("phi", "factor", "out")
     n_inputs = 1
     n_outputs = 1
-    is_detector = False
     is_adaptive = False
 
     def __init__(self, phi: float):
         self.phi = phi
-        self._factor = complex(math.cos(phi), math.sin(phi))
+        self.factor = complex(math.cos(phi), math.sin(phi))
         self.out = [None]
-
-    def interact(self, port: int, m: Message) -> tuple[int, Message]:
-        f = self._factor
-        return 0, Message(f * m.c_h, f * m.c_v)
 
 
 class HadamardUnit:
@@ -267,51 +257,30 @@ class HadamardUnit:
     __slots__ = ("out",)
     n_inputs = 1
     n_outputs = 1
-    is_detector = False
     is_adaptive = False
 
     def __init__(self):
         self.out = [None]
 
-    def interact(self, port: int, m: Message) -> tuple[int, Message]:
-        return 0, Message((m.c_h + m.c_v) * _INV_SQRT2,
-                          (m.c_h - m.c_v) * _INV_SQRT2)
-
 
 class BeamSplitter:
     """Adaptive 50:50 beam splitter.  2 inputs, 2 outputs."""
 
-    __slots__ = ("gamma", "state", "rng", "out")
+    __slots__ = ("gamma", "state", "out")
     n_inputs = 2
     n_outputs = 2
-    is_detector = False
     is_adaptive = True
 
     def __init__(self, gamma: float):
         self.gamma = gamma
         self.state = AdaptiveState(gamma)
-        self.rng: RngStream | None = None
         self.out = [None, None]
-
-    def reset(self, rng: RngStream) -> None:
-        self.state = AdaptiveState(self.gamma)
-        self.rng = rng
-
-    def interact(self, port: int, m: Message) -> tuple[int, Message]:
-        state = self.state
-        adaptive_update(state, port, m)
-        return bs_route(state, port, m, self.rng.random())
 
 
 class PolarizingBeamSplitter(BeamSplitter):
     """Adaptive polarizing beam splitter: h transmits, v reflects with phase i."""
 
     __slots__ = ()
-
-    def interact(self, port: int, m: Message) -> tuple[int, Message]:
-        state = self.state
-        adaptive_update(state, port, m)
-        return pbs_route(state, port, m, self.rng.random())
 
 
 class Detector:
@@ -320,7 +289,6 @@ class Detector:
     __slots__ = ("site", "out")
     n_inputs = 1
     n_outputs = 0
-    is_detector = True
     is_adaptive = False
 
     def __init__(self, site: int):

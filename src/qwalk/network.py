@@ -25,9 +25,10 @@ Leggett-Garg analysis.
 
 A run is strictly sequential: a particle finishes (detector or filter)
 before the next one is emitted, and the adaptive registers persist across
-all particles of the run.  ``run`` reseeds every adaptive unit from the
-supplied stream and resets its registers, so identical seeds reproduce
-bit-identical counts and tables.
+all particles of the run.  ``run`` compiles the graph into flat tables
+(``_compile``), derives every adaptive unit's stream from the supplied one
+and starts from fresh registers, so identical seeds reproduce bit-identical
+counts and tables.
 """
 from __future__ import annotations
 
@@ -43,8 +44,9 @@ from .core import (
     RngStream,
     Source,
     SOURCE_MESSAGE,
+    _INV_SQRT2,
 )
-from .errors import InvalidLevels, QwalkError, UnwiredPort
+from .errors import DegenerateAmplitude, InvalidLevels, QwalkError, UnwiredPort
 
 MAX_LEVELS = 12  # unit count grows as levels^2; desk-scale bound
 
@@ -71,13 +73,12 @@ class RunResult(NamedTuple):
 class Wire:
     """Directed connection into one input port, optionally carrying a cut-point tag."""
 
-    __slots__ = ("dst", "dst_port", "tap_label", "tap_site", "absorb")
+    __slots__ = ("dst", "dst_port", "tap_label", "tap_site")
 
     def __init__(self, dst, dst_port: int, tap=None):
         self.dst = dst
         self.dst_port = dst_port
         self.tap_label, self.tap_site = tap if tap is not None else (None, None)
-        self.absorb = False  # set per run by active removal filters
 
 
 class Network:
@@ -150,12 +151,6 @@ class Network:
 
     def _successors(self, unit) -> list:
         return [w.dst for w in unit.out if w is not None]
-
-    def reset(self, rng: RngStream) -> None:
-        """Fresh registers and per-unit streams derived from (seed, unit index)."""
-        for index, unit in enumerate(self.units):
-            if unit.is_adaptive:
-                unit.reset(rng.derive(index))
 
 
 def build_jeong(levels: int, phi1: float, phi2: float, gamma: float = 0.95) -> Network:
@@ -255,24 +250,106 @@ def build_robens(gamma: float = 0.95) -> Network:
     return net
 
 
+# Compiled form of a network.  Units are numbered by their position in
+# ``net.units``; the edge leaving unit j on out-port q is numbered 2*j + q.
+_DETECTOR, _BS, _PBS, _DARK = 0, 1, 2, -1
+#: edge tag of a wire absorbed by a removal filter
+_ABSORB = object()
+#: edge transform of a polarization Hadamard (a phase edge holds its factor)
+_HADAMARD = object()
+
+
+def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
+    """Lower the unit graph to the flat tables the event loop runs on.
+
+    Each edge runs from an adaptive unit (or the source) to the next adaptive
+    unit or detector; the stateless unit sitting on it, if any, is folded
+    into the edge as its transform.  Wires in ``absorbed`` tag their edge as
+    absorbing; t2 wires tag it with their site.  Unwired (dark) ports lead
+    to a sentinel unit whose kind makes the loop raise ``UnwiredPort``.
+    Registers start fresh, and adaptive unit j draws from ``rng.derive(j)``.
+
+    Returns, in order:
+
+    - per unit: ``kind`` (with the dark sentinel appended), detector ``site``;
+    - per edge: ``dst`` unit, its ``dst_port``, ``tag`` (None, _ABSORB or
+      the t2 site crossed) and ``xform`` (None, _HADAMARD or a phase factor);
+    - per unit: ``gamma``, ``1 - gamma``, the six register lists (w0, w1,
+      y0h, y0v, y1h, y1v) and ``draw``, the bound ``random`` of its stream;
+    - the edge leaving the source.
+    """
+    units = net.units
+    n = len(units)
+    index = {id(u): j for j, u in enumerate(units)}
+    kind: list = [None] * n + [_DARK]
+    site: list = [None] * n
+    gamma: list = [None] * n
+    draw: list = [None] * n
+    for j, unit in enumerate(units):
+        if isinstance(unit, Detector):
+            kind[j] = _DETECTOR
+            site[j] = unit.site
+        elif isinstance(unit, BeamSplitter):
+            kind[j] = _PBS if isinstance(unit, PolarizingBeamSplitter) else _BS
+            gamma[j] = unit.gamma
+            draw[j] = rng.derive(j).random
+    dst: list = [n] * (2 * n)
+    dst_port: list = [0] * (2 * n)
+    tag: list = [None] * (2 * n)
+    xform: list = [None] * (2 * n)
+    for j, unit in enumerate(units):
+        if not isinstance(unit, (Source, BeamSplitter)):
+            continue
+        for port, wire in enumerate(unit.out):
+            e = 2 * j + port
+            while wire is not None:
+                if wire in absorbed:
+                    tag[e] = _ABSORB
+                elif wire.tap_label == "t2" and tag[e] is None:
+                    tag[e] = wire.tap_site
+                target = wire.dst
+                if isinstance(target, PhaseShifter):
+                    step = target.factor
+                elif isinstance(target, HadamardUnit):
+                    step = _HADAMARD
+                else:
+                    dst[e] = index[id(target)]
+                    dst_port[e] = wire.dst_port
+                    break
+                if xform[e] is not None:
+                    raise QwalkError("more than one stateless unit on an edge")
+                xform[e] = step
+                wire = target.out[0]
+    rest = [None if g is None else 1.0 - g for g in gamma]
+    regs = ([0.5] * n, [0.5] * n, [0j] * n, [0j] * n, [0j] * n, [0j] * n)
+    return (kind, site, dst, dst_port, tag, xform, gamma, rest, regs, draw,
+            2 * index[id(net.source)])
+
+
 def run(net: Network, n_particles: int, rng: RngStream,
         filters: Iterable[RemovalFilter] = (),
         taps_enabled: bool = False) -> RunResult:
     """Send ``n_particles`` through the network one at a time.
 
     Adaptive registers are reset at the start and persist across all
-    particles of the run.  Returns the detector counts, the t2 table (empty
+    particles of the run; at the end each adaptive unit's ``state`` holds
+    its final registers.  Returns the detector counts, the t2 table (empty
     unless ``taps_enabled``; a network without a t2 cut point cannot be
     tapped), and the removed tally.
+
+    The loop applies ``adaptive_update`` followed by ``bs_route`` or
+    ``pbs_route``, and ``phase_shift``/``hadamard_apply`` on the edges, with
+    the same float operations in the same order as those functions, and
+    draws one number per adaptive hop after the update.
     """
     if n_particles < 1:
         raise ValueError(f"n_particles must be >= 1, got {n_particles}")
-    filter_wires = []
+    absorbed = set()
     for f in filters:
         sites = net.cut_points.get(f.label)
         if sites is None or f.site not in sites:
             raise ValueError(f"no cut point {f.label!r} at site {f.site}")
-        filter_wires.append(sites[f.site])
+        absorbed.add(sites[f.site])
     t2: dict[int, dict[int, int]] = {}
     if taps_enabled:
         if "t2" not in net.cut_points:
@@ -280,41 +357,104 @@ def run(net: Network, n_particles: int, rng: RngStream,
         t2 = {x2: {site: 0 for site in net.detector_sites}
               for x2 in sorted(net.cut_points["t2"])}
 
-    net.reset(rng)
+    (kind, site_of, dst, dst_port, tag, xform, G, C,
+     (W0, W1, Y0H, Y0V, Y1H, Y1V), draw, start) = _compile(net, rng, absorbed)
+    # hot-loop names as locals
+    sqrt = math.sqrt
+    s = _INV_SQRT2
+    BS, DETECTOR, ABSORB, HADAMARD = _BS, _DETECTOR, _ABSORB, _HADAMARD
+    h0, v0 = SOURCE_MESSAGE
     counts = {site: 0 for site in net.detector_sites}
     removed = 0
-    for wire in filter_wires:
-        wire.absorb = True
-    try:
-        source_wire = net.source.out[0]
-        for _ in range(n_particles):
-            wire = source_wire
-            m = SOURCE_MESSAGE
-            x2 = None
-            while True:
-                label = wire.tap_label
-                if label is not None:
-                    if wire.absorb:
-                        removed += 1
-                        break
-                    if label == "t2":
-                        x2 = wire.tap_site
-                unit = wire.dst
-                if unit.is_detector:
-                    site = unit.site
-                    counts[site] += 1
-                    if taps_enabled:
-                        t2[x2][site] += 1
+    for _ in range(n_particles):
+        e = start
+        h = h0
+        v = v0
+        x2 = None
+        while True:
+            t = tag[e]
+            if t is not None:
+                if t is ABSORB:
+                    removed += 1
                     break
-                port, m = unit.interact(wire.dst_port, m)
-                wire = unit.out[port]
-                if wire is None:
-                    raise UnwiredPort(
-                        f"particle reached dangling port {port} of "
-                        f"{type(unit).__name__}")
-    finally:
-        for wire in filter_wires:
-            wire.absorb = False
+                x2 = t
+            f = xform[e]
+            if f is not None:
+                if f is HADAMARD:
+                    h, v = (h + v) * s, (h - v) * s
+                else:
+                    h = f * h
+                    v = f * v
+            j = dst[e]
+            k = kind[j]
+            if k > DETECTOR:
+                # adaptive_update
+                g = G[j]
+                c = C[j]
+                if dst_port[e] == 0:
+                    W0[j] = w0 = g * W0[j] + c
+                    W1[j] = w1 = g * W1[j]
+                    Y0H[j] = y0h = g * Y0H[j] + c * h
+                    Y0V[j] = y0v = g * Y0V[j] + c * v
+                    y1h = Y1H[j]
+                    y1v = Y1V[j]
+                else:
+                    W1[j] = w1 = g * W1[j] + c
+                    W0[j] = w0 = g * W0[j]
+                    Y1H[j] = y1h = g * Y1H[j] + c * h
+                    Y1V[j] = y1v = g * Y1V[j] + c * v
+                    y0h = Y0H[j]
+                    y0v = Y0V[j]
+                u = draw[j]()
+                a = sqrt(w0)
+                b = sqrt(w1)
+                if k == BS:
+                    v0h = a * y0h
+                    v0v = a * y0v
+                    v1h = b * y1h
+                    v1v = b * y1v
+                    z0h = (v0h + 1j * v1h) * s
+                    z0v = (v0v + 1j * v1v) * s
+                    z1h = (1j * v0h + v1h) * s
+                    z1v = (1j * v0v + v1v) * s
+                else:
+                    z0h = a * y0h
+                    z0v = 1j * (b * y1v)
+                    z1h = b * y1h
+                    z1v = 1j * (a * y0v)
+                # _pick_port
+                p0 = z0h.real ** 2 + z0h.imag ** 2 + z0v.real ** 2 + z0v.imag ** 2
+                p1 = z1h.real ** 2 + z1h.imag ** 2 + z1v.real ** 2 + z1v.imag ** 2
+                total = p0 + p1
+                if not total >= 1e-30:  # also catches a NaN total
+                    raise DegenerateAmplitude(
+                        f"routing amplitudes vanished (p0={p0!r}, p1={p1!r})")
+                if u < p0 / total:
+                    inv = 1.0 / sqrt(p0)
+                    h = z0h * inv
+                    v = z0v * inv
+                    e = 2 * j
+                else:
+                    inv = 1.0 / sqrt(p1)
+                    h = z1h * inv
+                    v = z1v * inv
+                    e = 2 * j + 1
+            elif k == DETECTOR:
+                site = site_of[j]
+                counts[site] += 1
+                if taps_enabled:
+                    t2[x2][site] += 1
+                break
+            else:
+                unit = net.units[e // 2]
+                raise UnwiredPort(f"particle reached dangling port {e % 2} "
+                                  f"of {type(unit).__name__}")
     if sum(counts.values()) + removed != n_particles:
         raise QwalkError("conservation breach: emitted != detected + removed")
+    for j, unit in enumerate(net.units):
+        if draw[j] is not None:
+            state = unit.state
+            state.w0, state.w1 = W0[j], W1[j]
+            state.y0h, state.y0v = Y0H[j], Y0V[j]
+            state.y1h, state.y1v = Y1H[j], Y1V[j]
     return RunResult(counts, t2, removed)

@@ -23,6 +23,8 @@ from .errors import UnsupportedStep
 
 UP = 0    # moves to x-1 under the shift; maps to h polarization
 DOWN = 1  # moves to x+1; maps to v polarization
+#: deepest mesh ``jeong_evolve`` evaluates; the simulator stops at network.MAX_LEVELS
+MAX_ORACLE_STEPS = 20
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -103,8 +105,8 @@ def jeong_evolve(levels: int, phi1: float, phi2: float) -> list[dict[int, float]
     site->probability map per step l = 1..levels; the probabilities depend on
     phi2 only, never on phi1.
     """
-    if not 1 <= levels <= 20:
-        raise ValueError(f"levels must be in 1..20, got {levels}")
+    if not 1 <= levels <= MAX_ORACLE_STEPS:
+        raise ValueError(f"levels must be in 1..{MAX_ORACLE_STEPS}, got {levels}")
     e1 = complex(math.cos(phi1), math.sin(phi1))
     e2 = complex(math.cos(phi2), math.sin(phi2))
     amps: dict[tuple[int, int], complex] = {(0, UP): 1.0 + 0.0j}

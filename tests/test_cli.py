@@ -197,6 +197,23 @@ def test_file_matches_stdout(tmp_path, capsys):
     assert code == 0
     assert path.read_text() == out
 
+def test_unwritable_out_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
+    missing = tmp_path / "missing" / "table.csv"
+    code, out, err = run_cli(capsys, "jeong", "--particles", "10",
+                             "--out", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qwalk:") and len(err.splitlines()) == 1
+    # the temp file is written next to the target, then fails to replace it
+    target = tmp_path / "a_directory"
+    target.mkdir()
+    code, out, err = run_cli(capsys, "jeong", "--particles", "10",
+                             "--out", str(target))
+    assert code == 2
+    assert err.startswith("qwalk:") and len(err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["a_directory"]
+    assert list(target.iterdir()) == []
+
 def test_gamma_zero_reproduces_binomial(capsys):
     code, out, _ = run_cli(capsys, "jeong", "--steps", "4", "--gamma", "0.0",
                            "--particles", "20000", "--format", "json")

@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 
 from qwalk.core import (
     AdaptiveState,
-    HadamardUnit,
     Message,
-    PhaseShifter,
     RngStream,
     adaptive_update,
     bs_route,
     derive_seed,
-    detect,
     hadamard_apply,
     pbs_route,
     phase_shift,
@@ -187,9 +184,7 @@ def test_units_emit_unit_norm_messages(arrivals, gamma, u, m, phi):
         port, out = route(state, 0, m, u)
         assert port in (0, 1)
         assert abs(out.norm() - 1.0) < 1e-9
-    for unit in (PhaseShifter(phi), HadamardUnit()):
-        port, out = unit.interact(0, m)
-        assert port == 0
+    for out in (phase_shift(phi, m), hadamard_apply(m)):
         assert abs(out.norm() - 1.0) < 1e-9
 
 def test_unadapted_state_is_degenerate_without_update():
@@ -297,18 +292,6 @@ def test_transforms_preserve_norm(theta, alpha, phi):
     m = Message(math.cos(theta) * cmath.exp(1j * alpha), math.sin(theta))
     assert abs(phase_shift(phi, m).norm() - 1.0) < 1e-9
     assert abs(hadamard_apply(m).norm() - 1.0) < 1e-9
-
-
-# --- detection --------------------------------------------------------------
-
-def test_detect_counts_and_conserves():
-    counts = detect(-2, {})
-    assert counts == {-2: 1}
-    assert detect(0, {0: 5}) == {0: 6}
-    counts = {}
-    for site in [1, -1, 1, 3, 1]:
-        detect(site, counts)
-    assert sum(counts.values()) == 5
 
 
 # --- unitaries and streams ------------------------------------------------------

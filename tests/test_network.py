@@ -2,9 +2,26 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qwalk.core import BeamSplitter, Detector, PhaseShifter, PolarizingBeamSplitter, RngStream, Source
-from qwalk.errors import InvalidLevels, UnwiredPort
+from qwalk.core import (
+    SOURCE_MESSAGE,
+    AdaptiveState,
+    BeamSplitter,
+    Detector,
+    HadamardUnit,
+    PhaseShifter,
+    PolarizingBeamSplitter,
+    RngStream,
+    Source,
+    adaptive_update,
+    bs_route,
+    hadamard_apply,
+    pbs_route,
+    phase_shift,
+)
+from qwalk.errors import InvalidLevels, QwalkError, UnwiredPort
 from qwalk.network import Network, RemovalFilter, build_jeong, build_robens, run
 from qwalk.theory import jeong_evolve, srw_distribution, total_variation
 
@@ -72,6 +89,106 @@ def test_validation_catches_dangling_port():
 
 
 # --- event loop --------------------------------------------------------------
+
+def reference_run(net, n_particles, rng, filters=(), taps_enabled=False):
+    """Walk the unit graph with the core functions, one call per unit.
+
+    Adaptive unit j draws from rng.derive(j), once per arrival, after the
+    register update.  Returns (counts, t2, removed, {unit index: registers}).
+    """
+    states, draws = {}, {}
+    for j, unit in enumerate(net.units):
+        if unit.is_adaptive:
+            states[j] = AdaptiveState(unit.gamma)
+            draws[j] = rng.derive(j).random
+    index = {id(unit): j for j, unit in enumerate(net.units)}
+    absorbed = {id(net.cut_points[f.label][f.site]) for f in filters}
+    counts = {site: 0 for site in net.detector_sites}
+    t2 = ({x2: {site: 0 for site in net.detector_sites}
+           for x2 in net.cut_points["t2"]} if taps_enabled else {})
+    removed = 0
+    for _ in range(n_particles):
+        wire, m, x2 = net.source.out[0], SOURCE_MESSAGE, None
+        while True:
+            if id(wire) in absorbed:
+                removed += 1
+                break
+            if wire.tap_label == "t2":
+                x2 = wire.tap_site
+            unit = wire.dst
+            if isinstance(unit, Detector):
+                counts[unit.site] += 1
+                if taps_enabled:
+                    t2[x2][unit.site] += 1
+                break
+            if isinstance(unit, PhaseShifter):
+                port, m = 0, phase_shift(unit.phi, m)
+            elif isinstance(unit, HadamardUnit):
+                port, m = 0, hadamard_apply(m)
+            else:
+                j = index[id(unit)]
+                adaptive_update(states[j], wire.dst_port, m)
+                polarizing = isinstance(unit, PolarizingBeamSplitter)
+                route = pbs_route if polarizing else bs_route
+                port, m = route(states[j], wire.dst_port, m, draws[j]())
+            wire = unit.out[port]
+    return counts, t2, removed, states
+
+def registers(state):
+    return (state.w0, state.w1, state.y0h, state.y0v, state.y1h, state.y1v)
+
+finite_phases = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
+
+@given(st.one_of(
+           st.tuples(st.just("jeong"), st.integers(1, 6), finite_phases,
+                     finite_phases, st.just(None), st.just(False)),
+           st.tuples(st.just("robens"), st.just(0), st.just(0.0), st.just(0.0),
+                     st.sampled_from([None, -1, +1]), st.booleans())),
+       st.floats(0.0, 0.99), st.integers(0, 2 ** 64 - 1), st.integers(1, 60))
+@settings(max_examples=80, deadline=None)
+def test_compiled_loop_matches_reference_stepper(shape, gamma, seed, n):
+    # the compiled loop must reproduce, bit for bit, the walk that calls the
+    # core functions unit by unit: counts, t2 table, removed tally and every
+    # final register
+    name, levels, phi1, phi2, removed_site, taps = shape
+    if name == "jeong":
+        net = build_jeong(levels, phi1, phi2, gamma)
+    else:
+        net = build_robens(gamma)
+    filters = [] if removed_site is None else [RemovalFilter("t2", removed_site)]
+    counts, t2, removed, states = reference_run(
+        net, n, RngStream(seed), filters, taps)
+    result = run(net, n, RngStream(seed), filters=filters, taps_enabled=taps)
+    assert result.counts == counts
+    assert result.t2 == t2
+    assert result.removed == removed
+    for j, state in states.items():
+        assert registers(net.units[j].state) == registers(state)
+
+def test_particle_at_dark_port_raises():
+    # a dark port declared on a port that does carry amplitude: the first
+    # particle routed there stops the run instead of vanishing
+    net = Network(0.9)
+    source = net.add(Source())
+    bs = net.add(BeamSplitter(0.9))
+    net.connect(source, 0, bs, 0)
+    net.connect(bs, 0, net.add(Detector(-1)), 0)
+    net.mark_dark(bs, 1)
+    net.detector_sites = [-1]
+    net.validate()
+    with pytest.raises(UnwiredPort):
+        run(net, 200, RngStream(1))
+
+def test_two_stateless_units_on_one_edge_are_rejected():
+    net = Network(0.9)
+    source = net.add(Source())
+    first, second = net.add(PhaseShifter(0.1)), net.add(HadamardUnit())
+    net.connect(source, 0, first, 0)
+    net.connect(first, 0, second, 0)
+    net.connect(second, 0, net.add(Detector(0)), 0)
+    net.detector_sites = [0]
+    with pytest.raises(QwalkError):
+        run(net, 1, RngStream(1))
 
 def test_counts_conserved_across_configurations():
     rng = RngStream(5)
