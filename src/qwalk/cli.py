@@ -25,7 +25,7 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass, replace
 
-from .errors import QwalkError
+from .errors import EmptyRun, QwalkError
 from .core import RngStream
 from .leggett_garg import SINGLE_RUN, THREE_RUN, run_protocol
 from .network import MAX_LEVELS, RemovalFilter, build_jeong, build_robens, run
@@ -329,6 +329,15 @@ def _verdict(k: float, stderr: float) -> str:
     return "violation" if k - 1.0 > 3.0 * stderr else "no_violation"
 
 
+def _excess_in_stderr(k: float, stderr: float) -> float:
+    """(K - 1) / stderr; with a zero stderr, a signed infinity or 0.0 for K = 1."""
+    if stderr > 0:
+        return (k - 1.0) / stderr
+    if k == 1.0:
+        return 0.0
+    return math.copysign(math.inf, k - 1.0)
+
+
 def cmd_lgi(cfg: RunConfig, workers: int | None) -> tuple[dict, str]:
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -339,9 +348,16 @@ def cmd_lgi(cfg: RunConfig, workers: int | None) -> tuple[dict, str]:
     rows = []
     results: dict = {}
     for index, protocol in enumerate((THREE_RUN, SINGLE_RUN)):
-        aggregate, reps = run_protocol(
-            protocol, particles=cfg.particles, gamma=cfg.gamma,
-            replicates=cfg.replicates, rng=rng.derive(index), workers=workers)
+        try:
+            aggregate, reps = run_protocol(
+                protocol, particles=cfg.particles, gamma=cfg.gamma,
+                replicates=cfg.replicates, rng=rng.derive(index),
+                workers=workers)
+        except EmptyRun as exc:
+            # too few particles leave a branch or a run with no counts
+            raise ConfigError(
+                f"--particles {cfg.particles} is too few for {protocol}: "
+                f"{exc}") from exc
         verdict = _verdict(aggregate.k, aggregate.stderr)
         comp = aggregate.components
         rows.append({
@@ -356,8 +372,7 @@ def cmd_lgi(cfg: RunConfig, workers: int | None) -> tuple[dict, str]:
             "per_replicate_K": [r.k for r in reps],
             "verdict": verdict,
         }
-        sigmas = ((aggregate.k - 1.0) / aggregate.stderr
-                  if aggregate.stderr > 0 else float("inf"))
+        sigmas = _excess_in_stderr(aggregate.k, aggregate.stderr)
         print(f"{protocol}: K = {aggregate.k:.4f} +- {aggregate.stderr:.4f}  "
               f"-> {verdict} (K - 1 = {sigmas:+.1f} stderr)", file=sys.stderr)
     report = {

@@ -87,7 +87,6 @@ class Network:
     def __init__(self, gamma: float):
         self.gamma = gamma
         self.units: list = []
-        self.wires: list[Wire] = []
         self.source: Source | None = None
         self.detector_sites: list[int] = []
         #: label -> {site: wire} for every annotated cut point
@@ -106,7 +105,6 @@ class Network:
             raise QwalkError("output port already wired")
         wire = Wire(dst, dst_port, tap)
         src.out[src_port] = wire
-        self.wires.append(wire)
         if tap is not None:
             label, site = tap
             self.cut_points.setdefault(label, {})[site] = wire
@@ -252,7 +250,8 @@ def build_robens(gamma: float = 0.95) -> Network:
 
 # Compiled form of a network.  Units are numbered by their position in
 # ``net.units``; the edge leaving unit j on out-port q is numbered 2*j + q.
-_DETECTOR, _BS, _PBS, _DARK = 0, 1, 2, -1
+# _BS1 is a beam splitter of a scalar network (see ``_compile``).
+_DETECTOR, _BS, _PBS, _BS1, _DARK = 0, 1, 2, 3, -1
 #: edge tag of a wire absorbed by a removal filter
 _ABSORB = object()
 #: edge transform of a polarization Hadamard (a phase edge holds its factor)
@@ -269,6 +268,13 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
     to a sentinel unit whose kind makes the loop raise ``UnwiredPort``.
     Registers start fresh, and adaptive unit j draws from ``rng.derive(j)``.
 
+    The network is scalar when the source message has a zero v half and no
+    unit can give it one: beam splitters and phase shifters act on h and v
+    alike, so only a ``HadamardUnit`` or a ``PolarizingBeamSplitter`` ends
+    it.  In a scalar network every beam splitter gets the kind ``_BS1``; its
+    v registers stay zero, and the v terms it skips add only +0.0 to the
+    routing probabilities.
+
     Returns, in order:
 
     - per unit: ``kind`` (with the dark sentinel appended), detector ``site``;
@@ -281,6 +287,9 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
     units = net.units
     n = len(units)
     index = {id(u): j for j, u in enumerate(units)}
+    scalar = SOURCE_MESSAGE.c_v == 0 and not any(
+        isinstance(u, (HadamardUnit, PolarizingBeamSplitter)) for u in units)
+    bs_kind = _BS1 if scalar else _BS
     kind: list = [None] * n + [_DARK]
     site: list = [None] * n
     gamma: list = [None] * n
@@ -290,7 +299,7 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
             kind[j] = _DETECTOR
             site[j] = unit.site
         elif isinstance(unit, BeamSplitter):
-            kind[j] = _PBS if isinstance(unit, PolarizingBeamSplitter) else _BS
+            kind[j] = _PBS if isinstance(unit, PolarizingBeamSplitter) else bs_kind
             gamma[j] = unit.gamma
             draw[j] = rng.derive(j).random
     dst: list = [n] * (2 * n)
@@ -326,6 +335,11 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
             2 * index[id(net.source)])
 
 
+def _vanished(p0: float, p1: float) -> DegenerateAmplitude:
+    return DegenerateAmplitude(
+        f"routing amplitudes vanished (p0={p0!r}, p1={p1!r})")
+
+
 def run(net: Network, n_particles: int, rng: RngStream,
         filters: Iterable[RemovalFilter] = (),
         taps_enabled: bool = False) -> RunResult:
@@ -340,7 +354,8 @@ def run(net: Network, n_particles: int, rng: RngStream,
     The loop applies ``adaptive_update`` followed by ``bs_route`` or
     ``pbs_route``, and ``phase_shift``/``hadamard_apply`` on the edges, with
     the same float operations in the same order as those functions, and
-    draws one number per adaptive hop after the update.
+    draws one number per adaptive hop after the update.  A beam splitter of
+    a scalar network (see ``_compile``) skips the v half, which is zero.
     """
     if n_particles < 1:
         raise ValueError(f"n_particles must be >= 1, got {n_particles}")
@@ -362,7 +377,7 @@ def run(net: Network, n_particles: int, rng: RngStream,
     # hot-loop names as locals
     sqrt = math.sqrt
     s = _INV_SQRT2
-    BS, DETECTOR, ABSORB, HADAMARD = _BS, _DETECTOR, _ABSORB, _HADAMARD
+    BS, BS1, DETECTOR, ABSORB, HADAMARD = _BS, _BS1, _DETECTOR, _ABSORB, _HADAMARD
     h0, v0 = SOURCE_MESSAGE
     counts = {site: 0 for site in net.detector_sites}
     removed = 0
@@ -387,7 +402,37 @@ def run(net: Network, n_particles: int, rng: RngStream,
                     v = f * v
             j = dst[e]
             k = kind[j]
-            if k > DETECTOR:
+            if k == BS1:
+                # adaptive_update and bs_route on the h half alone
+                g = G[j]
+                c = C[j]
+                if dst_port[e] == 0:
+                    W0[j] = w0 = g * W0[j] + c
+                    W1[j] = w1 = g * W1[j]
+                    Y0H[j] = y0h = g * Y0H[j] + c * h
+                    y1h = Y1H[j]
+                else:
+                    W1[j] = w1 = g * W1[j] + c
+                    W0[j] = w0 = g * W0[j]
+                    Y1H[j] = y1h = g * Y1H[j] + c * h
+                    y0h = Y0H[j]
+                u = draw[j]()
+                v0h = sqrt(w0) * y0h
+                v1h = sqrt(w1) * y1h
+                z0h = (v0h + 1j * v1h) * s
+                z1h = (1j * v0h + v1h) * s
+                p0 = z0h.real ** 2 + z0h.imag ** 2
+                p1 = z1h.real ** 2 + z1h.imag ** 2
+                total = p0 + p1
+                if not total >= 1e-30:
+                    raise _vanished(p0, p1)
+                if u < p0 / total:
+                    h = z0h * (1.0 / sqrt(p0))
+                    e = 2 * j
+                else:
+                    h = z1h * (1.0 / sqrt(p1))
+                    e = 2 * j + 1
+            elif k > DETECTOR:
                 # adaptive_update
                 g = G[j]
                 c = C[j]
@@ -427,8 +472,7 @@ def run(net: Network, n_particles: int, rng: RngStream,
                 p1 = z1h.real ** 2 + z1h.imag ** 2 + z1v.real ** 2 + z1v.imag ** 2
                 total = p0 + p1
                 if not total >= 1e-30:  # also catches a NaN total
-                    raise DegenerateAmplitude(
-                        f"routing amplitudes vanished (p0={p0!r}, p1={p1!r})")
+                    raise _vanished(p0, p1)
                 if u < p0 / total:
                     inv = 1.0 / sqrt(p0)
                     h = z0h * inv

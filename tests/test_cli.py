@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from qwalk import cli
 from qwalk.cli import CSV_HEADER, DEFAULT_SEED, LGI_CSV_HEADER, main
+from qwalk.leggett_garg import LgiComponents, LgiResult
 from qwalk.theory import jeong_evolve
 
 
@@ -110,6 +112,25 @@ def test_lgi_single_replicate_is_config_error(capsys):
     assert code == 2
     assert "replicates" in err
 
+def test_lgi_too_few_particles_names_the_flag(capsys):
+    # one particle per run leaves a filtered run with no counts: bad input,
+    # reported on one line, not an invariant breach
+    code, _, err = run_cli(capsys, "lgi", "--particles", "1", "--replicates",
+                           "2", "--workers", "1", "--seed", "123456789")
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("qwalk: ")
+    assert "--particles" in err
+
+def test_lgi_zero_stderr_at_k_of_one_prints_zero_excess(capsys, monkeypatch):
+    def fake_protocol(protocol, *, replicates, **_kwargs):
+        comps = LgiComponents(0.0, 0.0, 0.5, 0.5)
+        return LgiResult(1.0, 0.0, protocol, comps, replicates), []
+
+    monkeypatch.setattr(cli, "run_protocol", fake_protocol)
+    code, _, err = run_cli(capsys, "lgi", "--replicates", "2", "--workers", "1")
+    assert code == 0
+    assert err.count("(K - 1 = +0.0 stderr)") == 2
+
 
 # --- config and seed handling -----------------------------------------------------
 
@@ -128,6 +149,8 @@ def test_lgi_single_replicate_is_config_error(capsys):
     ("jeong", "--phi2=-inf"),
     ("lgi", "--workers", "0", "--replicates", "2", "--particles", "10"),
     ("lgi", "--workers", "-1", "--replicates", "2", "--particles", "10"),
+    ("lgi", "--particles", "1", "--replicates", "2", "--workers", "1",
+     "--seed", "123456789"),
 ])
 def test_invalid_config_exits_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -22,7 +22,17 @@ from qwalk.core import (
     phase_shift,
 )
 from qwalk.errors import InvalidLevels, QwalkError, UnwiredPort
-from qwalk.network import Network, RemovalFilter, build_jeong, build_robens, run
+from qwalk.network import (
+    _BS,
+    _BS1,
+    _PBS,
+    Network,
+    RemovalFilter,
+    _compile,
+    build_jeong,
+    build_robens,
+    run,
+)
 from qwalk.theory import jeong_evolve, srw_distribution, total_variation
 
 PHI1 = math.pi / 2
@@ -137,10 +147,26 @@ def reference_run(net, n_particles, rng, filters=(), taps_enabled=False):
 def registers(state):
     return (state.w0, state.w1, state.y0h, state.y0v, state.y1h, state.y1v)
 
+def build_mixed(levels, phi1, phi2, gamma=0.95):
+    """Jeong mesh with a HadamardUnit spliced onto the source wire.
+
+    Every splitter then sees messages with both an h and a v half.
+    """
+    net = build_jeong(levels, phi1, phi2, gamma)
+    wire = net.source.out[0]
+    net.source.out[0] = None
+    had = net.add(HadamardUnit())
+    net.connect(net.source, 0, had, 0)
+    net.connect(had, 0, wire.dst, wire.dst_port)
+    net.validate()
+    return net
+
 finite_phases = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 
 @given(st.one_of(
            st.tuples(st.just("jeong"), st.integers(1, 6), finite_phases,
+                     finite_phases, st.just(None), st.just(False)),
+           st.tuples(st.just("mixed"), st.integers(1, 4), finite_phases,
                      finite_phases, st.just(None), st.just(False)),
            st.tuples(st.just("robens"), st.just(0), st.just(0.0), st.just(0.0),
                      st.sampled_from([None, -1, +1]), st.booleans())),
@@ -153,6 +179,8 @@ def test_compiled_loop_matches_reference_stepper(shape, gamma, seed, n):
     name, levels, phi1, phi2, removed_site, taps = shape
     if name == "jeong":
         net = build_jeong(levels, phi1, phi2, gamma)
+    elif name == "mixed":
+        net = build_mixed(levels, phi1, phi2, gamma)
     else:
         net = build_robens(gamma)
     filters = [] if removed_site is None else [RemovalFilter("t2", removed_site)]
@@ -164,6 +192,17 @@ def test_compiled_loop_matches_reference_stepper(shape, gamma, seed, n):
     assert result.removed == removed
     for j, state in states.items():
         assert registers(net.units[j].state) == registers(state)
+
+def test_only_polarization_free_networks_get_scalar_splitters():
+    # the mesh routes a scalar message; a Hadamard on its source wire puts
+    # it back on the two-component branch, and the polarized walk has PBSs
+    def adaptive_kinds(net):
+        kind = _compile(net, RngStream(1), set())[0]
+        return {k for k in kind if k in (_BS, _BS1, _PBS)}
+
+    assert adaptive_kinds(build_jeong(4, PHI1, PHI2)) == {_BS1}
+    assert adaptive_kinds(build_mixed(4, PHI1, PHI2)) == {_BS}
+    assert adaptive_kinds(build_robens(0.95)) == {_PBS}
 
 def test_particle_at_dark_port_raises():
     # a dark port declared on a port that does carry amplitude: the first
