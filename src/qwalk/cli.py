@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, replace
 
 from .errors import EmptyRun, QwalkError
 from .core import RngStream
-from .leggett_garg import SINGLE_RUN, THREE_RUN, run_protocol
+from .leggett_garg import SINGLE_RUN, THREE_RUN, run_protocols
 from .network import MAX_LEVELS, RemovalFilter, build_jeong, build_robens, run
 from .theory import (
     DOWN,
@@ -345,19 +345,20 @@ def cmd_lgi(cfg: RunConfig, workers: int | None) -> tuple[dict, str]:
         raise ConfigError(
             f"lgi needs at least 2 replicates for error bars, got {cfg.replicates}")
     rng = RngStream(cfg.seed)
+    protocols = (THREE_RUN, SINGLE_RUN)
+    try:
+        outcomes = run_protocols(
+            [(protocol, rng.derive(index)) for index, protocol in enumerate(protocols)],
+            particles=cfg.particles, gamma=cfg.gamma, replicates=cfg.replicates,
+            workers=workers)
+    except EmptyRun as exc:
+        # too few particles leave a branch or a run with no counts; the
+        # message starts with the protocol
+        raise ConfigError(
+            f"--particles {cfg.particles} is too few for {exc}") from exc
     rows = []
     results: dict = {}
-    for index, protocol in enumerate((THREE_RUN, SINGLE_RUN)):
-        try:
-            aggregate, reps = run_protocol(
-                protocol, particles=cfg.particles, gamma=cfg.gamma,
-                replicates=cfg.replicates, rng=rng.derive(index),
-                workers=workers)
-        except EmptyRun as exc:
-            # too few particles leave a branch or a run with no counts
-            raise ConfigError(
-                f"--particles {cfg.particles} is too few for {protocol}: "
-                f"{exc}") from exc
+    for protocol, (aggregate, reps) in zip(protocols, outcomes):
         verdict = _verdict(aggregate.k, aggregate.stderr)
         comp = aggregate.components
         rows.append({
@@ -425,6 +426,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (QwalkError, AssertionError) as exc:
         print(f"qwalk: internal invariant breach: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:
+        print(f"qwalk: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if cfg.format == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"

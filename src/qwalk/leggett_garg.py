@@ -157,9 +157,56 @@ def single_run_replicate(particles: int, gamma: float, rng: RngStream) -> LgiRes
 def _replicate_worker(args: tuple[str, int, int, float]) -> LgiResult:
     protocol, seed, particles, gamma = args
     rng = RngStream(seed)
-    if protocol == THREE_RUN:
-        return three_run_replicate(particles, gamma, rng)
-    return single_run_replicate(particles, gamma, rng)
+    try:
+        if protocol == THREE_RUN:
+            return three_run_replicate(particles, gamma, rng)
+        return single_run_replicate(particles, gamma, rng)
+    except EmptyRun as exc:
+        raise EmptyRun(f"{protocol}: {exc}") from None
+
+
+def _aggregate(protocol: str,
+               results: list[LgiResult]) -> tuple[LgiResult, list[LgiResult]]:
+    _mean_k, stderr = replicate_stats([r.k for r in results])
+    comps = LgiComponents(
+        statistics.fmean(r.components.q3_mean for r in results),
+        statistics.fmean(r.components.q3q2_mean for r in results),
+        statistics.fmean(r.components.p_plus for r in results),
+        statistics.fmean(r.components.p_minus for r in results),
+    )
+    aggregate = LgiResult(1.0 + comps.q3q2_mean - comps.q3_mean, stderr,
+                          protocol, comps, len(results))
+    return aggregate, results
+
+
+def run_protocols(protocols: list[tuple[str, RngStream]], *, particles: int = 100_000,
+                  gamma: float = 0.95, replicates: int = 10,
+                  workers: int | None = None) -> list[tuple[LgiResult, list[LgiResult]]]:
+    """``run_protocol`` for several (protocol, stream) pairs, on one pool.
+
+    Every replicate of every protocol is submitted to one pool of at most
+    ``min(workers, len(protocols) * replicates)`` worker processes.  Each
+    replicate's stream depends only on its protocol's stream and index, so
+    the results do not depend on the dispatch.  An ``EmptyRun`` message
+    starts with the protocol whose replicate had no counts.
+    """
+    for protocol, _rng in protocols:
+        if protocol not in (THREE_RUN, SINGLE_RUN):
+            raise ValueError(f"unknown protocol {protocol!r}")
+    jobs = [(protocol, rng.derive(r).seed, particles, gamma)
+            for protocol, rng in protocols for r in range(replicates)]
+    if workers is None:
+        workers = os.cpu_count() or 1
+    # the pool starts all of its worker processes up front: never more
+    # than there are replicates to run
+    workers = min(workers, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_replicate_worker, jobs))
+    else:
+        results = [_replicate_worker(job) for job in jobs]
+    return [_aggregate(protocol, results[i * replicates:(i + 1) * replicates])
+            for i, (protocol, _rng) in enumerate(protocols)]
 
 
 def run_protocol(protocol: str, *, particles: int = 100_000, gamma: float = 0.95,
@@ -173,27 +220,6 @@ def run_protocol(protocol: str, *, particles: int = 100_000, gamma: float = 0.95
     ``min(workers, replicates)`` worker processes run (``workers`` defaults
     to the CPU count); one worker runs the replicates in this process.
     """
-    if protocol not in (THREE_RUN, SINGLE_RUN):
-        raise ValueError(f"unknown protocol {protocol!r}")
-    jobs = [(protocol, rng.derive(r).seed, particles, gamma)
-            for r in range(replicates)]
-    if workers is None:
-        workers = os.cpu_count() or 1
-    # the pool starts all of its worker processes up front: never more
-    # than there are replicates to run
-    workers = min(workers, replicates)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_worker, jobs))
-    else:
-        results = [_replicate_worker(job) for job in jobs]
-    _mean_k, stderr = replicate_stats([r.k for r in results])
-    comps = LgiComponents(
-        statistics.fmean(r.components.q3_mean for r in results),
-        statistics.fmean(r.components.q3q2_mean for r in results),
-        statistics.fmean(r.components.p_plus for r in results),
-        statistics.fmean(r.components.p_minus for r in results),
-    )
-    aggregate = LgiResult(1.0 + comps.q3q2_mean - comps.q3_mean, stderr,
-                          protocol, comps, replicates)
-    return aggregate, results
+    [result] = run_protocols([(protocol, rng)], particles=particles, gamma=gamma,
+                             replicates=replicates, workers=workers)
+    return result

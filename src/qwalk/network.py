@@ -26,8 +26,8 @@ Leggett-Garg analysis.
 A run is strictly sequential: a particle finishes (detector or filter)
 before the next one is emitted, and the adaptive registers persist across
 all particles of the run.  ``run`` compiles the graph into flat tables
-(``_compile``), derives every adaptive unit's stream from the supplied one
-and starts from fresh registers, so identical seeds reproduce bit-identical
+(``_compile``), derives each drawing adaptive unit's stream from the
+supplied one and starts from fresh registers, so identical seeds reproduce bit-identical
 counts and tables.
 """
 from __future__ import annotations
@@ -250,12 +250,59 @@ def build_robens(gamma: float = 0.95) -> Network:
 
 # Compiled form of a network.  Units are numbered by their position in
 # ``net.units``; the edge leaving unit j on out-port q is numbered 2*j + q.
-# _BS1 is a beam splitter of a scalar network (see ``_compile``).
-_DETECTOR, _BS, _PBS, _BS1, _DARK = 0, 1, 2, 3, -1
+# _BS1, _SPLIT and _MERGE are adaptive units with dead message halves (see
+# ``_compile``); _BS and _PBS are the general kernels.
+_DETECTOR, _BS, _PBS, _BS1, _SPLIT, _MERGE, _DARK = 0, 1, 2, 3, 4, 5, -1
 #: edge tag of a wire absorbed by a removal filter
 _ABSORB = object()
 #: edge transform of a polarization Hadamard (a phase edge holds its factor)
 _HADAMARD = object()
+#: bits of a set of message halves that can be nonzero
+_H, _V = 1, 2
+
+
+def _emitted(kind: int, in0: int, in1: int) -> tuple[int, int]:
+    """Halves a splitter can emit on out-ports 0 and 1, given those reaching its in-ports."""
+    if kind == _PBS:  # z0 = (v0h, i*v1v), z1 = (v1h, i*v0v)
+        return (in0 & _H) | (in1 & _V), (in1 & _H) | (in0 & _V)
+    return in0 | in1, in0 | in1
+
+
+def _live_inputs(kind: list, dst: list, dst_port: list, xform: list,
+                 start: int) -> list:
+    """Per unit, the halves of a message that can be nonzero at in-ports 0 and 1.
+
+    A half outside the set is exactly ±0 whenever a particle arrives, and a
+    port whose set is empty is never reached: a particle only leaves on a
+    port with nonzero amplitude.  The source edge ``start`` carries the
+    nonzero halves of ``SOURCE_MESSAGE``; a phase edge keeps its set and a
+    Hadamard edge turns any non-empty set into {h, v}.  Sets only grow, so
+    propagating forward from the source until none grows gives the same
+    result in any unit order (and on any graph).
+    """
+    n = len(kind) - 1
+    live = [[0, 0] for _ in range(n)]
+    pending: list = []
+
+    def feed(e: int, halves: int) -> None:
+        target = dst[e]
+        if not halves or target == n:
+            return
+        if xform[e] is _HADAMARD:
+            halves = _H | _V
+        port = dst_port[e]
+        if live[target][port] | halves != live[target][port]:
+            live[target][port] |= halves
+            if kind[target] != _DETECTOR:
+                pending.append(target)
+
+    h, v = SOURCE_MESSAGE
+    feed(start, (_H if h else 0) | (_V if v else 0))
+    while pending:
+        j = pending.pop()
+        for port, halves in enumerate(_emitted(kind[j], *live[j])):
+            feed(2 * j + port, halves)
+    return live
 
 
 def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
@@ -266,14 +313,19 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
     into the edge as its transform.  Wires in ``absorbed`` tag their edge as
     absorbing; t2 wires tag it with their site.  Unwired (dark) ports lead
     to a sentinel unit whose kind makes the loop raise ``UnwiredPort``.
-    Registers start fresh, and adaptive unit j draws from ``rng.derive(j)``.
+    Registers start fresh, and adaptive unit j draws from ``rng.derive(j)``
+    (a merge gets no stream).
 
-    The network is scalar when the source message has a zero v half and no
-    unit can give it one: beam splitters and phase shifters act on h and v
-    alike, so only a ``HadamardUnit`` or a ``PolarizingBeamSplitter`` ends
-    it.  In a scalar network every beam splitter gets the kind ``_BS1``; its
-    v registers stay zero, and the v terms it skips add only +0.0 to the
-    routing probabilities.
+    Units whose messages have dead halves (``_live_inputs``) get a kernel
+    that skips them; every term it skips is a +0.0 square or a ±0 register:
+
+    - ``_BS1``: a beam splitter that no v half reaches; it updates and
+      routes the h half alone.
+    - ``_MERGE``: a PBS whose out-port 1 is dead (h only on in-port 0, v only
+      on in-port 1).  Its p1 is +0.0, so p0/total is exactly 1.0 and port 0
+      always wins; it needs no draw, and no other unit would read its stream.
+    - ``_SPLIT``: a PBS that nothing reaches on in-port 1.  z0 is (z0h, 0)
+      and z1 is (0, z1v).
 
     Returns, in order:
 
@@ -287,9 +339,6 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
     units = net.units
     n = len(units)
     index = {id(u): j for j, u in enumerate(units)}
-    scalar = SOURCE_MESSAGE.c_v == 0 and not any(
-        isinstance(u, (HadamardUnit, PolarizingBeamSplitter)) for u in units)
-    bs_kind = _BS1 if scalar else _BS
     kind: list = [None] * n + [_DARK]
     site: list = [None] * n
     gamma: list = [None] * n
@@ -299,9 +348,8 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
             kind[j] = _DETECTOR
             site[j] = unit.site
         elif isinstance(unit, BeamSplitter):
-            kind[j] = _PBS if isinstance(unit, PolarizingBeamSplitter) else bs_kind
+            kind[j] = _PBS if isinstance(unit, PolarizingBeamSplitter) else _BS
             gamma[j] = unit.gamma
-            draw[j] = rng.derive(j).random
     dst: list = [n] * (2 * n)
     dst_port: list = [0] * (2 * n)
     tag: list = [None] * (2 * n)
@@ -329,10 +377,21 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
                     raise QwalkError("more than one stateless unit on an edge")
                 xform[e] = step
                 wire = target.out[0]
+    start = 2 * index[id(net.source)]
+    for j, (in0, in1) in enumerate(_live_inputs(kind, dst, dst_port, xform, start)):
+        if kind[j] == _BS and not (in0 | in1) & _V:
+            kind[j] = _BS1
+        elif kind[j] == _PBS:
+            if not _emitted(_PBS, in0, in1)[1]:
+                kind[j] = _MERGE
+            elif not in1:
+                kind[j] = _SPLIT
+        if gamma[j] is not None and kind[j] != _MERGE:
+            draw[j] = rng.derive(j).random
     rest = [None if g is None else 1.0 - g for g in gamma]
     regs = ([0.5] * n, [0.5] * n, [0j] * n, [0j] * n, [0j] * n, [0j] * n)
     return (kind, site, dst, dst_port, tag, xform, gamma, rest, regs, draw,
-            2 * index[id(net.source)])
+            start)
 
 
 def _vanished(p0: float, p1: float) -> DegenerateAmplitude:
@@ -354,8 +413,9 @@ def run(net: Network, n_particles: int, rng: RngStream,
     The loop applies ``adaptive_update`` followed by ``bs_route`` or
     ``pbs_route``, and ``phase_shift``/``hadamard_apply`` on the edges, with
     the same float operations in the same order as those functions, and
-    draws one number per adaptive hop after the update.  A beam splitter of
-    a scalar network (see ``_compile``) skips the v half, which is zero.
+    draws one number per adaptive hop after the update.  Units with dead
+    message halves (see ``_compile``) skip the terms that are zero, and a
+    merging PBS, whose port 0 always wins, skips its draw.
     """
     if n_particles < 1:
         raise ValueError(f"n_particles must be >= 1, got {n_particles}")
@@ -378,6 +438,7 @@ def run(net: Network, n_particles: int, rng: RngStream,
     sqrt = math.sqrt
     s = _INV_SQRT2
     BS, BS1, DETECTOR, ABSORB, HADAMARD = _BS, _BS1, _DETECTOR, _ABSORB, _HADAMARD
+    SPLIT, MERGE = _SPLIT, _MERGE
     h0, v0 = SOURCE_MESSAGE
     counts = {site: 0 for site in net.detector_sites}
     removed = 0
@@ -432,6 +493,55 @@ def run(net: Network, n_particles: int, rng: RngStream,
                 else:
                     h = z1h * (1.0 / sqrt(p1))
                     e = 2 * j + 1
+            elif k == SPLIT:
+                # pbs_route fed on port 0 only: y1h and y1v stay zero
+                g = G[j]
+                c = C[j]
+                W0[j] = w0 = g * W0[j] + c
+                W1[j] = g * W1[j]
+                Y0H[j] = y0h = g * Y0H[j] + c * h
+                Y0V[j] = y0v = g * Y0V[j] + c * v
+                u = draw[j]()
+                a = sqrt(w0)
+                z0h = a * y0h
+                z1v = 1j * (a * y0v)
+                p0 = z0h.real ** 2 + z0h.imag ** 2
+                p1 = z1v.real ** 2 + z1v.imag ** 2
+                total = p0 + p1
+                if not total >= 1e-30:
+                    raise _vanished(p0, p1)
+                if u < p0 / total:
+                    h = z0h * (1.0 / sqrt(p0))
+                    v = 0j
+                    e = 2 * j
+                else:
+                    h = 0j
+                    v = z1v * (1.0 / sqrt(p1))
+                    e = 2 * j + 1
+            elif k == MERGE:
+                # pbs_route with h only on port 0 and v only on port 1: p1 is
+                # +0.0, so port 0 wins whatever the draw, which is skipped
+                g = G[j]
+                c = C[j]
+                if dst_port[e] == 0:
+                    W0[j] = w0 = g * W0[j] + c
+                    W1[j] = w1 = g * W1[j]
+                    Y0H[j] = y0h = g * Y0H[j] + c * h
+                    y1v = Y1V[j]
+                else:
+                    W1[j] = w1 = g * W1[j] + c
+                    W0[j] = w0 = g * W0[j]
+                    Y1V[j] = y1v = g * Y1V[j] + c * v
+                    y0h = Y0H[j]
+                z0h = sqrt(w0) * y0h
+                z0v = 1j * (sqrt(w1) * y1v)
+                p0 = z0h.real ** 2 + z0h.imag ** 2 + z0v.real ** 2 + z0v.imag ** 2
+                if not p0 >= 1e-30:
+                    raise _vanished(p0, 0.0)
+                inv = 1.0 / sqrt(p0)
+                h = z0h * inv
+                v = z0v * inv
+                e = 2 * j
             elif k > DETECTOR:
                 # adaptive_update
                 g = G[j]
@@ -496,7 +606,7 @@ def run(net: Network, n_particles: int, rng: RngStream,
     if sum(counts.values()) + removed != n_particles:
         raise QwalkError("conservation breach: emitted != detected + removed")
     for j, unit in enumerate(net.units):
-        if draw[j] is not None:
+        if G[j] is not None:
             state = unit.state
             state.w0, state.w1 = W0[j], W1[j]
             state.y0h, state.y0v = Y0H[j], Y0V[j]

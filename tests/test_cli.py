@@ -122,14 +122,26 @@ def test_lgi_too_few_particles_names_the_flag(capsys):
     assert "--particles" in err
 
 def test_lgi_zero_stderr_at_k_of_one_prints_zero_excess(capsys, monkeypatch):
-    def fake_protocol(protocol, *, replicates, **_kwargs):
+    def fake_protocols(protocols, *, replicates, **_kwargs):
         comps = LgiComponents(0.0, 0.0, 0.5, 0.5)
-        return LgiResult(1.0, 0.0, protocol, comps, replicates), []
+        return [(LgiResult(1.0, 0.0, protocol, comps, replicates), [])
+                for protocol, _rng in protocols]
 
-    monkeypatch.setattr(cli, "run_protocol", fake_protocol)
+    monkeypatch.setattr(cli, "run_protocols", fake_protocols)
     code, _, err = run_cli(capsys, "lgi", "--replicates", "2", "--workers", "1")
     assert code == 0
     assert err.count("(K - 1 = +0.0 stderr)") == 2
+
+def test_unexpected_exception_exits_3_on_one_line(capsys, monkeypatch):
+    def broken(_cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_jeong", broken)
+    code, out, err = run_cli(capsys, "jeong", "--particles", "10")
+    assert code == 3
+    assert out == ""
+    assert err == "qwalk: internal error: RuntimeError: boom\n"
+    assert "Traceback" not in err
 
 
 # --- config and seed handling -----------------------------------------------------

@@ -194,6 +194,24 @@ def test_run_protocol_pool_never_exceeds_replicates(monkeypatch, workers, pools)
                  rng=RngStream(5), workers=workers)
     assert RecordingExecutor.sizes == pools
 
+@pytest.mark.parametrize("workers,pools", [("5000", [4]), ("3", [3]), (None, [4]),
+                                           ("1", [])])
+def test_lgi_job_starts_one_pool(monkeypatch, capsys, workers, pools):
+    # both protocols' replicates share one pool, sized by their total count,
+    # and the report does not depend on the dispatch
+    import qwalk.leggett_garg as lg
+    from qwalk.cli import main
+
+    argv = ["lgi", "--particles", "300", "--replicates", "2"]
+    assert main(argv + ["--workers", "1"]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(lg, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(lg.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    assert main(argv + ([] if workers is None else ["--workers", workers])) == 0
+    assert RecordingExecutor.sizes == pools
+    assert capsys.readouterr().out == serial
+
 def test_run_protocol_rejects_unknown_protocol():
     with pytest.raises(ValueError):
         run_protocol("both", particles=10, replicates=2, rng=RngStream(1))

@@ -1,5 +1,6 @@
 """Topology builders, the sequential event loop, taps, and removal filters."""
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,9 @@ from qwalk.errors import InvalidLevels, QwalkError, UnwiredPort
 from qwalk.network import (
     _BS,
     _BS1,
+    _MERGE,
     _PBS,
+    _SPLIT,
     Network,
     RemovalFilter,
     _compile,
@@ -161,6 +164,33 @@ def build_mixed(levels, phi1, phi2, gamma=0.95):
     net.validate()
     return net
 
+def build_rejoined(gamma=0.95):
+    """Hadamard, then a PBS whose two rails re-merge on a second PBS.
+
+    The v rail passes a second Hadamard, so the second PBS is fed h on
+    port 0 and both halves on port 1, and emits on both ports.
+    """
+    net = Network(gamma)
+    source = net.add(Source())
+    first_had, second_had = net.add(HadamardUnit()), net.add(HadamardUnit())
+    split = net.add(PolarizingBeamSplitter(gamma))
+    rejoin = net.add(PolarizingBeamSplitter(gamma))
+    net.connect(source, 0, first_had, 0)
+    net.connect(first_had, 0, split, 0)
+    net.connect(split, 0, rejoin, 0)
+    net.connect(split, 1, second_had, 0)
+    net.connect(second_had, 0, rejoin, 1)
+    net.connect(rejoin, 0, net.add(Detector(-1)), 0)
+    net.connect(rejoin, 1, net.add(Detector(1)), 0)
+    net.detector_sites = [-1, 1]
+    net.validate()
+    return net
+
+def adaptive_kinds(net):
+    """Kind code of each adaptive unit, keyed by unit identity."""
+    kind = _compile(net, RngStream(1), set())[0]
+    return {id(unit): kind[j] for j, unit in enumerate(net.units) if unit.is_adaptive}
+
 finite_phases = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 
 @given(st.one_of(
@@ -169,18 +199,23 @@ finite_phases = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
            st.tuples(st.just("mixed"), st.integers(1, 4), finite_phases,
                      finite_phases, st.just(None), st.just(False)),
            st.tuples(st.just("robens"), st.just(0), st.just(0.0), st.just(0.0),
-                     st.sampled_from([None, -1, +1]), st.booleans())),
+                     st.sampled_from([None, -1, +1]), st.booleans()),
+           st.tuples(st.just("rejoined"), st.just(0), st.just(0.0), st.just(0.0),
+                     st.just(None), st.just(False))),
        st.floats(0.0, 0.99), st.integers(0, 2 ** 64 - 1), st.integers(1, 60))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_compiled_loop_matches_reference_stepper(shape, gamma, seed, n):
     # the compiled loop must reproduce, bit for bit, the walk that calls the
     # core functions unit by unit: counts, t2 table, removed tally and every
-    # final register
+    # final register; the shapes reach every adaptive kind (see
+    # test_only_polarization_free_networks_get_scalar_splitters)
     name, levels, phi1, phi2, removed_site, taps = shape
     if name == "jeong":
         net = build_jeong(levels, phi1, phi2, gamma)
     elif name == "mixed":
         net = build_mixed(levels, phi1, phi2, gamma)
+    elif name == "rejoined":
+        net = build_rejoined(gamma)
     else:
         net = build_robens(gamma)
     filters = [] if removed_site is None else [RemovalFilter("t2", removed_site)]
@@ -195,14 +230,29 @@ def test_compiled_loop_matches_reference_stepper(shape, gamma, seed, n):
 
 def test_only_polarization_free_networks_get_scalar_splitters():
     # the mesh routes a scalar message; a Hadamard on its source wire puts
-    # it back on the two-component branch, and the polarized walk has PBSs
-    def adaptive_kinds(net):
-        kind = _compile(net, RngStream(1), set())[0]
-        return {k for k in kind if k in (_BS, _BS1, _PBS)}
+    # it back on the two-component branch.  The polarized walk's PBSs split
+    # (nothing reaches in-port 1) or merge (out-port 1 is dead); a PBS fed
+    # on both in-ports and emitting on both out-ports keeps the general one
+    def kinds(net):
+        return set(adaptive_kinds(net).values())
 
-    assert adaptive_kinds(build_jeong(4, PHI1, PHI2)) == {_BS1}
-    assert adaptive_kinds(build_mixed(4, PHI1, PHI2)) == {_BS}
-    assert adaptive_kinds(build_robens(0.95)) == {_PBS}
+    assert kinds(build_jeong(4, PHI1, PHI2)) == {_BS1}
+    assert kinds(build_mixed(4, PHI1, PHI2)) == {_BS}
+    assert kinds(build_robens(0.95)) == {_SPLIT, _MERGE}
+    assert kinds(build_rejoined()) == {_SPLIT, _PBS}
+
+@pytest.mark.parametrize("build", [lambda: build_jeong(4, PHI1, PHI2),
+                                   lambda: build_mixed(4, PHI1, PHI2),
+                                   build_robens, build_rejoined],
+                         ids=["jeong", "mixed", "robens", "rejoined"])
+def test_unit_kinds_do_not_depend_on_unit_order(build):
+    # the liveness pass follows the wiring, not the order of net.units
+    net = build()
+    expected = adaptive_kinds(net)
+    for reorder in (lambda units: units.reverse(),
+                    lambda units: random.Random(7).shuffle(units)):
+        reorder(net.units)
+        assert adaptive_kinds(net) == expected
 
 def test_particle_at_dark_port_raises():
     # a dark port declared on a port that does carry amplitude: the first
