@@ -26,9 +26,9 @@ Leggett-Garg analysis.
 A run is strictly sequential: a particle finishes (detector or filter)
 before the next one is emitted, and the adaptive registers persist across
 all particles of the run.  ``run`` compiles the graph into flat tables
-(``_compile``), derives each drawing adaptive unit's stream from the
-supplied one and starts from fresh registers, so identical seeds reproduce bit-identical
-counts and tables.
+(``_compile``), derives each adaptive unit's stream from the supplied
+one and starts from fresh registers, so identical seeds reproduce
+bit-identical counts and tables.
 """
 from __future__ import annotations
 
@@ -313,8 +313,7 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
     into the edge as its transform.  Wires in ``absorbed`` tag their edge as
     absorbing; t2 wires tag it with their site.  Unwired (dark) ports lead
     to a sentinel unit whose kind makes the loop raise ``UnwiredPort``.
-    Registers start fresh, and adaptive unit j draws from ``rng.derive(j)``
-    (a merge gets no stream).
+    Registers start fresh, and adaptive unit j draws from ``rng.derive(j)``.
 
     Units whose messages have dead halves (``_live_inputs``) get a kernel
     that skips them; every term it skips is a +0.0 square or a ±0 register:
@@ -323,7 +322,8 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
       routes the h half alone.
     - ``_MERGE``: a PBS whose out-port 1 is dead (h only on in-port 0, v only
       on in-port 1).  Its p1 is +0.0, so p0/total is exactly 1.0 and port 0
-      always wins; it needs no draw, and no other unit would read its stream.
+      always wins.  It still draws once per hop, like every adaptive unit,
+      and discards the number; no other unit reads its stream.
     - ``_SPLIT``: a PBS that nothing reaches on in-port 1.  z0 is (z0h, 0)
       and z1 is (0, z1v).
 
@@ -386,7 +386,7 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
                 kind[j] = _MERGE
             elif not in1:
                 kind[j] = _SPLIT
-        if gamma[j] is not None and kind[j] != _MERGE:
+        if gamma[j] is not None:
             draw[j] = rng.derive(j).random
     rest = [None if g is None else 1.0 - g for g in gamma]
     regs = ([0.5] * n, [0.5] * n, [0j] * n, [0j] * n, [0j] * n, [0j] * n)
@@ -414,8 +414,8 @@ def run(net: Network, n_particles: int, rng: RngStream,
     ``pbs_route``, and ``phase_shift``/``hadamard_apply`` on the edges, with
     the same float operations in the same order as those functions, and
     draws one number per adaptive hop after the update.  Units with dead
-    message halves (see ``_compile``) skip the terms that are zero, and a
-    merging PBS, whose port 0 always wins, skips its draw.
+    message halves (see ``_compile``) skip the terms that are zero; a
+    merging PBS, whose port 0 always wins, draws and discards its number.
     """
     if n_particles < 1:
         raise ValueError(f"n_particles must be >= 1, got {n_particles}")
@@ -520,7 +520,7 @@ def run(net: Network, n_particles: int, rng: RngStream,
                     e = 2 * j + 1
             elif k == MERGE:
                 # pbs_route with h only on port 0 and v only on port 1: p1 is
-                # +0.0, so port 0 wins whatever the draw, which is skipped
+                # +0.0, so port 0 wins whatever the draw, which is discarded
                 g = G[j]
                 c = C[j]
                 if dst_port[e] == 0:
@@ -533,6 +533,7 @@ def run(net: Network, n_particles: int, rng: RngStream,
                     W0[j] = w0 = g * W0[j]
                     Y1V[j] = y1v = g * Y1V[j] + c * v
                     y0h = Y0H[j]
+                draw[j]()
                 z0h = sqrt(w0) * y0h
                 z0v = 1j * (sqrt(w1) * y1v)
                 p0 = z0h.real ** 2 + z0h.imag ** 2 + z0v.real ** 2 + z0v.imag ** 2

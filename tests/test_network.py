@@ -191,6 +191,23 @@ def adaptive_kinds(net):
     kind = _compile(net, RngStream(1), set())[0]
     return {id(unit): kind[j] for j, unit in enumerate(net.units) if unit.is_adaptive}
 
+class CountingRng(RngStream):
+    """An RngStream that tallies the draws of each derived stream by index."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = {}
+
+    def derive(self, *indices):
+        child = super().derive(*indices)
+        draw = child.random
+
+        def counted():
+            self.draws[indices] = self.draws.get(indices, 0) + 1
+            return draw()
+        child.random = counted
+        return child
+
 finite_phases = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 
 @given(st.one_of(
@@ -207,8 +224,9 @@ finite_phases = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 def test_compiled_loop_matches_reference_stepper(shape, gamma, seed, n):
     # the compiled loop must reproduce, bit for bit, the walk that calls the
     # core functions unit by unit: counts, t2 table, removed tally and every
-    # final register; the shapes reach every adaptive kind (see
-    # test_only_polarization_free_networks_get_scalar_splitters)
+    # final register, and every unit draws from its stream once per arrival
+    # (a merge too, although its port is fixed); the shapes reach every
+    # adaptive kind (see test_only_polarization_free_networks_get_scalar_splitters)
     name, levels, phi1, phi2, removed_site, taps = shape
     if name == "jeong":
         net = build_jeong(levels, phi1, phi2, gamma)
@@ -219,12 +237,13 @@ def test_compiled_loop_matches_reference_stepper(shape, gamma, seed, n):
     else:
         net = build_robens(gamma)
     filters = [] if removed_site is None else [RemovalFilter("t2", removed_site)]
-    counts, t2, removed, states = reference_run(
-        net, n, RngStream(seed), filters, taps)
-    result = run(net, n, RngStream(seed), filters=filters, taps_enabled=taps)
+    reference, compiled = CountingRng(seed), CountingRng(seed)
+    counts, t2, removed, states = reference_run(net, n, reference, filters, taps)
+    result = run(net, n, compiled, filters=filters, taps_enabled=taps)
     assert result.counts == counts
     assert result.t2 == t2
     assert result.removed == removed
+    assert compiled.draws == reference.draws
     for j, state in states.items():
         assert registers(net.units[j].state) == registers(state)
 
