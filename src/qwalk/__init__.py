@@ -6,50 +6,17 @@ particle stream; the detector statistics reproduce quantum-walk
 interference without any global wave function.  An exact state-vector
 reference and a Leggett-Garg analysis of the invasive three-run versus
 non-invasive single-run measurement protocols are included.
+
+The top level exports what the demos and the README example use, plus the
+per-hop routing functions; everything else lives in ``qwalk.core``,
+``qwalk.network``, ``qwalk.theory``, ``qwalk.leggett_garg`` and
+``qwalk.errors``.
 """
 
-from .core import (
-    AdaptiveState,
-    Message,
-    RngStream,
-    SOURCE_MESSAGE,
-    adaptive_update,
-    bs_route,
-    derive_seed,
-    hadamard_apply,
-    pbs_route,
-    phase_shift,
-)
-from .errors import (
-    DegenerateAmplitude,
-    EmptyRun,
-    InsufficientReplicates,
-    InvalidLevels,
-    QwalkError,
-    UnsupportedStep,
-    UnwiredPort,
-)
-from .leggett_garg import (
-    LgiComponents,
-    LgiResult,
-    SINGLE_RUN,
-    THREE_RUN,
-    k_single_run,
-    k_three_run,
-    q3_of_site,
-    replicate_stats,
-    run_protocol,
-    single_run_replicate,
-    three_run_replicate,
-)
-from .network import (
-    Network,
-    RemovalFilter,
-    RunResult,
-    build_jeong,
-    build_robens,
-    run,
-)
+from .core import RngStream, adaptive_update, bs_route, derive_seed, pbs_route
+from .errors import QwalkError
+from .leggett_garg import SINGLE_RUN, THREE_RUN, run_protocol
+from .network import RemovalFilter, build_jeong, build_robens, run
 from .theory import (
     DOWN,
     StateVector,
@@ -57,25 +24,17 @@ from .theory import (
     hadamard_walk,
     jeong_evolve,
     srw_distribution,
-    table1_closed_form,
     total_variation,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveState", "Message", "RngStream", "SOURCE_MESSAGE",
-    "adaptive_update", "bs_route", "derive_seed",
-    "hadamard_apply", "pbs_route", "phase_shift",
-    "DegenerateAmplitude", "EmptyRun", "InsufficientReplicates",
-    "InvalidLevels", "QwalkError", "UnsupportedStep",
-    "UnwiredPort",
-    "LgiComponents", "LgiResult", "SINGLE_RUN", "THREE_RUN",
-    "k_single_run", "k_three_run", "q3_of_site", "replicate_stats",
-    "run_protocol", "single_run_replicate", "three_run_replicate",
-    "Network", "RemovalFilter", "RunResult",
-    "build_jeong", "build_robens", "run",
+    "RngStream", "adaptive_update", "bs_route", "derive_seed", "pbs_route",
+    "QwalkError",
+    "SINGLE_RUN", "THREE_RUN", "run_protocol",
+    "RemovalFilter", "build_jeong", "build_robens", "run",
     "DOWN", "StateVector", "UP", "hadamard_walk", "jeong_evolve",
-    "srw_distribution", "table1_closed_form", "total_variation",
+    "srw_distribution", "total_variation",
     "__version__",
 ]

@@ -23,10 +23,10 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import EmptyRun, QwalkError
-from .core import RngStream
+from .core import RngStream, _INV_SQRT2
 from .leggett_garg import SINGLE_RUN, THREE_RUN, run_protocols
 from .network import MAX_LEVELS, RemovalFilter, build_jeong, build_robens, run
 from .theory import (
@@ -44,8 +44,6 @@ DEFAULT_SEED = 123456789
 CSV_HEADER = "site,count,frequency,oracle_probability"
 LGI_CSV_HEADER = "protocol,K,stderr,q3_mean,q3q2_mean,p_plus,p_minus,replicates,verdict"
 
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
-
 
 class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 2."""
@@ -53,17 +51,19 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """One resolved invocation; the field defaults are the CLI's defaults."""
+
     mode: str
-    steps: int
-    phi1: float
-    phi2: float
-    particles: int
-    gamma: float
     seed: int
-    replicates: int
-    removal: str
-    taps: bool
-    format: str
+    steps: int = 4
+    phi1: float = math.pi / 2
+    phi2: float = -math.pi / 2
+    particles: int = 100_000
+    gamma: float = 0.95
+    replicates: int = 1
+    removal: str = "none"
+    taps: bool = False
+    format: str = "csv"
     walk: str | None = None
     network: str | None = None
 
@@ -107,11 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Event-by-event quantum-walk simulator with exact theory reference.")
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def add_common(p: argparse.ArgumentParser, particles_default=100_000,
-                   replicates_default=1) -> None:
-        p.add_argument("--particles", type=int, default=particles_default,
+    def add_common(p: argparse.ArgumentParser,
+                   replicates_default=RunConfig.replicates) -> None:
+        p.add_argument("--particles", type=int, default=RunConfig.particles,
                        help="particles per run (default %(default)s)")
-        p.add_argument("--gamma", type=float, default=0.95,
+        p.add_argument("--gamma", type=float, default=RunConfig.gamma,
                        help="learning rate of the adaptive units, in [0,1) "
                             "(default %(default)s; 0 gives the classical walk)")
         p.add_argument("--seed", default=None,
@@ -119,15 +119,16 @@ def build_parser() -> argparse.ArgumentParser:
                             f"else {DEFAULT_SEED})")
         p.add_argument("--replicates", type=int, default=replicates_default,
                        help="independent replicate runs (default %(default)s)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=("csv", "json"),
+                       default=RunConfig.format)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     def add_mesh_params(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--steps", type=int, default=4,
+        p.add_argument("--steps", type=int, default=RunConfig.steps,
                        help="walk steps / mesh levels (default %(default)s)")
-        p.add_argument("--phi1", type=float, default=math.pi / 2,
+        p.add_argument("--phi1", type=float, default=RunConfig.phi1,
                        help="phase on the up input rail (default pi/2)")
-        p.add_argument("--phi2", type=float, default=-math.pi / 2,
+        p.add_argument("--phi2", type=float, default=RunConfig.phi2,
                        help="phase on the down output rail (default -pi/2)")
 
     p = sub.add_parser("jeong", help="beam-splitter mesh walk vs exact theory")
@@ -135,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("robens", help="four-jump polarized walk")
-    p.add_argument("--removal", choices=("none", "plus", "minus"), default="none",
+    p.add_argument("--removal", choices=("none", "plus", "minus"),
+                   default=RunConfig.removal,
                    help="negative measurement at t2: 'minus' keeps the x2=-1 "
                         "branch (absorbs the +1 rail), 'plus' keeps x2=+1")
     p.add_argument("--taps", action="store_true",
@@ -163,21 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        mode=args.mode,
-        steps=getattr(args, "steps", 4),
-        phi1=getattr(args, "phi1", math.pi / 2),
-        phi2=getattr(args, "phi2", -math.pi / 2),
-        particles=getattr(args, "particles", 100_000),
-        gamma=getattr(args, "gamma", 0.95),
-        seed=_resolve_seed(getattr(args, "seed", None)),
-        replicates=getattr(args, "replicates", 1),
-        removal=getattr(args, "removal", "none"),
-        taps=bool(getattr(args, "taps", False)),
-        format=getattr(args, "format", "csv"),
-        walk=getattr(args, "walk", None),
-        network=getattr(args, "network", None),
-    )
+    """The subcommand's options; a field it has no option for keeps its default."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if hasattr(args, f.name)}
+    given["seed"] = _resolve_seed(args.seed)
+    cfg = RunConfig(**given)
     cfg.validate()
     return cfg
 
@@ -223,9 +215,9 @@ def _csv_sites(rows: list[dict]) -> str:
 
 def _robens_oracle(removal: str) -> dict[int, float]:
     if removal == "minus":  # x2=-1 branch kept: conditioned state at (-1, up)
-        _, probs = hadamard_walk(3, StateVector.basis(-1, UP, _SQRT_HALF))
+        _, probs = hadamard_walk(3, StateVector.basis(-1, UP, _INV_SQRT2))
     elif removal == "plus":
-        _, probs = hadamard_walk(3, StateVector.basis(+1, DOWN, _SQRT_HALF))
+        _, probs = hadamard_walk(3, StateVector.basis(+1, DOWN, _INV_SQRT2))
     else:
         _, probs = hadamard_walk(4, StateVector.basis(0, UP))
     return probs

@@ -102,6 +102,7 @@ class AdaptiveState:
 
     Invariants kept by ``adaptive_update``: w0 + w1 == 1, 0 <= w <= 1, and
     each averaged message has norm <= 1 (convex average of unit vectors).
+    ``network.run`` checks them, to rounding, at the end of every run.
     """
 
     __slots__ = ("w0", "w1", "y0h", "y0v", "y1h", "y1v", "gamma")
@@ -116,14 +117,6 @@ class AdaptiveState:
         self.y0v = 0.0 + 0.0j
         self.y1h = 0.0 + 0.0j
         self.y1v = 0.0 + 0.0j
-
-    def weights(self) -> tuple[float, float]:
-        return (self.w0, self.w1)
-
-    def averaged_message(self, port: int) -> Message:
-        if port == 0:
-            return Message(self.y0h, self.y0v)
-        return Message(self.y1h, self.y1v)
 
     def __repr__(self) -> str:
         return (f"AdaptiveState(w=({self.w0:.4f},{self.w1:.4f}), "
@@ -198,13 +191,17 @@ def _pick_port(z0h: complex, z0v: complex, z1h: complex, z1v: complex,
     p1 = z1h.real ** 2 + z1h.imag ** 2 + z1v.real ** 2 + z1v.imag ** 2
     total = p0 + p1
     if not total >= 1e-30:  # also catches a NaN total
-        raise DegenerateAmplitude(
-            f"routing amplitudes vanished (p0={p0!r}, p1={p1!r})")
+        raise _vanished(p0, p1)
     if u < p0 / total:
         inv = 1.0 / math.sqrt(p0)
         return 0, Message(z0h * inv, z0v * inv)
     inv = 1.0 / math.sqrt(p1)
     return 1, Message(z1h * inv, z1v * inv)
+
+
+def _vanished(p0: float, p1: float) -> DegenerateAmplitude:
+    return DegenerateAmplitude(
+        f"routing amplitudes vanished (p0={p0!r}, p1={p1!r})")
 
 
 def phase_shift(phi: float, m: Message) -> Message:
@@ -219,8 +216,9 @@ def hadamard_apply(m: Message) -> Message:
 
 
 # ---------------------------------------------------------------------------
-# Processing units.  Units describe the graph: ``out`` is filled with wires by
-# the owning network, and ``network.run`` compiles the graph into flat tables
+# Processing units.  Units describe the graph: ``out`` holds one wire per
+# output port, filled by the owning network, ``n_inputs`` counts the input
+# ports, and ``network.run`` compiles the graph into flat tables
 # whose event loop applies the functions above inline.  ``state`` holds an
 # adaptive unit's registers as they stood at the end of the last run.
 
@@ -230,8 +228,6 @@ class Source:
 
     __slots__ = ("out",)
     n_inputs = 0
-    n_outputs = 1
-    is_adaptive = False
 
     def __init__(self):
         self.out = [None]
@@ -242,8 +238,6 @@ class PhaseShifter:
 
     __slots__ = ("phi", "factor", "out")
     n_inputs = 1
-    n_outputs = 1
-    is_adaptive = False
 
     def __init__(self, phi: float):
         self.phi = phi
@@ -256,8 +250,6 @@ class HadamardUnit:
 
     __slots__ = ("out",)
     n_inputs = 1
-    n_outputs = 1
-    is_adaptive = False
 
     def __init__(self):
         self.out = [None]
@@ -268,8 +260,6 @@ class BeamSplitter:
 
     __slots__ = ("gamma", "state", "out")
     n_inputs = 2
-    n_outputs = 2
-    is_adaptive = True
 
     def __init__(self, gamma: float):
         self.gamma = gamma
@@ -288,8 +278,6 @@ class Detector:
 
     __slots__ = ("site", "out")
     n_inputs = 1
-    n_outputs = 0
-    is_adaptive = False
 
     def __init__(self, site: int):
         self.site = site

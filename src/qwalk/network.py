@@ -45,8 +45,9 @@ from .core import (
     Source,
     SOURCE_MESSAGE,
     _INV_SQRT2,
+    _vanished,
 )
-from .errors import DegenerateAmplitude, InvalidLevels, QwalkError, UnwiredPort
+from .errors import InvalidLevels, QwalkError, UnwiredPort
 
 MAX_LEVELS = 12  # unit count grows as levels^2; desk-scale bound
 
@@ -84,8 +85,7 @@ class Wire:
 class Network:
     """Directed acyclic graph of processing units owned by one run at a time."""
 
-    def __init__(self, gamma: float):
-        self.gamma = gamma
+    def __init__(self):
         self.units: list = []
         self.source: Source | None = None
         self.detector_sites: list[int] = []
@@ -101,6 +101,10 @@ class Network:
         return unit
 
     def connect(self, src, src_port: int, dst, dst_port: int, tap=None) -> Wire:
+        if src_port not in range(len(src.out)):
+            raise QwalkError(f"{type(src).__name__} has no output port {src_port}")
+        if dst_port not in range(dst.n_inputs):
+            raise QwalkError(f"{type(dst).__name__} has no input port {dst_port}")
         if src.out[src_port] is not None:
             raise QwalkError("output port already wired")
         wire = Wire(dst, dst_port, tap)
@@ -113,16 +117,13 @@ class Network:
     def mark_dark(self, unit, port: int) -> None:
         self.dark_ports.add((id(unit), port))
 
-    def adaptive_units(self) -> list:
-        return [u for u in self.units if u.is_adaptive]
-
     def validate(self) -> None:
         """Check that every output port is wired or declared dark, and no cycles."""
         if self.source is None:
             raise QwalkError("network has no source")
         for unit in self.units:
-            for port in range(unit.n_outputs):
-                if unit.out[port] is None and (id(unit), port) not in self.dark_ports:
+            for port, wire in enumerate(unit.out):
+                if wire is None and (id(unit), port) not in self.dark_ports:
                     raise UnwiredPort(
                         f"{type(unit).__name__} output port {port} is dangling")
         # cycle check: iterative DFS over the wiring graph
@@ -166,7 +167,7 @@ def build_jeong(levels: int, phi1: float, phi2: float, gamma: float = 0.95) -> N
         raise InvalidLevels(f"levels must be in 1..{MAX_LEVELS}, got {levels}")
     if not (math.isfinite(phi1) and math.isfinite(phi2)):
         raise ValueError(f"phases must be finite, got phi1={phi1}, phi2={phi2}")
-    net = Network(gamma)
+    net = Network()
     source = net.add(Source())
     top = net.add(BeamSplitter(gamma))
     net.connect(source, 0, top, 0)
@@ -210,7 +211,7 @@ def build_robens(gamma: float = 0.95) -> Network:
     target site on another PBS whose first output carries the recombined
     state.  Detectors sit at x in {-4, -2, 0, 2, 4}.
     """
-    net = Network(gamma)
+    net = Network()
     source = net.add(Source())
     # pending[site] = (unit, out_port, tap annotation for the next wire)
     pending: dict[int, tuple] = {0: (source, 0, ("t1", 0))}
@@ -394,11 +395,6 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
             start)
 
 
-def _vanished(p0: float, p1: float) -> DegenerateAmplitude:
-    return DegenerateAmplitude(
-        f"routing amplitudes vanished (p0={p0!r}, p1={p1!r})")
-
-
 def run(net: Network, n_particles: int, rng: RngStream,
         filters: Iterable[RemovalFilter] = (),
         taps_enabled: bool = False) -> RunResult:
@@ -416,6 +412,10 @@ def run(net: Network, n_particles: int, rng: RngStream,
     draws one number per adaptive hop after the update.  Units with dead
     message halves (see ``_compile``) skip the terms that are zero; a
     merging PBS, whose port 0 always wins, draws and discards its number.
+
+    After the loop the run checks particle conservation and, for every
+    adaptive unit, the register invariants: |w0 + w1 - 1| <= 1e-12,
+    0 <= w <= 1 and |y| <= 1 + 1e-12.  A breach raises ``QwalkError``.
     """
     if n_particles < 1:
         raise ValueError(f"n_particles must be >= 1, got {n_particles}")
@@ -607,9 +607,19 @@ def run(net: Network, n_particles: int, rng: RngStream,
     if sum(counts.values()) + removed != n_particles:
         raise QwalkError("conservation breach: emitted != detected + removed")
     for j, unit in enumerate(net.units):
-        if G[j] is not None:
-            state = unit.state
-            state.w0, state.w1 = W0[j], W1[j]
-            state.y0h, state.y0v = Y0H[j], Y0V[j]
-            state.y1h, state.y1v = Y1H[j], Y1V[j]
+        if G[j] is None:
+            continue
+        w0, w1 = W0[j], W1[j]
+        state = unit.state
+        state.w0, state.w1 = w0, w1
+        state.y0h, state.y0v = Y0H[j], Y0V[j]
+        state.y1h, state.y1v = Y1H[j], Y1V[j]
+        y0 = math.hypot(abs(Y0H[j]), abs(Y0V[j]))
+        y1 = math.hypot(abs(Y1H[j]), abs(Y1V[j]))
+        # written so that a NaN register fails the test too
+        if not (abs(w0 + w1 - 1.0) <= 1e-12 and 0.0 <= w0 <= 1.0
+                and 0.0 <= w1 <= 1.0 and y0 <= 1.0 + 1e-12 and y1 <= 1.0 + 1e-12):
+            raise QwalkError(
+                f"register invariant breach at {type(unit).__name__} {j}: "
+                f"w0={w0!r}, w1={w1!r}, |y0|={y0!r}, |y1|={y1!r}")
     return RunResult(counts, t2, removed)

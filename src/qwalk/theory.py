@@ -19,14 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .core import _INV_SQRT2
 from .errors import UnsupportedStep
 
 UP = 0    # moves to x-1 under the shift; maps to h polarization
 DOWN = 1  # moves to x+1; maps to v polarization
 #: deepest mesh ``jeong_evolve`` evaluates; the simulator stops at network.MAX_LEVELS
 MAX_ORACLE_STEPS = 20
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 @dataclass
@@ -38,9 +37,6 @@ class StateVector:
     @classmethod
     def basis(cls, x: int, spin: int, amplitude: complex = 1.0 + 0.0j) -> "StateVector":
         return cls({(x, spin): complex(amplitude)})
-
-    def norm_sq(self) -> float:
-        return sum((a * a.conjugate()).real for a in self.amplitudes.values())
 
     def site_probabilities(self) -> dict[int, float]:
         """Per-site probability, summed over spin."""
@@ -64,6 +60,32 @@ def _shift(amps: dict[tuple[int, int], complex]) -> dict[tuple[int, int], comple
     return out
 
 
+def _evolve(initial: dict[tuple[int, int], complex],
+            coins: list) -> list[dict[tuple[int, int], complex]]:
+    """Apply ``coins[i]`` at every occupied site, then the shift, for each step i.
+
+    A coin maps the (up, down) amplitudes of one site to their new values.
+    Returns the amplitudes before the first step and after every step.
+    """
+    states = [dict(initial)]
+    for coin in coins:
+        amps = states[-1]
+        mixed: dict[tuple[int, int], complex] = {}
+        for x in _occupied_sites(amps):
+            mixed[(x, UP)], mixed[(x, DOWN)] = coin(
+                amps.get((x, UP), 0.0 + 0.0j), amps.get((x, DOWN), 0.0 + 0.0j))
+        states.append(_shift(mixed))
+    return states
+
+
+def _hadamard_coin(u: complex, d: complex) -> tuple[complex, complex]:
+    return (u + d) * _INV_SQRT2, (u - d) * _INV_SQRT2
+
+
+def _splitter_coin(u: complex, d: complex) -> tuple[complex, complex]:
+    return (u + 1j * d) * _INV_SQRT2, (1j * u + d) * _INV_SQRT2
+
+
 def hadamard_walk(steps: int, initial: StateVector) -> tuple[StateVector, dict[int, float]]:
     """Evolve ``initial`` by ``steps`` applications of (shift . Hadamard).
 
@@ -74,16 +96,7 @@ def hadamard_walk(steps: int, initial: StateVector) -> tuple[StateVector, dict[i
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    amps = dict(initial.amplitudes)
-    for _ in range(steps):
-        mixed: dict[tuple[int, int], complex] = {}
-        for x in _occupied_sites(amps):
-            u = amps.get((x, UP), 0.0 + 0.0j)
-            d = amps.get((x, DOWN), 0.0 + 0.0j)
-            mixed[(x, UP)] = (u + d) * _INV_SQRT2
-            mixed[(x, DOWN)] = (u - d) * _INV_SQRT2
-        amps = _shift(mixed)
-    state = StateVector(amps)
+    state = StateVector(_evolve(initial.amplitudes, [_hadamard_coin] * steps)[-1])
     return state, state.site_probabilities()
 
 
@@ -109,24 +122,14 @@ def jeong_evolve(levels: int, phi1: float, phi2: float) -> list[dict[int, float]
         raise ValueError(f"levels must be in 1..{MAX_ORACLE_STEPS}, got {levels}")
     e1 = complex(math.cos(phi1), math.sin(phi1))
     e2 = complex(math.cos(phi2), math.sin(phi2))
-    amps: dict[tuple[int, int], complex] = {(0, UP): 1.0 + 0.0j}
-    per_step: list[dict[int, float]] = []
-    for step in range(1, levels + 1):
-        mixed: dict[tuple[int, int], complex] = {}
-        for x in _occupied_sites(amps):
-            u = amps.get((x, UP), 0.0 + 0.0j)
-            d = amps.get((x, DOWN), 0.0 + 0.0j)
-            if step > 1:
-                u = e1 * u
-            bu = (u + 1j * d) * _INV_SQRT2
-            bd = (1j * u + d) * _INV_SQRT2
-            if step > 1:
-                bd = e2 * bd
-            mixed[(x, UP)] = bu
-            mixed[(x, DOWN)] = bd
-        amps = _shift(mixed)
-        per_step.append(StateVector(amps).site_probabilities())
-    return per_step
+
+    def dressed_coin(u: complex, d: complex) -> tuple[complex, complex]:
+        u = e1 * u
+        return (u + 1j * d) * _INV_SQRT2, e2 * ((1j * u + d) * _INV_SQRT2)
+
+    coins = [_splitter_coin] + [dressed_coin] * (levels - 1)
+    states = _evolve({(0, UP): 1.0 + 0.0j}, coins)
+    return [StateVector(amps).site_probabilities() for amps in states[1:]]
 
 
 def table1_closed_form(l: int, phi2: float) -> dict[int, float]:

@@ -56,7 +56,7 @@ def make_state(gamma, w, y0, y1):
 def test_zero_learning_rate_is_memoryless():
     state = make_state(0.0, (0.3, 0.7), (0.2 + 0.1j, 0.4), (0.5, 0.6j))
     adaptive_update(state, 0, H_IN)
-    assert state.weights() == (1.0, 0.0)
+    assert (state.w0, state.w1) == (1.0, 0.0)
     assert (state.y0h, state.y0v) == (1.0 + 0.0j, 0.0 + 0.0j)
     # the other port's averaged message is untouched
     assert (state.y1h, state.y1v) == (0.5, 0.6j)
@@ -64,7 +64,7 @@ def test_zero_learning_rate_is_memoryless():
 def test_half_learning_rate_arithmetic():
     state = make_state(0.5, (0.5, 0.5), (0, 0), (0, 0))
     adaptive_update(state, 1, V_IN)
-    assert state.weights() == (0.25, 0.75)
+    assert (state.w0, state.w1) == (0.25, 0.75)
     assert state.y1v == 0.5
 
 def test_repeated_arrivals_converge_geometrically():
@@ -322,9 +322,10 @@ def test_unit_port_arities():
     from qwalk.core import (BeamSplitter, Detector, HadamardUnit, PhaseShifter,
                             PolarizingBeamSplitter, Source)
 
-    assert (Source.n_inputs, Source.n_outputs) == (0, 1)
-    assert (PhaseShifter.n_inputs, PhaseShifter.n_outputs) == (1, 1)
-    assert (HadamardUnit.n_inputs, HadamardUnit.n_outputs) == (1, 1)
-    assert (BeamSplitter.n_inputs, BeamSplitter.n_outputs) == (2, 2)
-    assert (PolarizingBeamSplitter.n_inputs, PolarizingBeamSplitter.n_outputs) == (2, 2)
-    assert (Detector.n_inputs, Detector.n_outputs) == (1, 0)
+    assert (Source.n_inputs, len(Source().out)) == (0, 1)
+    assert (PhaseShifter.n_inputs, len(PhaseShifter(0.3).out)) == (1, 1)
+    assert (HadamardUnit.n_inputs, len(HadamardUnit().out)) == (1, 1)
+    assert (BeamSplitter.n_inputs, len(BeamSplitter(0.9).out)) == (2, 2)
+    assert (PolarizingBeamSplitter.n_inputs,
+            len(PolarizingBeamSplitter(0.9).out)) == (2, 2)
+    assert (Detector.n_inputs, len(Detector(0).out)) == (1, 0)

@@ -22,6 +22,7 @@ from qwalk.core import (
     pbs_route,
     phase_shift,
 )
+from qwalk.cli import main
 from qwalk.errors import InvalidLevels, QwalkError, UnwiredPort
 from qwalk.network import (
     _BS,
@@ -91,7 +92,7 @@ def test_mesh_phases_must_be_finite(phases):
         build_jeong(3, *phases)
 
 def test_validation_catches_dangling_port():
-    net = Network(0.9)
+    net = Network()
     source = net.add(Source())
     bs = net.add(BeamSplitter(0.9))
     net.connect(source, 0, bs, 0)
@@ -99,6 +100,20 @@ def test_validation_catches_dangling_port():
     net.connect(bs, 0, det, 0)
     with pytest.raises(UnwiredPort):
         net.validate()  # bs output port 1 dangles
+
+@pytest.mark.parametrize("wiring,message", [
+    (("bs", -1, "det", 0), "BeamSplitter has no output port -1"),
+    (("source", 0, "bs", 2), "BeamSplitter has no input port 2"),
+    (("bs", 0, "det", 1), "Detector has no input port 1"),
+], ids=["splitter out-port -1", "splitter in-port 2", "detector in-port 1"])
+def test_connect_rejects_ports_the_units_lack(wiring, message):
+    net = Network()
+    units = {"source": net.add(Source()), "bs": net.add(BeamSplitter(0.9)),
+             "det": net.add(Detector(0))}
+    src, src_port, dst, dst_port = wiring
+    with pytest.raises(QwalkError, match=f"^{message}$"):
+        net.connect(units[src], src_port, units[dst], dst_port)
+    assert all(wire is None for unit in net.units for wire in unit.out)
 
 
 # --- event loop --------------------------------------------------------------
@@ -111,7 +126,7 @@ def reference_run(net, n_particles, rng, filters=(), taps_enabled=False):
     """
     states, draws = {}, {}
     for j, unit in enumerate(net.units):
-        if unit.is_adaptive:
+        if isinstance(unit, BeamSplitter):
             states[j] = AdaptiveState(unit.gamma)
             draws[j] = rng.derive(j).random
     index = {id(unit): j for j, unit in enumerate(net.units)}
@@ -170,7 +185,7 @@ def build_rejoined(gamma=0.95):
     The v rail passes a second Hadamard, so the second PBS is fed h on
     port 0 and both halves on port 1, and emits on both ports.
     """
-    net = Network(gamma)
+    net = Network()
     source = net.add(Source())
     first_had, second_had = net.add(HadamardUnit()), net.add(HadamardUnit())
     split = net.add(PolarizingBeamSplitter(gamma))
@@ -189,7 +204,8 @@ def build_rejoined(gamma=0.95):
 def adaptive_kinds(net):
     """Kind code of each adaptive unit, keyed by unit identity."""
     kind = _compile(net, RngStream(1), set())[0]
-    return {id(unit): kind[j] for j, unit in enumerate(net.units) if unit.is_adaptive}
+    return {id(unit): kind[j] for j, unit in enumerate(net.units)
+            if isinstance(unit, BeamSplitter)}
 
 class CountingRng(RngStream):
     """An RngStream that tallies the draws of each derived stream by index."""
@@ -276,7 +292,7 @@ def test_unit_kinds_do_not_depend_on_unit_order(build):
 def test_particle_at_dark_port_raises():
     # a dark port declared on a port that does carry amplitude: the first
     # particle routed there stops the run instead of vanishing
-    net = Network(0.9)
+    net = Network()
     source = net.add(Source())
     bs = net.add(BeamSplitter(0.9))
     net.connect(source, 0, bs, 0)
@@ -288,7 +304,7 @@ def test_particle_at_dark_port_raises():
         run(net, 200, RngStream(1))
 
 def test_two_stateless_units_on_one_edge_are_rejected():
-    net = Network(0.9)
+    net = Network()
     source = net.add(Source())
     first, second = net.add(PhaseShifter(0.1)), net.add(HadamardUnit())
     net.connect(source, 0, first, 0)
@@ -310,6 +326,36 @@ def test_counts_conserved_across_configurations():
                      taps_enabled=True)
         assert sum(result.counts.values()) + result.removed == 400
         assert sum(sum(row.values()) for row in result.t2.values()) + result.removed == 400
+
+REGISTERS = ("w0", "w1", "y0h", "y0v", "y1h", "y1v")
+
+@pytest.mark.parametrize("register,value,shown", [("w1", 0.7, "w0=0.55, w1=0.63,"),
+                                                  ("y1h", 3.0, "|y1|=3.0")])
+def test_corrupted_registers_stop_the_run(monkeypatch, capsys, register, value,
+                                          shown):
+    # unit 1 of the one-level mesh is its splitter; one particle enters it on
+    # port 0, which leaves w0 + w1 = 1.18 and |y1| = 3.0
+    def corrupted(net, rng, absorbed):
+        tables = _compile(net, rng, absorbed)
+        tables[8][REGISTERS.index(register)][1] = value
+        return tables
+
+    monkeypatch.setattr("qwalk.network._compile", corrupted)
+    with pytest.raises(QwalkError,
+                       match=r"^register invariant breach at BeamSplitter 1: ") as exc:
+        run(build_jeong(1, PHI1, PHI2, 0.9), 1, RngStream(1))
+    assert shown in str(exc.value)
+    assert main(["jeong", "--steps", "1", "--particles", "1"]) == 3
+    assert "register invariant breach" in capsys.readouterr().err
+
+@pytest.mark.parametrize("build", [build_robens,
+                                   lambda g: build_mixed(4, PHI1, PHI2, g)],
+                         ids=["robens", "mixed mesh"])
+def test_register_check_holds_at_slowest_learning_rate(build):
+    # the closer gamma is to 1, the longer rounding in w0 + w1 lingers
+    net = build(0.999999)
+    result = run(net, 100_000, RngStream(8))
+    assert sum(result.counts.values()) == 100_000
 
 def test_identical_seeds_reproduce_runs_bit_exactly():
     net = build_robens(0.95)
