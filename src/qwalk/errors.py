@@ -14,7 +14,7 @@ class InvalidLevels(QwalkError):
 
 
 class UnwiredPort(QwalkError):
-    """A particle reached an output port with no wire attached (construction bug)."""
+    """An output port a particle can reach has no wire attached (construction bug)."""
 
 
 class UnsupportedStep(QwalkError):

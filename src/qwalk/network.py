@@ -9,10 +9,11 @@ polarized-photon network in which the position shift is polarization encoded:
 each jump is a Hadamard on every occupied rail followed by a column of
 polarizing beam splitters that send the h component of site x to x-1 and the
 v component to x+1.  Every jump needs one splitting PBS per occupied site and
-one merging PBS per target site; the merge's second output is a structural
-dark port that carries zero amplitude (registers that never receive a
-component stay exactly zero), so particle conservation is exact.  Redundant
-single-input PBSs at the edges are instantiated rather than optimized away.
+one merging PBS per target site.  The merge's second output is left
+unwired: it carries zero amplitude (registers that never receive a component
+stay exactly zero), which ``run`` proves before the first particle, so
+particle conservation is exact.  Redundant single-input PBSs at the edges are
+instantiated rather than optimized away.
 
 The polarized network carries three labeled cut points: t1 on the wire
 leaving the source, t2 on the two wires leaving the first merge column
@@ -26,9 +27,10 @@ Leggett-Garg analysis.
 A run is strictly sequential: a particle finishes (detector or filter)
 before the next one is emitted, and the adaptive registers persist across
 all particles of the run.  ``run`` compiles the graph into flat tables
-(``_compile``), derives each adaptive unit's stream from the supplied
-one and starts from fresh registers, so identical seeds reproduce
-bit-identical counts and tables.
+(``_compile``), which also checks it: one source, no cycle, and every port
+a particle can reach is wired.  It derives each adaptive unit's stream from
+the supplied one and starts from fresh registers, so identical seeds
+reproduce bit-identical counts and tables.
 """
 from __future__ import annotations
 
@@ -88,16 +90,20 @@ class Network:
     def __init__(self):
         self.units: list = []
         self.source: Source | None = None
-        self.detector_sites: list[int] = []
         #: label -> {site: wire} for every annotated cut point
         self.cut_points: dict[str, dict[int, Wire]] = {}
-        #: output ports that legitimately carry zero amplitude
-        self.dark_ports: set[tuple[int, int]] = set()
+
+    @property
+    def detector_sites(self) -> list[int]:
+        """Sorted sites of the network's detectors."""
+        return sorted({u.site for u in self.units if isinstance(u, Detector)})
 
     def add(self, unit):
-        self.units.append(unit)
         if isinstance(unit, Source):
+            if self.source is not None:
+                raise QwalkError("network already has a source")
             self.source = unit
+        self.units.append(unit)
         return unit
 
     def connect(self, src, src_port: int, dst, dst_port: int, tap=None) -> Wire:
@@ -113,43 +119,6 @@ class Network:
             label, site = tap
             self.cut_points.setdefault(label, {})[site] = wire
         return wire
-
-    def mark_dark(self, unit, port: int) -> None:
-        self.dark_ports.add((id(unit), port))
-
-    def validate(self) -> None:
-        """Check that every output port is wired or declared dark, and no cycles."""
-        if self.source is None:
-            raise QwalkError("network has no source")
-        for unit in self.units:
-            for port, wire in enumerate(unit.out):
-                if wire is None and (id(unit), port) not in self.dark_ports:
-                    raise UnwiredPort(
-                        f"{type(unit).__name__} output port {port} is dangling")
-        # cycle check: iterative DFS over the wiring graph
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {id(u): WHITE for u in self.units}
-        for start in self.units:
-            if color[id(start)] != WHITE:
-                continue
-            stack = [(start, iter(self._successors(start)))]
-            color[id(start)] = GRAY
-            while stack:
-                node, it = stack[-1]
-                for succ in it:
-                    c = color[id(succ)]
-                    if c == GRAY:
-                        raise QwalkError("wiring graph contains a cycle")
-                    if c == WHITE:
-                        color[id(succ)] = GRAY
-                        stack.append((succ, iter(self._successors(succ))))
-                        break
-                else:
-                    color[id(node)] = BLACK
-                    stack.pop()
-
-    def _successors(self, unit) -> list:
-        return [w.dst for w in unit.out if w is not None]
 
 
 def build_jeong(levels: int, phi1: float, phi2: float, gamma: float = 0.95) -> Network:
@@ -198,8 +167,6 @@ def build_jeong(levels: int, phi1: float, phi2: float, gamma: float = 0.95) -> N
         for _kind, (src, port) in sorted(rails[site].items()):
             det = net.add(Detector(site))
             net.connect(src, port, det, 0)
-    net.detector_sites = sorted(rails)
-    net.validate()
     return net
 
 
@@ -232,7 +199,6 @@ def build_robens(gamma: float = 0.95) -> Network:
                 net.connect(splits[x2 + 1], 0, merge, 0)  # h rail moving left
             if x2 - 1 in splits:
                 net.connect(splits[x2 - 1], 1, merge, 1)  # v rail moving right
-            net.mark_dark(merge, 1)
             tap = None
             if jump == 1:
                 tap = ("t2", x2)
@@ -244,8 +210,6 @@ def build_robens(gamma: float = 0.95) -> Network:
         src, port, tap = pending[x2]
         det = net.add(Detector(x2))
         net.connect(src, port, det, 0, tap=tap)
-    net.detector_sites = sorted(pending)
-    net.validate()
     return net
 
 
@@ -253,7 +217,7 @@ def build_robens(gamma: float = 0.95) -> Network:
 # ``net.units``; the edge leaving unit j on out-port q is numbered 2*j + q.
 # _BS1, _SPLIT and _MERGE are adaptive units with dead message halves (see
 # ``_compile``); _BS and _PBS are the general kernels.
-_DETECTOR, _BS, _PBS, _BS1, _SPLIT, _MERGE, _DARK = 0, 1, 2, 3, 4, 5, -1
+_DETECTOR, _BS, _PBS, _BS1, _SPLIT, _MERGE = 0, 1, 2, 3, 4, 5
 #: edge tag of a wire absorbed by a removal filter
 _ABSORB = object()
 #: edge transform of a polarization Hadamard (a phase edge holds its factor)
@@ -269,40 +233,56 @@ def _emitted(kind: int, in0: int, in1: int) -> tuple[int, int]:
     return in0 | in1, in0 | in1
 
 
-def _live_inputs(kind: list, dst: list, dst_port: list, xform: list,
-                 start: int) -> list:
+def _live_inputs(units: list, kind: list, dst: list, dst_port: list,
+                 xform: list, start: int) -> list:
     """Per unit, the halves of a message that can be nonzero at in-ports 0 and 1.
 
     A half outside the set is exactly ±0 whenever a particle arrives, and a
-    port whose set is empty is never reached: a particle only leaves on a
-    port with nonzero amplitude.  The source edge ``start`` carries the
-    nonzero halves of ``SOURCE_MESSAGE``; a phase edge keeps its set and a
-    Hadamard edge turns any non-empty set into {h, v}.  Sets only grow, so
-    propagating forward from the source until none grows gives the same
-    result in any unit order (and on any graph).
+    port that emits no half is never taken: a particle only leaves on a
+    port with nonzero amplitude, so such a port may stay unwired.  The
+    source edge ``start`` carries the nonzero halves of ``SOURCE_MESSAGE``;
+    a phase edge keeps its set and a Hadamard edge turns any non-empty set
+    into {h, v}.  One topological pass (Kahn's algorithm) visits each unit
+    once, after every unit wired into it, so the sets do not depend on the
+    order of ``units``.
+
+    Raises ``UnwiredPort`` for an unwired port that can emit a half, and
+    ``QwalkError`` if a unit is never visited, which puts it on a cycle.
     """
-    n = len(kind) - 1
+    n = len(units)
     live = [[0, 0] for _ in range(n)]
-    pending: list = []
-
-    def feed(e: int, halves: int) -> None:
-        target = dst[e]
-        if not halves or target == n:
-            return
-        if xform[e] is _HADAMARD:
-            halves = _H | _V
-        port = dst_port[e]
-        if live[target][port] | halves != live[target][port]:
-            live[target][port] |= halves
-            if kind[target] != _DETECTOR:
-                pending.append(target)
-
+    waiting = [0] * n
+    for target in dst:
+        if target < n:
+            waiting[target] += 1
+    ready = [j for j in range(n) if not waiting[j]]
+    visited = 0
     h, v = SOURCE_MESSAGE
-    feed(start, (_H if h else 0) | (_V if v else 0))
-    while pending:
-        j = pending.pop()
-        for port, halves in enumerate(_emitted(kind[j], *live[j])):
-            feed(2 * j + port, halves)
+    while ready:
+        j = ready.pop()
+        visited += 1
+        if 2 * j == start:
+            emitted = ((_H if h else 0) | (_V if v else 0), 0)
+        elif kind[j] in (_BS, _PBS):
+            emitted = _emitted(kind[j], *live[j])
+        else:
+            continue
+        for port, halves in enumerate(emitted):
+            e = 2 * j + port
+            target = dst[e]
+            if target == n:
+                if halves:
+                    raise UnwiredPort(f"the path from {type(units[j]).__name__} "
+                                      f"output port {port} ends unwired")
+                continue
+            if halves and xform[e] is _HADAMARD:
+                halves = _H | _V
+            live[target][dst_port[e]] |= halves
+            waiting[target] -= 1
+            if not waiting[target]:
+                ready.append(target)
+    if visited < n:
+        raise QwalkError("wiring graph contains a cycle")
     return live
 
 
@@ -312,9 +292,13 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
     Each edge runs from an adaptive unit (or the source) to the next adaptive
     unit or detector; the stateless unit sitting on it, if any, is folded
     into the edge as its transform.  Wires in ``absorbed`` tag their edge as
-    absorbing; t2 wires tag it with their site.  Unwired (dark) ports lead
-    to a sentinel unit whose kind makes the loop raise ``UnwiredPort``.
-    Registers start fresh, and adaptive unit j draws from ``rng.derive(j)``.
+    absorbing; t2 wires tag it with their site.  An unwired port's edge
+    leads to unit n, one past the last, and ``_live_inputs`` proves that no
+    particle takes it.  Registers start fresh, and adaptive unit j draws
+    from ``rng.derive(j)``.  A network without a source, with a cycle, with
+    a reachable unwired port, with two stateless units on one edge or wired
+    to a unit it does not hold raises ``QwalkError`` (``UnwiredPort`` for
+    the port).
 
     Units whose messages have dead halves (``_live_inputs``) get a kernel
     that skips them; every term it skips is a +0.0 square or a ±0 register:
@@ -330,7 +314,7 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
 
     Returns, in order:
 
-    - per unit: ``kind`` (with the dark sentinel appended), detector ``site``;
+    - per unit: ``kind``, detector ``site``;
     - per edge: ``dst`` unit, its ``dst_port``, ``tag`` (None, _ABSORB or
       the t2 site crossed) and ``xform`` (None, _HADAMARD or a phase factor);
     - per unit: ``gamma``, ``1 - gamma``, the six register lists (w0, w1,
@@ -340,7 +324,7 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
     units = net.units
     n = len(units)
     index = {id(u): j for j, u in enumerate(units)}
-    kind: list = [None] * n + [_DARK]
+    kind: list = [None] * n
     site: list = [None] * n
     gamma: list = [None] * n
     draw: list = [None] * n
@@ -371,6 +355,9 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
                 elif isinstance(target, HadamardUnit):
                     step = _HADAMARD
                 else:
+                    if id(target) not in index:
+                        raise QwalkError(f"{type(target).__name__} is wired in "
+                                         "but was never added to the network")
                     dst[e] = index[id(target)]
                     dst_port[e] = wire.dst_port
                     break
@@ -378,8 +365,11 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
                     raise QwalkError("more than one stateless unit on an edge")
                 xform[e] = step
                 wire = target.out[0]
+    if net.source is None:
+        raise QwalkError("network has no source")
     start = 2 * index[id(net.source)]
-    for j, (in0, in1) in enumerate(_live_inputs(kind, dst, dst_port, xform, start)):
+    live = _live_inputs(units, kind, dst, dst_port, xform, start)
+    for j, (in0, in1) in enumerate(live):
         if kind[j] == _BS and not (in0 | in1) & _V:
             kind[j] = _BS1
         elif kind[j] == _PBS:
@@ -425,12 +415,12 @@ def run(net: Network, n_particles: int, rng: RngStream,
         if sites is None or f.site not in sites:
             raise ValueError(f"no cut point {f.label!r} at site {f.site}")
         absorbed.add(sites[f.site])
+    counts = dict.fromkeys(net.detector_sites, 0)
     t2: dict[int, dict[int, int]] = {}
     if taps_enabled:
         if "t2" not in net.cut_points:
             raise ValueError("taps need a t2 cut point; this network has none")
-        t2 = {x2: {site: 0 for site in net.detector_sites}
-              for x2 in sorted(net.cut_points["t2"])}
+        t2 = {x2: dict(counts) for x2 in sorted(net.cut_points["t2"])}
 
     (kind, site_of, dst, dst_port, tag, xform, G, C,
      (W0, W1, Y0H, Y0V, Y1H, Y1V), draw, start) = _compile(net, rng, absorbed)
@@ -440,7 +430,6 @@ def run(net: Network, n_particles: int, rng: RngStream,
     BS, BS1, DETECTOR, ABSORB, HADAMARD = _BS, _BS1, _DETECTOR, _ABSORB, _HADAMARD
     SPLIT, MERGE = _SPLIT, _MERGE
     h0, v0 = SOURCE_MESSAGE
-    counts = {site: 0 for site in net.detector_sites}
     removed = 0
     for _ in range(n_particles):
         e = start
@@ -594,16 +583,12 @@ def run(net: Network, n_particles: int, rng: RngStream,
                     h = z1h * inv
                     v = z1v * inv
                     e = 2 * j + 1
-            elif k == DETECTOR:
+            else:
                 site = site_of[j]
                 counts[site] += 1
                 if taps_enabled:
                     t2[x2][site] += 1
                 break
-            else:
-                unit = net.units[e // 2]
-                raise UnwiredPort(f"particle reached dangling port {e % 2} "
-                                  f"of {type(unit).__name__}")
     if sum(counts.values()) + removed != n_particles:
         raise QwalkError("conservation breach: emitted != detected + removed")
     for j, unit in enumerate(net.units):

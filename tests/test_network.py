@@ -77,9 +77,12 @@ def test_polarized_network_layout():
     assert net.detector_sites == [-4, -2, 0, 2, 4]
     pbs = [u for u in net.units if isinstance(u, PolarizingBeamSplitter)]
     # one splitting PBS per occupied site (1+2+3+4) and one merging PBS per
-    # target site (2+3+4+5); merges keep their dark second output
+    # target site (2+3+4+5); exactly the merges leave out-port 1 unwired
     assert len(pbs) == (1 + 2 + 3 + 4) + (2 + 3 + 4 + 5)
-    assert len(net.dark_ports) == 2 + 3 + 4 + 5
+    kinds = adaptive_kinds(net)
+    unwired = {id(u) for u in pbs if u.out[1] is None}
+    assert unwired == {id(u) for u in pbs if kinds[id(u)] == _MERGE}
+    assert len(unwired) == 2 + 3 + 4 + 5
     assert sorted(net.cut_points) == ["t1", "t2", "t3"]
     assert sorted(net.cut_points["t1"]) == [0]
     assert sorted(net.cut_points["t2"]) == [-1, 1]
@@ -99,7 +102,7 @@ def test_validation_catches_dangling_port():
     det = net.add(Detector(-1))
     net.connect(bs, 0, det, 0)
     with pytest.raises(UnwiredPort):
-        net.validate()  # bs output port 1 dangles
+        run(net, 1, RngStream(1))  # bs output port 1 dangles
 
 @pytest.mark.parametrize("wiring,message", [
     (("bs", -1, "det", 0), "BeamSplitter has no output port -1"),
@@ -176,7 +179,6 @@ def build_mixed(levels, phi1, phi2, gamma=0.95):
     had = net.add(HadamardUnit())
     net.connect(net.source, 0, had, 0)
     net.connect(had, 0, wire.dst, wire.dst_port)
-    net.validate()
     return net
 
 def build_rejoined(gamma=0.95):
@@ -197,8 +199,6 @@ def build_rejoined(gamma=0.95):
     net.connect(second_had, 0, rejoin, 1)
     net.connect(rejoin, 0, net.add(Detector(-1)), 0)
     net.connect(rejoin, 1, net.add(Detector(1)), 0)
-    net.detector_sites = [-1, 1]
-    net.validate()
     return net
 
 def adaptive_kinds(net):
@@ -290,16 +290,13 @@ def test_unit_kinds_do_not_depend_on_unit_order(build):
         assert adaptive_kinds(net) == expected
 
 def test_particle_at_dark_port_raises():
-    # a dark port declared on a port that does carry amplitude: the first
-    # particle routed there stops the run instead of vanishing
+    # an unwired port that does carry amplitude stops the run instead of
+    # letting particles vanish there
     net = Network()
     source = net.add(Source())
     bs = net.add(BeamSplitter(0.9))
     net.connect(source, 0, bs, 0)
     net.connect(bs, 0, net.add(Detector(-1)), 0)
-    net.mark_dark(bs, 1)
-    net.detector_sites = [-1]
-    net.validate()
     with pytest.raises(UnwiredPort):
         run(net, 200, RngStream(1))
 
@@ -310,9 +307,80 @@ def test_two_stateless_units_on_one_edge_are_rejected():
     net.connect(source, 0, first, 0)
     net.connect(first, 0, second, 0)
     net.connect(second, 0, net.add(Detector(0)), 0)
-    net.detector_sites = [0]
     with pytest.raises(QwalkError):
         run(net, 1, RngStream(1))
+
+def splitter_into_detectors(net):
+    """Source -> beam splitter; returns the splitter and two unwired detectors."""
+    bs = net.add(BeamSplitter(0.9))
+    net.connect(net.add(Source()), 0, bs, 0)
+    return bs, net.add(Detector(-1)), net.add(Detector(1))
+
+def no_source(net):
+    bs = net.add(BeamSplitter(0.9))
+    net.connect(bs, 0, net.add(Detector(-1)), 0)
+    net.connect(bs, 1, net.add(Detector(1)), 0)
+
+def self_loop(net):
+    bs, _, right = splitter_into_detectors(net)
+    net.connect(bs, 0, bs, 1)
+    net.connect(bs, 1, right, 0)
+
+def self_loop_through_phase(net):
+    bs, _, right = splitter_into_detectors(net)
+    phase = net.add(PhaseShifter(0.3))
+    net.connect(bs, 0, phase, 0)
+    net.connect(phase, 0, bs, 1)
+    net.connect(bs, 1, right, 0)
+
+def live_port_unwired(net):
+    bs, left, _ = splitter_into_detectors(net)
+    net.connect(bs, 0, left, 0)
+
+def unit_never_added(net):
+    bs, left, _ = splitter_into_detectors(net)
+    net.connect(bs, 0, left, 0)
+    net.connect(bs, 1, Detector(1), 0)
+
+def two_sources(net):
+    bs, left, right = splitter_into_detectors(net)
+    net.connect(bs, 0, left, 0)
+    net.connect(bs, 1, right, 0)
+    net.connect(net.add(Source()), 0, bs, 1)
+
+@pytest.mark.parametrize("wire,error,message", [
+    (no_source, QwalkError, "^network has no source$"),
+    (self_loop, QwalkError, "^wiring graph contains a cycle$"),
+    (self_loop_through_phase, QwalkError, "^wiring graph contains a cycle$"),
+    (live_port_unwired, UnwiredPort, "^the path from BeamSplitter output port 1 ends unwired$"),
+    (unit_never_added, QwalkError,
+     "^Detector is wired in but was never added to the network$"),
+    (two_sources, QwalkError, "^network already has a source$"),
+], ids=["no source", "cycle", "cycle through a phase shifter",
+        "live port unwired", "unit never added", "second source"])
+def test_run_rejects_malformed_networks(wire, error, message):
+    # run() checks the network it gets before any particle moves
+    net = Network()
+    rng = CountingRng(1)
+    with pytest.raises(error, match=message):
+        wire(net)
+        run(net, 1000, rng)
+    assert rng.draws == {}
+    assert sum(isinstance(unit, Source) for unit in net.units) <= 1
+
+def test_detector_sites_follow_the_detectors():
+    # a hand-built network never states its detector sites; run() keys the
+    # counts by the sites of the detectors it holds
+    net = Network()
+    bs, left, right = splitter_into_detectors(net)
+    net.connect(bs, 0, left, 0)
+    net.connect(bs, 1, right, 0)
+    assert net.detector_sites == [-1, 1]
+    result = run(net, 300, RngStream(2))
+    assert sorted(result.counts) == [-1, 1]
+    assert sum(result.counts.values()) == 300
+    with pytest.raises(AttributeError):
+        net.detector_sites = [0]
 
 def test_counts_conserved_across_configurations():
     rng = RngStream(5)
