@@ -25,7 +25,7 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 
-from .errors import EmptyRun, QwalkError
+from .errors import EmptyRun, InsufficientReplicates, QwalkError
 from .core import RngStream, _INV_SQRT2
 from .leggett_garg import SINGLE_RUN, THREE_RUN, run_protocols
 from .network import MAX_LEVELS, RemovalFilter, build_jeong, build_robens, run
@@ -148,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lgi", help="Leggett-Garg K for both protocols")
     p.add_argument("--workers", type=int, default=None,
                    help="parallel replicate processes, >= 1; capped at the "
-                        "replicate count (default: cpu count)")
+                        "replicate count (default: the CPUs this process "
+                        "may run on)")
     add_common(p, replicates_default=10)
 
     p = sub.add_parser("oracle", help="exact theory, no simulation")
@@ -333,9 +334,6 @@ def _excess_in_stderr(k: float, stderr: float) -> float:
 def cmd_lgi(cfg: RunConfig, workers: int | None) -> tuple[dict, str]:
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    if cfg.replicates < 2:
-        raise ConfigError(
-            f"lgi needs at least 2 replicates for error bars, got {cfg.replicates}")
     rng = RngStream(cfg.seed)
     protocols = (THREE_RUN, SINGLE_RUN)
     try:
@@ -348,6 +346,9 @@ def cmd_lgi(cfg: RunConfig, workers: int | None) -> tuple[dict, str]:
         # message starts with the protocol
         raise ConfigError(
             f"--particles {cfg.particles} is too few for {exc}") from exc
+    except InsufficientReplicates as exc:
+        # raised before any replicate runs: error bars need two of them
+        raise ConfigError(f"lgi: {exc}") from exc
     rows = []
     results: dict = {}
     for protocol, (aggregate, reps) in zip(protocols, outcomes):

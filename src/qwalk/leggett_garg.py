@@ -185,18 +185,27 @@ def run_protocols(protocols: list[tuple[str, RngStream]], *, particles: int = 10
     """``run_protocol`` for several (protocol, stream) pairs, on one pool.
 
     Every replicate of every protocol is submitted to one pool of at most
-    ``min(workers, len(protocols) * replicates)`` worker processes.  Each
+    ``min(workers, len(protocols) * replicates)`` worker processes;
+    ``workers`` defaults to the CPUs this process may run on.  Each
     replicate's stream depends only on its protocol's stream and index, so
-    the results do not depend on the dispatch.  An ``EmptyRun`` message
-    starts with the protocol whose replicate had no counts.
+    the results do not depend on the dispatch.  Fewer than 2 replicates
+    raise ``InsufficientReplicates`` before any replicate runs.  An
+    ``EmptyRun`` message starts with the protocol whose replicate had no
+    counts.
     """
     for protocol, _rng in protocols:
         if protocol not in (THREE_RUN, SINGLE_RUN):
             raise ValueError(f"unknown protocol {protocol!r}")
+    if replicates < 2:
+        raise InsufficientReplicates(
+            f"need at least 2 replicates, got {replicates}")
     jobs = [(protocol, rng.derive(r).seed, particles, gamma)
             for protocol, rng in protocols for r in range(replicates)]
     if workers is None:
-        workers = os.cpu_count() or 1
+        if hasattr(os, "sched_getaffinity"):
+            workers = len(os.sched_getaffinity(0))
+        else:
+            workers = os.cpu_count() or 1
     # the pool starts all of its worker processes up front: never more
     # than there are replicates to run
     workers = min(workers, len(jobs))
@@ -218,7 +227,8 @@ def run_protocol(protocol: str, *, particles: int = 100_000, gamma: float = 0.95
     from the averaged components so K = 1 + <Q3Q2> - <Q3> holds exactly;
     stderr is the standard error over the per-replicate K values.  At most
     ``min(workers, replicates)`` worker processes run (``workers`` defaults
-    to the CPU count); one worker runs the replicates in this process.
+    to the CPUs this process may run on); one worker runs the replicates in
+    this process.
     """
     [result] = run_protocols([(protocol, rng)], particles=particles, gamma=gamma,
                              replicates=replicates, workers=workers)

@@ -38,9 +38,11 @@ import math
 from typing import Iterable, NamedTuple
 
 from .core import (
+    AdaptiveState,
     BeamSplitter,
     Detector,
     HadamardUnit,
+    Message,
     PhaseShifter,
     PolarizingBeamSplitter,
     RngStream,
@@ -48,6 +50,9 @@ from .core import (
     SOURCE_MESSAGE,
     _INV_SQRT2,
     _vanished,
+    adaptive_update,
+    bs_route,
+    pbs_route,
 )
 from .errors import InvalidLevels, QwalkError, UnwiredPort
 
@@ -216,7 +221,7 @@ def build_robens(gamma: float = 0.95) -> Network:
 # Compiled form of a network.  Units are numbered by their position in
 # ``net.units``; the edge leaving unit j on out-port q is numbered 2*j + q.
 # _BS1, _SPLIT and _MERGE are adaptive units with dead message halves (see
-# ``_compile``); _BS and _PBS are the general kernels.
+# ``_compile``); _BS and _PBS run the core routing functions.
 _DETECTOR, _BS, _PBS, _BS1, _SPLIT, _MERGE = 0, 1, 2, 3, 4, 5
 #: edge tag of a wire absorbed by a removal filter
 _ABSORB = object()
@@ -294,14 +299,16 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
     into the edge as its transform.  Wires in ``absorbed`` tag their edge as
     absorbing; t2 wires tag it with their site.  An unwired port's edge
     leads to unit n, one past the last, and ``_live_inputs`` proves that no
-    particle takes it.  Registers start fresh, and adaptive unit j draws
+    particle takes it.  Each adaptive unit gets fresh registers, a new
+    ``AdaptiveState`` assigned to its ``state``, and adaptive unit j draws
     from ``rng.derive(j)``.  A network without a source, with a cycle, with
     a reachable unwired port, with two stateless units on one edge or wired
     to a unit it does not hold raises ``QwalkError`` (``UnwiredPort`` for
     the port).
 
     Units whose messages have dead halves (``_live_inputs``) get a kernel
-    that skips them; every term it skips is a +0.0 square or a ±0 register:
+    that skips them; every term it skips is a +0.0 square or a ±0 register
+    (the general kinds ``_BS`` and ``_PBS`` call the core functions):
 
     - ``_BS1``: a beam splitter that no v half reaches; it updates and
       routes the h half alone.
@@ -317,8 +324,8 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
     - per unit: ``kind``, detector ``site``;
     - per edge: ``dst`` unit, its ``dst_port``, ``tag`` (None, _ABSORB or
       the t2 site crossed) and ``xform`` (None, _HADAMARD or a phase factor);
-    - per unit: ``gamma``, ``1 - gamma``, the six register lists (w0, w1,
-      y0h, y0v, y1h, y1v) and ``draw``, the bound ``random`` of its stream;
+    - per unit: ``state``, the ``AdaptiveState`` of an adaptive unit (None
+      for any other), and ``draw``, the bound ``random`` of its stream;
     - the edge leaving the source.
     """
     units = net.units
@@ -326,7 +333,7 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
     index = {id(u): j for j, u in enumerate(units)}
     kind: list = [None] * n
     site: list = [None] * n
-    gamma: list = [None] * n
+    state: list = [None] * n
     draw: list = [None] * n
     for j, unit in enumerate(units):
         if isinstance(unit, Detector):
@@ -334,7 +341,6 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
             site[j] = unit.site
         elif isinstance(unit, BeamSplitter):
             kind[j] = _PBS if isinstance(unit, PolarizingBeamSplitter) else _BS
-            gamma[j] = unit.gamma
     dst: list = [n] * (2 * n)
     dst_port: list = [0] * (2 * n)
     tag: list = [None] * (2 * n)
@@ -377,12 +383,11 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
                 kind[j] = _MERGE
             elif not in1:
                 kind[j] = _SPLIT
-        if gamma[j] is not None:
+        unit = units[j]
+        if isinstance(unit, BeamSplitter):
+            unit.state = state[j] = AdaptiveState(unit.gamma)
             draw[j] = rng.derive(j).random
-    rest = [None if g is None else 1.0 - g for g in gamma]
-    regs = ([0.5] * n, [0.5] * n, [0j] * n, [0j] * n, [0j] * n, [0j] * n)
-    return (kind, site, dst, dst_port, tag, xform, gamma, rest, regs, draw,
-            start)
+    return kind, site, dst, dst_port, tag, xform, state, draw, start
 
 
 def run(net: Network, n_particles: int, rng: RngStream,
@@ -390,18 +395,18 @@ def run(net: Network, n_particles: int, rng: RngStream,
         taps_enabled: bool = False) -> RunResult:
     """Send ``n_particles`` through the network one at a time.
 
-    Adaptive registers are reset at the start and persist across all
-    particles of the run; at the end each adaptive unit's ``state`` holds
-    its final registers.  Returns the detector counts, the t2 table (empty
+    Each adaptive unit's ``state`` is replaced by fresh registers at the
+    start; the loop updates it in place, so they persist across all
+    particles of the run and hold their final values at the end.  Returns the detector counts, the t2 table (empty
     unless ``taps_enabled``; a network without a t2 cut point cannot be
     tapped), and the removed tally.
 
-    The loop applies ``adaptive_update`` followed by ``bs_route`` or
-    ``pbs_route``, and ``phase_shift``/``hadamard_apply`` on the edges, with
-    the same float operations in the same order as those functions, and
-    draws one number per adaptive hop after the update.  Units with dead
-    message halves (see ``_compile``) skip the terms that are zero; a
+    A general splitter calls ``adaptive_update`` followed by ``bs_route``
+    or ``pbs_route``, drawing one number after the update.  Units with dead
+    message halves (see ``_compile``) run those steps inline with the same
+    float operations in the same order, skipping the terms that are zero; a
     merging PBS, whose port 0 always wins, draws and discards its number.
+    The edges apply ``phase_shift``/``hadamard_apply`` inline.
 
     After the loop the run checks particle conservation and, for every
     adaptive unit, the register invariants: |w0 + w1 - 1| <= 1e-12,
@@ -422,8 +427,8 @@ def run(net: Network, n_particles: int, rng: RngStream,
             raise ValueError("taps need a t2 cut point; this network has none")
         t2 = {x2: dict(counts) for x2 in sorted(net.cut_points["t2"])}
 
-    (kind, site_of, dst, dst_port, tag, xform, G, C,
-     (W0, W1, Y0H, Y0V, Y1H, Y1V), draw, start) = _compile(net, rng, absorbed)
+    (kind, site_of, dst, dst_port, tag, xform, state, draw,
+     start) = _compile(net, rng, absorbed)
     # hot-loop names as locals
     sqrt = math.sqrt
     s = _INV_SQRT2
@@ -454,18 +459,19 @@ def run(net: Network, n_particles: int, rng: RngStream,
             k = kind[j]
             if k == BS1:
                 # adaptive_update and bs_route on the h half alone
-                g = G[j]
-                c = C[j]
+                st = state[j]
+                g = st.gamma
+                c = 1.0 - g
                 if dst_port[e] == 0:
-                    W0[j] = w0 = g * W0[j] + c
-                    W1[j] = w1 = g * W1[j]
-                    Y0H[j] = y0h = g * Y0H[j] + c * h
-                    y1h = Y1H[j]
+                    st.w0 = w0 = g * st.w0 + c
+                    st.w1 = w1 = g * st.w1
+                    st.y0h = y0h = g * st.y0h + c * h
+                    y1h = st.y1h
                 else:
-                    W1[j] = w1 = g * W1[j] + c
-                    W0[j] = w0 = g * W0[j]
-                    Y1H[j] = y1h = g * Y1H[j] + c * h
-                    y0h = Y0H[j]
+                    st.w1 = w1 = g * st.w1 + c
+                    st.w0 = w0 = g * st.w0
+                    st.y1h = y1h = g * st.y1h + c * h
+                    y0h = st.y0h
                 u = draw[j]()
                 v0h = sqrt(w0) * y0h
                 v1h = sqrt(w1) * y1h
@@ -484,12 +490,13 @@ def run(net: Network, n_particles: int, rng: RngStream,
                     e = 2 * j + 1
             elif k == SPLIT:
                 # pbs_route fed on port 0 only: y1h and y1v stay zero
-                g = G[j]
-                c = C[j]
-                W0[j] = w0 = g * W0[j] + c
-                W1[j] = g * W1[j]
-                Y0H[j] = y0h = g * Y0H[j] + c * h
-                Y0V[j] = y0v = g * Y0V[j] + c * v
+                st = state[j]
+                g = st.gamma
+                c = 1.0 - g
+                st.w0 = w0 = g * st.w0 + c
+                st.w1 = g * st.w1
+                st.y0h = y0h = g * st.y0h + c * h
+                st.y0v = y0v = g * st.y0v + c * v
                 u = draw[j]()
                 a = sqrt(w0)
                 z0h = a * y0h
@@ -510,18 +517,19 @@ def run(net: Network, n_particles: int, rng: RngStream,
             elif k == MERGE:
                 # pbs_route with h only on port 0 and v only on port 1: p1 is
                 # +0.0, so port 0 wins whatever the draw, which is discarded
-                g = G[j]
-                c = C[j]
+                st = state[j]
+                g = st.gamma
+                c = 1.0 - g
                 if dst_port[e] == 0:
-                    W0[j] = w0 = g * W0[j] + c
-                    W1[j] = w1 = g * W1[j]
-                    Y0H[j] = y0h = g * Y0H[j] + c * h
-                    y1v = Y1V[j]
+                    st.w0 = w0 = g * st.w0 + c
+                    st.w1 = w1 = g * st.w1
+                    st.y0h = y0h = g * st.y0h + c * h
+                    y1v = st.y1v
                 else:
-                    W1[j] = w1 = g * W1[j] + c
-                    W0[j] = w0 = g * W0[j]
-                    Y1V[j] = y1v = g * Y1V[j] + c * v
-                    y0h = Y0H[j]
+                    st.w1 = w1 = g * st.w1 + c
+                    st.w0 = w0 = g * st.w0
+                    st.y1v = y1v = g * st.y1v + c * v
+                    y0h = st.y0h
                 draw[j]()
                 z0h = sqrt(w0) * y0h
                 z0v = 1j * (sqrt(w1) * y1v)
@@ -533,56 +541,14 @@ def run(net: Network, n_particles: int, rng: RngStream,
                 v = z0v * inv
                 e = 2 * j
             elif k > DETECTOR:
-                # adaptive_update
-                g = G[j]
-                c = C[j]
-                if dst_port[e] == 0:
-                    W0[j] = w0 = g * W0[j] + c
-                    W1[j] = w1 = g * W1[j]
-                    Y0H[j] = y0h = g * Y0H[j] + c * h
-                    Y0V[j] = y0v = g * Y0V[j] + c * v
-                    y1h = Y1H[j]
-                    y1v = Y1V[j]
-                else:
-                    W1[j] = w1 = g * W1[j] + c
-                    W0[j] = w0 = g * W0[j]
-                    Y1H[j] = y1h = g * Y1H[j] + c * h
-                    Y1V[j] = y1v = g * Y1V[j] + c * v
-                    y0h = Y0H[j]
-                    y0v = Y0V[j]
-                u = draw[j]()
-                a = sqrt(w0)
-                b = sqrt(w1)
-                if k == BS:
-                    v0h = a * y0h
-                    v0v = a * y0v
-                    v1h = b * y1h
-                    v1v = b * y1v
-                    z0h = (v0h + 1j * v1h) * s
-                    z0v = (v0v + 1j * v1v) * s
-                    z1h = (1j * v0h + v1h) * s
-                    z1v = (1j * v0v + v1v) * s
-                else:
-                    z0h = a * y0h
-                    z0v = 1j * (b * y1v)
-                    z1h = b * y1h
-                    z1v = 1j * (a * y0v)
-                # _pick_port
-                p0 = z0h.real ** 2 + z0h.imag ** 2 + z0v.real ** 2 + z0v.imag ** 2
-                p1 = z1h.real ** 2 + z1h.imag ** 2 + z1v.real ** 2 + z1v.imag ** 2
-                total = p0 + p1
-                if not total >= 1e-30:  # also catches a NaN total
-                    raise _vanished(p0, p1)
-                if u < p0 / total:
-                    inv = 1.0 / sqrt(p0)
-                    h = z0h * inv
-                    v = z0v * inv
-                    e = 2 * j
-                else:
-                    inv = 1.0 / sqrt(p1)
-                    h = z1h * inv
-                    v = z1v * inv
-                    e = 2 * j + 1
+                # a general splitter runs the core functions themselves
+                st = state[j]
+                port = dst_port[e]
+                m = Message(h, v)
+                adaptive_update(st, port, m)
+                route = bs_route if k == BS else pbs_route
+                port, (h, v) = route(st, port, m, draw[j]())
+                e = 2 * j + port
             else:
                 site = site_of[j]
                 counts[site] += 1
@@ -591,20 +557,16 @@ def run(net: Network, n_particles: int, rng: RngStream,
                 break
     if sum(counts.values()) + removed != n_particles:
         raise QwalkError("conservation breach: emitted != detected + removed")
-    for j, unit in enumerate(net.units):
-        if G[j] is None:
+    for j, st in enumerate(state):
+        if st is None:
             continue
-        w0, w1 = W0[j], W1[j]
-        state = unit.state
-        state.w0, state.w1 = w0, w1
-        state.y0h, state.y0v = Y0H[j], Y0V[j]
-        state.y1h, state.y1v = Y1H[j], Y1V[j]
-        y0 = math.hypot(abs(Y0H[j]), abs(Y0V[j]))
-        y1 = math.hypot(abs(Y1H[j]), abs(Y1V[j]))
+        w0, w1 = st.w0, st.w1
+        y0 = math.hypot(abs(st.y0h), abs(st.y0v))
+        y1 = math.hypot(abs(st.y1h), abs(st.y1v))
         # written so that a NaN register fails the test too
         if not (abs(w0 + w1 - 1.0) <= 1e-12 and 0.0 <= w0 <= 1.0
                 and 0.0 <= w1 <= 1.0 and y0 <= 1.0 + 1e-12 and y1 <= 1.0 + 1e-12):
             raise QwalkError(
-                f"register invariant breach at {type(unit).__name__} {j}: "
+                f"register invariant breach at {type(net.units[j]).__name__} {j}: "
                 f"w0={w0!r}, w1={w1!r}, |y0|={y0!r}, |y1|={y1!r}")
     return RunResult(counts, t2, removed)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .core import _INV_SQRT2
 from .errors import UnsupportedStep
@@ -60,22 +61,20 @@ def _shift(amps: dict[tuple[int, int], complex]) -> dict[tuple[int, int], comple
     return out
 
 
-def _evolve(initial: dict[tuple[int, int], complex],
-            coins: list) -> list[dict[tuple[int, int], complex]]:
+def _evolve(amps: dict[tuple[int, int], complex],
+            coins: list) -> Iterator[dict[tuple[int, int], complex]]:
     """Apply ``coins[i]`` at every occupied site, then the shift, for each step i.
 
     A coin maps the (up, down) amplitudes of one site to their new values.
-    Returns the amplitudes before the first step and after every step.
+    Yields the amplitudes after every step; only the current step is kept.
     """
-    states = [dict(initial)]
     for coin in coins:
-        amps = states[-1]
         mixed: dict[tuple[int, int], complex] = {}
         for x in _occupied_sites(amps):
             mixed[(x, UP)], mixed[(x, DOWN)] = coin(
                 amps.get((x, UP), 0.0 + 0.0j), amps.get((x, DOWN), 0.0 + 0.0j))
-        states.append(_shift(mixed))
-    return states
+        amps = _shift(mixed)
+        yield amps
 
 
 def _hadamard_coin(u: complex, d: complex) -> tuple[complex, complex]:
@@ -96,7 +95,10 @@ def hadamard_walk(steps: int, initial: StateVector) -> tuple[StateVector, dict[i
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    state = StateVector(_evolve(initial.amplitudes, [_hadamard_coin] * steps)[-1])
+    amps = dict(initial.amplitudes)
+    for amps in _evolve(amps, [_hadamard_coin] * steps):
+        pass
+    state = StateVector(amps)
     return state, state.site_probabilities()
 
 
@@ -128,8 +130,8 @@ def jeong_evolve(levels: int, phi1: float, phi2: float) -> list[dict[int, float]
         return (u + 1j * d) * _INV_SQRT2, e2 * ((1j * u + d) * _INV_SQRT2)
 
     coins = [_splitter_coin] + [dressed_coin] * (levels - 1)
-    states = _evolve({(0, UP): 1.0 + 0.0j}, coins)
-    return [StateVector(amps).site_probabilities() for amps in states[1:]]
+    return [StateVector(amps).site_probabilities()
+            for amps in _evolve({(0, UP): 1.0 + 0.0j}, coins)]
 
 
 def table1_closed_form(l: int, phi2: float) -> dict[int, float]:

@@ -189,6 +189,8 @@ def test_run_protocol_pool_never_exceeds_replicates(monkeypatch, workers, pools)
 
     monkeypatch.setattr(lg, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(lg.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(lg.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
     run_protocol(THREE_RUN, particles=20, gamma=0.9, replicates=3,
                  rng=RngStream(5), workers=workers)
@@ -207,10 +209,45 @@ def test_lgi_job_starts_one_pool(monkeypatch, capsys, workers, pools):
     serial = capsys.readouterr().out
     monkeypatch.setattr(lg, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(lg.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(lg.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
     assert main(argv + ([] if workers is None else ["--workers", workers])) == 0
     assert RecordingExecutor.sizes == pools
     assert capsys.readouterr().out == serial
+
+@pytest.mark.parametrize("usable,pools", [({0}, []), ({0, 1}, [2])])
+def test_default_pool_follows_cpu_affinity(monkeypatch, usable, pools):
+    # the default pool counts the CPUs this process may run on, not the
+    # CPUs the machine has
+    import qwalk.leggett_garg as lg
+
+    monkeypatch.setattr(lg, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(lg.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(lg.os, "sched_getaffinity", lambda pid: usable,
+                        raising=False)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    run_protocol(THREE_RUN, particles=20, gamma=0.9, replicates=4,
+                 rng=RngStream(5))
+    assert RecordingExecutor.sizes == pools
+
+def test_single_replicate_is_rejected_before_any_runs(monkeypatch):
+    import qwalk.leggett_garg as lg
+
+    calls = []
+
+    def counting(particles, gamma, rng):
+        calls.append(rng.seed)
+        return three_run_replicate(particles, gamma, rng)
+
+    monkeypatch.setattr(lg, "three_run_replicate", counting)
+    with pytest.raises(InsufficientReplicates):
+        run_protocol(THREE_RUN, particles=3000, replicates=1, rng=RngStream(1),
+                     workers=1)
+    assert calls == []
+    run_protocol(THREE_RUN, particles=3000, replicates=2, rng=RngStream(1),
+                 workers=1)
+    assert len(calls) == 2
 
 def test_run_protocol_rejects_unknown_protocol():
     with pytest.raises(ValueError):

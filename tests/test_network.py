@@ -395,8 +395,6 @@ def test_counts_conserved_across_configurations():
         assert sum(result.counts.values()) + result.removed == 400
         assert sum(sum(row.values()) for row in result.t2.values()) + result.removed == 400
 
-REGISTERS = ("w0", "w1", "y0h", "y0v", "y1h", "y1v")
-
 @pytest.mark.parametrize("register,value,shown", [("w1", 0.7, "w0=0.55, w1=0.63,"),
                                                   ("y1h", 3.0, "|y1|=3.0")])
 def test_corrupted_registers_stop_the_run(monkeypatch, capsys, register, value,
@@ -405,7 +403,7 @@ def test_corrupted_registers_stop_the_run(monkeypatch, capsys, register, value,
     # port 0, which leaves w0 + w1 = 1.18 and |y1| = 3.0
     def corrupted(net, rng, absorbed):
         tables = _compile(net, rng, absorbed)
-        tables[8][REGISTERS.index(register)][1] = value
+        setattr(tables[6][1], register, value)
         return tables
 
     monkeypatch.setattr("qwalk.network._compile", corrupted)
@@ -441,11 +439,19 @@ def test_different_seeds_differ():
 
 def test_registers_reset_between_runs():
     # a second run on the same network with the same stream is identical,
+    # and leaves every register where one run on a fresh network leaves it,
     # so no register state can leak across runs
     net = build_jeong(3, PHI1, PHI2)
     first = run(net, 200, RngStream(3))
     second = run(net, 200, RngStream(3))
     assert first.counts == second.counts
+    fresh = build_jeong(3, PHI1, PHI2)
+    run(fresh, 200, RngStream(3))
+    splitters = [j for j, unit in enumerate(net.units)
+                 if isinstance(unit, BeamSplitter)]
+    assert splitters
+    for j in splitters:
+        assert registers(net.units[j].state) == registers(fresh.units[j].state)
 
 def test_taps_are_non_invasive():
     net = build_robens(0.95)

@@ -5,6 +5,7 @@ operators on the full (2L+1)*2 dimensional space, independently of the
 dict-based evolution under test.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,17 @@ def test_norm_conserved_each_step():
 def test_negative_steps_rejected():
     with pytest.raises(ValueError):
         hadamard_walk(-1, StateVector.basis(0, UP))
+
+def test_long_walk_keeps_only_the_current_step():
+    # the state after step n has O(n) amplitudes; keeping every step's
+    # state would make the peak grow with the square of the step count
+    tracemalloc.start()
+    try:
+        hadamard_walk(500, StateVector.basis(0, UP))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 # --- mesh walk ----------------------------------------------------------------
