@@ -1,0 +1,390 @@
+/*
+ * Compiled event loop of qwalk.network.run.
+ *
+ * It walks the flat tables that network._compile builds, one particle at a
+ * time, and reproduces the Python loop in network._loop bit for bit:
+ *
+ * - every adaptive unit draws from its own MT19937 stream, seeded and read
+ *   exactly as CPython's Modules/_randommodule.c does (init_by_array on the
+ *   32-bit words of the seed, genrand_res53 for random());
+ * - complex arithmetic is spelled out in CPython's order (3.10 to 3.13):
+ *   _Py_c_prod for a product, a float operand promoted to complex(x, 0.0),
+ *   and float ** 2 as a call of libm's pow(x, 2.0).
+ *
+ * Build with -O2 -ffp-contract=off -fno-builtin-pow, so that no product is
+ * fused into an FMA and pow is not folded into x * x.  The loader in
+ * _kernel.py does this once per machine and caches the library.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+/* --- MT19937 as in CPython's _randommodule.c ---------------------------- */
+
+#define N 624
+#define M 397
+#define MATRIX_A 0x9908b0dfU
+#define UPPER_MASK 0x80000000U
+#define LOWER_MASK 0x7fffffffU
+
+typedef struct {
+    uint32_t mt[N];
+    int mti;            /* -1: not seeded yet */
+} mt_state;
+
+static void init_genrand(mt_state *self, uint32_t s)
+{
+    uint32_t *mt = self->mt;
+    int mti;
+    mt[0] = s;
+    for (mti = 1; mti < N; mti++)
+        mt[mti] = 1812433253U * (mt[mti - 1] ^ (mt[mti - 1] >> 30)) + (uint32_t)mti;
+    self->mti = mti;
+}
+
+static void init_by_array(mt_state *self, const uint32_t *init_key, size_t key_length)
+{
+    size_t i, j, k;
+    uint32_t *mt = self->mt;
+    init_genrand(self, 19650218U);
+    i = 1;
+    j = 0;
+    k = N > key_length ? N : key_length;
+    for (; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
+                + init_key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= N) { mt[0] = mt[N - 1]; i = 1; }
+        if (j >= key_length) j = 0;
+    }
+    for (k = N - 1; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) - (uint32_t)i;
+        i++;
+        if (i >= N) { mt[0] = mt[N - 1]; i = 1; }
+    }
+    mt[0] = 0x80000000U;
+}
+
+/* random.Random(seed) for an int 0 <= seed < 2**64: the key is the seed's
+   little-endian 32-bit words, at least one */
+static void seed_stream(mt_state *self, uint64_t seed)
+{
+    uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
+    init_by_array(self, key, key[1] ? 2 : 1);
+}
+
+static uint32_t genrand_uint32(mt_state *self)
+{
+    static const uint32_t mag01[2] = {0x0U, MATRIX_A};
+    uint32_t *mt = self->mt;
+    uint32_t y;
+    if (self->mti >= N) {
+        int kk;
+        for (kk = 0; kk < N - M; kk++) {
+            y = (mt[kk] & UPPER_MASK) | (mt[kk + 1] & LOWER_MASK);
+            mt[kk] = mt[kk + M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < N - 1; kk++) {
+            y = (mt[kk] & UPPER_MASK) | (mt[kk + 1] & LOWER_MASK);
+            mt[kk] = mt[kk + (M - N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[N - 1] & UPPER_MASK) | (mt[0] & LOWER_MASK);
+        mt[N - 1] = mt[M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        self->mti = 0;
+    }
+    y = mt[self->mti++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+static double genrand_res53(mt_state *self)
+{
+    uint32_t a = genrand_uint32(self) >> 5, b = genrand_uint32(self) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* --- CPython's complex arithmetic ------------------------------------------ */
+
+typedef struct { double re, im; } cpx;
+
+static const cpx I = {0.0, 1.0};
+
+static cpx cadd(cpx a, cpx b) { cpx r = {a.re + b.re, a.im + b.im}; return r; }
+
+static cpx csub(cpx a, cpx b) { cpx r = {a.re - b.re, a.im - b.im}; return r; }
+
+/* _Py_c_prod */
+static cpx cmul(cpx a, cpx b)
+{
+    cpx r = {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
+    return r;
+}
+
+/* float * complex and complex * float: the float becomes complex(x, 0.0) */
+static cpx rmul(double x, cpx b) { cpx a = {x, 0.0}; return cmul(a, b); }
+
+static cpx mulr(cpx a, double x) { cpx b = {x, 0.0}; return cmul(a, b); }
+
+/* float ** 2; float_pow hands finite nonzero operands to libm's pow */
+static double sq(double x) { return pow(x, 2.0); }
+
+/* --- the event loop -------------------------------------------------------- */
+
+/* unit kinds, as in network.py */
+enum { DETECTOR = 0, BS = 1, PBS = 2, BS1 = 3, SPLIT = 4, MERGE = 5 };
+/* edge tags: NONE, ABSORB, or the t2 row the edge crosses (>= 0) */
+enum { NONE = -1, ABSORB = -2 };
+/* edge transforms */
+enum { PASS = 0, HADAMARD = 1, PHASE = 2 };
+/* return codes */
+enum { OK = 0, VANISHED = 1, UNTAPPED = 2, NO_MEMORY = 3 };
+
+/* registers of one adaptive unit, the fields of core.AdaptiveState */
+typedef struct { double w0, w1; cpx y0h, y0v, y1h, y1v; } regs;
+
+typedef struct {
+    mt_state *streams;
+    const uint64_t *seed;
+    long long *draws;
+} draws_t;
+
+static double draw(draws_t *d, int j)
+{
+    mt_state *s = &d->streams[j];
+    if (s->mti < 0)
+        seed_stream(s, d->seed[j]);
+    d->draws[j]++;
+    return genrand_res53(s);
+}
+
+/* adaptive_update on both halves */
+static void update(regs *r, int port, double g, cpx h, cpx v)
+{
+    double c = 1.0 - g;
+    if (port == 0) {
+        r->w0 = g * r->w0 + c;
+        r->w1 = g * r->w1;
+        r->y0h = cadd(rmul(g, r->y0h), rmul(c, h));
+        r->y0v = cadd(rmul(g, r->y0v), rmul(c, v));
+    } else {
+        r->w1 = g * r->w1 + c;
+        r->w0 = g * r->w0;
+        r->y1h = cadd(rmul(g, r->y1h), rmul(c, h));
+        r->y1v = cadd(rmul(g, r->y1v), rmul(c, v));
+    }
+}
+
+/*
+ * Sends n_particles through the compiled network.  Per unit j < n, the
+ * last one the sink that unwired ports lead to (kind -1): kind[j], the
+ * detector's count slot[j], and gamma[j] and seed[j] of an adaptive unit,
+ * with its registers reg[10 j .. 10 j + 9] (w0, w1, then y0h, y0v, y1h,
+ * y1v as re, im pairs), read at the start and left holding the final
+ * values.  Per edge e: dst[e], dst_port[e], tag[e],
+ * xform[e] and, for a phase edge, factor[2 e], factor[2 e + 1].  source
+ * holds the emitted message (h.re, h.im, v.re, v.im).
+ *
+ * Adds to counts[slot], t2[row * n_sites + slot] (when taps), removed and
+ * draws[j].  Returns OK or an error code; VANISHED leaves p0, p1 in err.
+ */
+int qwalk_run(int n, long long n_particles, int start, const double *source,
+              const int *kind, const int *slot, const double *gamma,
+              const uint64_t *seed, double *reg,
+              const int *dst, const int *dst_port, const int *tag,
+              const int *xform, const double *factor,
+              int taps, int n_sites, long long *counts, long long *t2,
+              long long *removed, long long *draws, double *err)
+{
+    const double s = 1.0 / sqrt(2.0);
+    const cpx h0 = {source[0], source[1]}, v0 = {source[2], source[3]};
+    regs *R = (regs *)reg;
+    draws_t d;
+    int status = OK;
+    long long i;
+
+    d.streams = malloc((size_t)n * sizeof *d.streams);
+    if (d.streams == NULL)
+        return NO_MEMORY;
+    for (int j = 0; j < n; j++)
+        d.streams[j].mti = -1;
+    d.seed = seed;
+    d.draws = draws;
+
+    for (i = 0; i < n_particles && status == OK; i++) {
+        int e = start, x2 = NONE;
+        cpx h = h0, v = v0;
+        for (;;) {
+            int t = tag[e];
+            if (t != NONE) {
+                if (t == ABSORB) {
+                    ++*removed;
+                    break;
+                }
+                x2 = t;
+            }
+            if (xform[e] == HADAMARD) {
+                cpx a = mulr(cadd(h, v), s), b = mulr(csub(h, v), s);
+                h = a;
+                v = b;
+            } else if (xform[e] == PHASE) {
+                cpx f = {factor[2 * e], factor[2 * e + 1]};
+                h = cmul(f, h);
+                v = cmul(f, v);
+            }
+            int j = dst[e], port = dst_port[e];
+            regs *r = &R[j];
+            double g = gamma[j], u, p0, p1, total;
+            cpx z0h, z0v, z1h, z1v;
+            switch (kind[j]) {
+            case BS1: {
+                /* adaptive_update and bs_route on the h half alone; v is
+                   left as it is */
+                double c = 1.0 - g;
+                if (port == 0) {
+                    r->w0 = g * r->w0 + c;
+                    r->w1 = g * r->w1;
+                    r->y0h = cadd(rmul(g, r->y0h), rmul(c, h));
+                } else {
+                    r->w1 = g * r->w1 + c;
+                    r->w0 = g * r->w0;
+                    r->y1h = cadd(rmul(g, r->y1h), rmul(c, h));
+                }
+                u = draw(&d, j);
+                cpx v0h = rmul(sqrt(r->w0), r->y0h), v1h = rmul(sqrt(r->w1), r->y1h);
+                z0h = mulr(cadd(v0h, cmul(I, v1h)), s);
+                z1h = mulr(cadd(cmul(I, v0h), v1h), s);
+                p0 = sq(z0h.re) + sq(z0h.im);
+                p1 = sq(z1h.re) + sq(z1h.im);
+                total = p0 + p1;
+                if (!(total >= 1e-30))
+                    goto vanished;
+                if (u < p0 / total) {
+                    h = mulr(z0h, 1.0 / sqrt(p0));
+                    e = 2 * j;
+                } else {
+                    h = mulr(z1h, 1.0 / sqrt(p1));
+                    e = 2 * j + 1;
+                }
+                continue;
+            }
+            case SPLIT: {
+                /* pbs_route fed on port 0 only: y1h and y1v stay zero */
+                double c = 1.0 - g;
+                r->w0 = g * r->w0 + c;
+                r->w1 = g * r->w1;
+                r->y0h = cadd(rmul(g, r->y0h), rmul(c, h));
+                r->y0v = cadd(rmul(g, r->y0v), rmul(c, v));
+                u = draw(&d, j);
+                double a = sqrt(r->w0);
+                z0h = rmul(a, r->y0h);
+                z1v = cmul(I, rmul(a, r->y0v));
+                p0 = sq(z0h.re) + sq(z0h.im);
+                p1 = sq(z1v.re) + sq(z1v.im);
+                total = p0 + p1;
+                if (!(total >= 1e-30))
+                    goto vanished;
+                if (u < p0 / total) {
+                    h = mulr(z0h, 1.0 / sqrt(p0));
+                    v.re = v.im = 0.0;
+                    e = 2 * j;
+                } else {
+                    h.re = h.im = 0.0;
+                    v = mulr(z1v, 1.0 / sqrt(p1));
+                    e = 2 * j + 1;
+                }
+                continue;
+            }
+            case MERGE: {
+                /* pbs_route with h only on port 0 and v only on port 1:
+                   port 0 wins whatever the draw, which is discarded */
+                double c = 1.0 - g;
+                if (port == 0) {
+                    r->w0 = g * r->w0 + c;
+                    r->w1 = g * r->w1;
+                    r->y0h = cadd(rmul(g, r->y0h), rmul(c, h));
+                } else {
+                    r->w1 = g * r->w1 + c;
+                    r->w0 = g * r->w0;
+                    r->y1v = cadd(rmul(g, r->y1v), rmul(c, v));
+                }
+                draw(&d, j);
+                z0h = rmul(sqrt(r->w0), r->y0h);
+                z0v = cmul(I, rmul(sqrt(r->w1), r->y1v));
+                p0 = sq(z0h.re) + sq(z0h.im) + sq(z0v.re) + sq(z0v.im);
+                if (!(p0 >= 1e-30)) {
+                    p1 = 0.0;
+                    goto vanished;
+                }
+                double inv = 1.0 / sqrt(p0);
+                h = mulr(z0h, inv);
+                v = mulr(z0v, inv);
+                e = 2 * j;
+                continue;
+            }
+            case BS:
+            case PBS: {
+                /* adaptive_update, then bs_route or pbs_route */
+                update(r, port, g, h, v);
+                u = draw(&d, j);
+                double a = sqrt(r->w0), b = sqrt(r->w1);
+                if (kind[j] == BS) {
+                    cpx v0h = rmul(a, r->y0h), v0v = rmul(a, r->y0v);
+                    cpx v1h = rmul(b, r->y1h), v1v = rmul(b, r->y1v);
+                    z0h = mulr(cadd(v0h, cmul(I, v1h)), s);
+                    z0v = mulr(cadd(v0v, cmul(I, v1v)), s);
+                    z1h = mulr(cadd(cmul(I, v0h), v1h), s);
+                    z1v = mulr(cadd(cmul(I, v0v), v1v), s);
+                } else {
+                    z0h = rmul(a, r->y0h);
+                    z0v = cmul(I, rmul(b, r->y1v));
+                    z1h = rmul(b, r->y1h);
+                    z1v = cmul(I, rmul(a, r->y0v));
+                }
+                /* core._pick_port */
+                p0 = sq(z0h.re) + sq(z0h.im) + sq(z0v.re) + sq(z0v.im);
+                p1 = sq(z1h.re) + sq(z1h.im) + sq(z1v.re) + sq(z1v.im);
+                total = p0 + p1;
+                if (!(total >= 1e-30))
+                    goto vanished;
+                if (u < p0 / total) {
+                    double inv = 1.0 / sqrt(p0);
+                    h = mulr(z0h, inv);
+                    v = mulr(z0v, inv);
+                    e = 2 * j;
+                } else {
+                    double inv = 1.0 / sqrt(p1);
+                    h = mulr(z1h, inv);
+                    v = mulr(z1v, inv);
+                    e = 2 * j + 1;
+                }
+                continue;
+            }
+            case DETECTOR:
+                counts[slot[j]]++;
+                if (taps) {
+                    if (x2 < 0) {
+                        status = UNTAPPED;
+                        break;
+                    }
+                    t2[(long long)x2 * n_sites + slot[j]]++;
+                }
+                break;
+            }
+            /* a detector, or the sink, which _compile proves no particle
+               reaches (one that did would be lost, and run()'s
+               conservation check would report it) */
+            break;
+        vanished:
+            err[0] = p0;
+            err[1] = p1;
+            status = VANISHED;
+            break;
+        }
+    }
+    free(d.streams);
+    return status;
+}

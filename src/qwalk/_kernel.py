@@ -1,0 +1,143 @@
+"""Loader for the compiled event loop in ``_kernel.c``.
+
+``network.run`` sends particles through this kernel when it loads and the
+stream is a plain ``RngStream``; the kernel reproduces the Python loop
+(``network._loop``) bit for bit.  The library is built once per machine
+and per source with the C compiler ``cc``: the file is keyed by the sha256
+of the C source and the compile command, lives in ``$XDG_CACHE_HOME/qwalk``
+(default ``~/.cache/qwalk``), and is written to a temporary file first and
+moved into place, so processes building it at the same time do not clash.
+Nothing happens at ``import qwalk``: the first ``run`` loads the library.
+When it cannot be built or loaded, one ``qwalk:`` line on stderr says so,
+once per process, and runs use the Python loop.
+"""
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from array import array
+from pathlib import Path
+
+from .core import SOURCE_MESSAGE, derive_seed, _untapped, _vanished
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+#: the compile command, less its output and input files
+COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fno-builtin-pow", "-shared",
+           "-fPIC")
+
+# codes shared with _kernel.c
+_NONE, _ABSORB = -1, -2
+_HADAMARD, _PHASE = 1, 2
+_VANISHED, _UNTAPPED, _NO_MEMORY = 1, 2, 3
+
+
+def library_path() -> Path:
+    """The cached library for this source and command, compiled if missing."""
+    key = hashlib.sha256(SOURCE.read_bytes())
+    key.update("\0".join(COMPILE).encode())
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+    path = cache / "qwalk" / f"_kernel-{key.hexdigest()[:20]}.so"
+    if not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
+        os.close(fd)
+        try:
+            subprocess.run([*COMPILE, "-o", tmp, str(SOURCE), "-lm"], check=True,
+                           stdin=subprocess.DEVNULL, capture_output=True,
+                           timeout=300)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    return path
+
+
+@functools.cache
+def load():
+    """The kernel's ``qwalk_run``, or None (reported once) if it cannot be had."""
+    try:
+        fn = ctypes.CDLL(str(library_path())).qwalk_run
+    except (OSError, subprocess.SubprocessError) as exc:
+        print(f"qwalk: compiled event loop unavailable ({exc}); "
+              "using the Python loop", file=sys.stderr)
+        return None
+    # the arrays go in as the addresses of array.array buffers
+    fn.argtypes = ((ctypes.c_int, ctypes.c_longlong, ctypes.c_int)
+                   + 11 * (ctypes.c_void_p,)
+                   + (ctypes.c_int, ctypes.c_int) + 5 * (ctypes.c_void_p,))
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _zeros(typecode: str, n: int) -> array:
+    return array(typecode, [0]) * n
+
+
+def run(fn, tables: tuple, n_particles: int, seed: int, counts: dict,
+        t2: dict) -> tuple[int, list[int]]:
+    """Run ``_compile``'s tables through the kernel ``fn``.
+
+    Adds to ``counts`` and, if it is not empty, to the t2 table ``t2`` in
+    place, and leaves each unit's final registers in its ``state``.  Adaptive
+    unit j draws from the stream ``RngStream(seed).derive(j)`` would give.
+    Returns the removed tally and the number of draws of each unit.
+    """
+    kind, site, dst, dst_port, tag, xform, state, start = tables
+    n = len(kind) + 1  # and the sink that unwired ports lead to
+    sites = list(counts)
+    slot = {x: i for i, x in enumerate(sites)}
+    # without taps the t2 row a particle crosses is never read
+    row = {x2: r for r, x2 in enumerate(t2)}
+    reg, gamma, seeds = _zeros("d", 10 * n), _zeros("d", n), _zeros("Q", n)
+    for j, st in enumerate(state):
+        if st is not None:
+            reg[10 * j:10 * j + 10] = array("d", (
+                st.w0, st.w1, st.y0h.real, st.y0h.imag, st.y0v.real,
+                st.y0v.imag, st.y1h.real, st.y1h.imag, st.y1v.real, st.y1v.imag))
+            gamma[j] = st.gamma
+            seeds[j] = derive_seed(seed, j)
+    xcode, factor = _zeros("i", len(xform)), _zeros("d", 2 * len(xform))
+    for e, f in enumerate(xform):
+        if type(f) is complex:
+            xcode[e] = _PHASE
+            factor[2 * e], factor[2 * e + 1] = f.real, f.imag
+        elif f is not None:
+            xcode[e] = _HADAMARD
+    h, v = SOURCE_MESSAGE
+    out_counts = _zeros("q", len(sites))
+    out_t2 = _zeros("q", len(t2) * len(sites))
+    removed, draws, err = _zeros("q", 1), _zeros("q", n), _zeros("d", 2)
+    keep = (
+        array("d", (h.real, h.imag, v.real, v.imag)),
+        array("i", [-1 if k is None else k for k in kind] + [-1]),
+        array("i", [-1 if x is None else slot[x] for x in site] + [-1]),
+        gamma, seeds, reg, array("i", dst), array("i", dst_port),
+        array("i", [_NONE if t is None else row.get(t, 0) if type(t) is int
+                    else _ABSORB for t in tag]),
+        xcode, factor)
+    outputs = (out_counts, out_t2, removed, draws, err)
+    status = fn(n, n_particles, start, *(a.buffer_info()[0] for a in keep),
+                1 if t2 else 0, len(sites), *(a.buffer_info()[0] for a in outputs))
+    for j, st in enumerate(state):
+        if st is not None:
+            r = reg[10 * j:10 * j + 10]
+            st.w0, st.w1 = r[0], r[1]
+            st.y0h, st.y0v = complex(r[2], r[3]), complex(r[4], r[5])
+            st.y1h, st.y1v = complex(r[6], r[7]), complex(r[8], r[9])
+    if status == _VANISHED:
+        raise _vanished(err[0], err[1])
+    if status == _UNTAPPED:
+        raise _untapped()
+    if status == _NO_MEMORY:
+        raise MemoryError("compiled event loop: out of memory")
+    for x, c in zip(sites, out_counts):
+        counts[x] += c
+    for r, x2 in enumerate(t2):
+        for i, x in enumerate(sites):
+            t2[x2][x] += out_t2[r * len(sites) + i]
+    return removed[0], draws[:n - 1].tolist()

@@ -35,7 +35,7 @@ import math
 import random
 from typing import NamedTuple
 
-from .errors import DegenerateAmplitude
+from .errors import DegenerateAmplitude, QwalkError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _MASK64 = (1 << 64) - 1
@@ -97,6 +97,11 @@ class RngStream:
         return f"RngStream(seed={self.seed})"
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"learning rate must be in [0, 1), got {gamma}")
+
+
 class AdaptiveState:
     """Per-unit registers: two arrival-frequency weights, two averaged messages.
 
@@ -108,8 +113,7 @@ class AdaptiveState:
     __slots__ = ("w0", "w1", "y0h", "y0v", "y1h", "y1v", "gamma")
 
     def __init__(self, gamma: float):
-        if not 0.0 <= gamma < 1.0:
-            raise ValueError(f"learning rate must be in [0, 1), got {gamma}")
+        _check_gamma(gamma)
         self.gamma = gamma
         self.w0 = 0.5
         self.w1 = 0.5
@@ -204,6 +208,11 @@ def _vanished(p0: float, p1: float) -> DegenerateAmplitude:
         f"routing amplitudes vanished (p0={p0!r}, p1={p1!r})")
 
 
+def _untapped() -> QwalkError:
+    return QwalkError("taps are on, but a particle reached a detector "
+                      "without crossing t2")
+
+
 def phase_shift(phi: float, m: Message) -> Message:
     """Multiply the whole message by e^{i phi} (shifter sitting on one rail)."""
     f = complex(math.cos(phi), math.sin(phi))
@@ -217,10 +226,14 @@ def hadamard_apply(m: Message) -> Message:
 
 # ---------------------------------------------------------------------------
 # Processing units.  Units describe the graph: ``out`` holds one wire per
-# output port, filled by the owning network, ``n_inputs`` counts the input
-# ports, and ``network.run`` compiles the graph into flat tables
-# whose event loop applies the functions above inline.  ``state`` holds an
-# adaptive unit's registers as they stood at the end of the last run.
+# output port, filled by the owning network, and ``n_inputs`` counts the
+# input ports.  ``network.run`` compiles the graph into flat tables and runs
+# them through one of two event loops with bit-identical results: the
+# compiled kernel (``_kernel.c``) or the Python loop ``network._loop``,
+# which applies the functions above or, for units with dead message halves,
+# their float operations inline.  ``state`` holds an adaptive unit's
+# registers as they stood at the end of the last run (None before the
+# first).
 
 
 class Source:
@@ -262,8 +275,9 @@ class BeamSplitter:
     n_inputs = 2
 
     def __init__(self, gamma: float):
+        _check_gamma(gamma)
         self.gamma = gamma
-        self.state = AdaptiveState(gamma)
+        self.state = None
         self.out = [None, None]
 
 

@@ -28,9 +28,11 @@ A run is strictly sequential: a particle finishes (detector or filter)
 before the next one is emitted, and the adaptive registers persist across
 all particles of the run.  ``run`` compiles the graph into flat tables
 (``_compile``), which also checks it: one source, no cycle, and every port
-a particle can reach is wired.  It derives each adaptive unit's stream from
-the supplied one and starts from fresh registers, so identical seeds
-reproduce bit-identical counts and tables.
+a particle can reach is wired.  A compiled C kernel (``_kernel.c``) or the
+Python loop ``_loop`` then routes the particles, with bit-identical
+results.  Each adaptive unit's stream is derived from the supplied one and
+starts from fresh registers, so identical seeds reproduce bit-identical
+counts and tables.
 """
 from __future__ import annotations
 
@@ -49,6 +51,7 @@ from .core import (
     Source,
     SOURCE_MESSAGE,
     _INV_SQRT2,
+    _untapped,
     _vanished,
     adaptive_update,
     bs_route,
@@ -221,7 +224,8 @@ def build_robens(gamma: float = 0.95) -> Network:
 # Compiled form of a network.  Units are numbered by their position in
 # ``net.units``; the edge leaving unit j on out-port q is numbered 2*j + q.
 # _BS1, _SPLIT and _MERGE are adaptive units with dead message halves (see
-# ``_compile``); _BS and _PBS run the core routing functions.
+# ``_compile``); _BS and _PBS run the core routing functions.  _kernel.c
+# repeats these codes.
 _DETECTOR, _BS, _PBS, _BS1, _SPLIT, _MERGE = 0, 1, 2, 3, 4, 5
 #: edge tag of a wire absorbed by a removal filter
 _ABSORB = object()
@@ -291,7 +295,7 @@ def _live_inputs(units: list, kind: list, dst: list, dst_port: list,
     return live
 
 
-def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
+def _compile(net: Network, absorbed: set) -> tuple:
     """Lower the unit graph to the flat tables the event loop runs on.
 
     Each edge runs from an adaptive unit (or the source) to the next adaptive
@@ -300,11 +304,10 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
     absorbing; t2 wires tag it with their site.  An unwired port's edge
     leads to unit n, one past the last, and ``_live_inputs`` proves that no
     particle takes it.  Each adaptive unit gets fresh registers, a new
-    ``AdaptiveState`` assigned to its ``state``, and adaptive unit j draws
-    from ``rng.derive(j)``.  A network without a source, with a cycle, with
-    a reachable unwired port, with two stateless units on one edge or wired
-    to a unit it does not hold raises ``QwalkError`` (``UnwiredPort`` for
-    the port).
+    ``AdaptiveState`` assigned to its ``state``.  A network without a
+    source, with a cycle, with a reachable unwired port, with two stateless
+    units on one edge or wired to a unit it does not hold raises
+    ``QwalkError`` (``UnwiredPort`` for the port).
 
     Units whose messages have dead halves (``_live_inputs``) get a kernel
     that skips them; every term it skips is a +0.0 square or a ±0 register
@@ -325,7 +328,7 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
     - per edge: ``dst`` unit, its ``dst_port``, ``tag`` (None, _ABSORB or
       the t2 site crossed) and ``xform`` (None, _HADAMARD or a phase factor);
     - per unit: ``state``, the ``AdaptiveState`` of an adaptive unit (None
-      for any other), and ``draw``, the bound ``random`` of its stream;
+      for any other);
     - the edge leaving the source.
     """
     units = net.units
@@ -334,7 +337,6 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
     kind: list = [None] * n
     site: list = [None] * n
     state: list = [None] * n
-    draw: list = [None] * n
     for j, unit in enumerate(units):
         if isinstance(unit, Detector):
             kind[j] = _DETECTOR
@@ -386,20 +388,16 @@ def _compile(net: Network, rng: RngStream, absorbed: set) -> tuple:
         unit = units[j]
         if isinstance(unit, BeamSplitter):
             unit.state = state[j] = AdaptiveState(unit.gamma)
-            draw[j] = rng.derive(j).random
-    return kind, site, dst, dst_port, tag, xform, state, draw, start
+    return kind, site, dst, dst_port, tag, xform, state, start
 
 
-def run(net: Network, n_particles: int, rng: RngStream,
-        filters: Iterable[RemovalFilter] = (),
-        taps_enabled: bool = False) -> RunResult:
-    """Send ``n_particles`` through the network one at a time.
+def _loop(tables: tuple, n_particles: int, rng: RngStream, counts: dict,
+          t2: dict) -> int:
+    """The event loop in Python: the readable reference for ``_kernel.c``.
 
-    Each adaptive unit's ``state`` is replaced by fresh registers at the
-    start; the loop updates it in place, so they persist across all
-    particles of the run and hold their final values at the end.  Returns the detector counts, the t2 table (empty
-    unless ``taps_enabled``; a network without a t2 cut point cannot be
-    tapped), and the removed tally.
+    Sends the particles through ``_compile``'s tables, adds to ``counts``
+    and, if it is not empty, to the t2 table ``t2`` in place, and returns
+    the removed tally.  Adaptive unit j draws from ``rng.derive(j)``.
 
     A general splitter calls ``adaptive_update`` followed by ``bs_route``
     or ``pbs_route``, drawing one number after the update.  Units with dead
@@ -407,28 +405,11 @@ def run(net: Network, n_particles: int, rng: RngStream,
     float operations in the same order, skipping the terms that are zero; a
     merging PBS, whose port 0 always wins, draws and discards its number.
     The edges apply ``phase_shift``/``hadamard_apply`` inline.
-
-    After the loop the run checks particle conservation and, for every
-    adaptive unit, the register invariants: |w0 + w1 - 1| <= 1e-12,
-    0 <= w <= 1 and |y| <= 1 + 1e-12.  A breach raises ``QwalkError``.
     """
-    if n_particles < 1:
-        raise ValueError(f"n_particles must be >= 1, got {n_particles}")
-    absorbed = set()
-    for f in filters:
-        sites = net.cut_points.get(f.label)
-        if sites is None or f.site not in sites:
-            raise ValueError(f"no cut point {f.label!r} at site {f.site}")
-        absorbed.add(sites[f.site])
-    counts = dict.fromkeys(net.detector_sites, 0)
-    t2: dict[int, dict[int, int]] = {}
-    if taps_enabled:
-        if "t2" not in net.cut_points:
-            raise ValueError("taps need a t2 cut point; this network has none")
-        t2 = {x2: dict(counts) for x2 in sorted(net.cut_points["t2"])}
-
-    (kind, site_of, dst, dst_port, tag, xform, state, draw,
-     start) = _compile(net, rng, absorbed)
+    kind, site_of, dst, dst_port, tag, xform, state, start = tables
+    draw = [None if st is None else rng.derive(j).random
+            for j, st in enumerate(state)]
+    taps_enabled = bool(t2)
     # hot-loop names as locals
     sqrt = math.sqrt
     s = _INV_SQRT2
@@ -553,8 +534,58 @@ def run(net: Network, n_particles: int, rng: RngStream,
                 site = site_of[j]
                 counts[site] += 1
                 if taps_enabled:
+                    if x2 is None:
+                        raise _untapped()
                     t2[x2][site] += 1
                 break
+    return removed
+
+
+def run(net: Network, n_particles: int, rng: RngStream,
+        filters: Iterable[RemovalFilter] = (),
+        taps_enabled: bool = False) -> RunResult:
+    """Send ``n_particles`` through the network one at a time.
+
+    Each adaptive unit's ``state`` is replaced by fresh registers at the
+    start; the loop updates it in place, so they persist across all
+    particles of the run and hold their final values at the end.  Returns
+    the detector counts, the t2 table (empty unless ``taps_enabled``; a
+    network without a t2 cut point cannot be tapped), and the removed
+    tally.
+
+    There are two event loops over ``_compile``'s tables, with bit-identical
+    results: the compiled kernel (``_kernel.c``), used when its library
+    loads and ``rng`` is a plain ``RngStream``, and the Python loop
+    ``_loop``, used otherwise (a subclassed stream, such as one that counts
+    its draws, keeps it).
+
+    After the loop the run checks particle conservation and, for every
+    adaptive unit, the register invariants: |w0 + w1 - 1| <= 1e-12,
+    0 <= w <= 1 and |y| <= 1 + 1e-12.  A breach raises ``QwalkError``.
+    """
+    if n_particles < 1:
+        raise ValueError(f"n_particles must be >= 1, got {n_particles}")
+    absorbed = set()
+    for f in filters:
+        sites = net.cut_points.get(f.label)
+        if sites is None or f.site not in sites:
+            raise ValueError(f"no cut point {f.label!r} at site {f.site}")
+        absorbed.add(sites[f.site])
+    counts = dict.fromkeys(net.detector_sites, 0)
+    t2: dict[int, dict[int, int]] = {}
+    if taps_enabled:
+        if "t2" not in net.cut_points:
+            raise ValueError("taps need a t2 cut point; this network has none")
+        t2 = {x2: dict(counts) for x2 in sorted(net.cut_points["t2"])}
+
+    tables = _compile(net, absorbed)
+    from . import _kernel  # on first use: import qwalk stays free of ctypes
+    fn = _kernel.load() if type(rng) is RngStream else None
+    if fn is None:
+        removed = _loop(tables, n_particles, rng, counts, t2)
+    else:
+        removed, _draws = _kernel.run(fn, tables, n_particles, rng.seed, counts, t2)
+    state = tables[6]
     if sum(counts.values()) + removed != n_particles:
         raise QwalkError("conservation breach: emitted != detected + removed")
     for j, st in enumerate(state):

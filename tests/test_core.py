@@ -329,3 +329,24 @@ def test_unit_port_arities():
     assert (PolarizingBeamSplitter.n_inputs,
             len(PolarizingBeamSplitter(0.9).out)) == (2, 2)
     assert (Detector.n_inputs, len(Detector(0).out)) == (1, 0)
+
+@pytest.mark.parametrize("gamma", [1.0, -0.1, math.nan])
+def test_splitters_check_the_learning_rate(gamma):
+    from qwalk.core import BeamSplitter, PolarizingBeamSplitter
+
+    for unit in (AdaptiveState, BeamSplitter, PolarizingBeamSplitter):
+        with pytest.raises(ValueError) as exc:
+            unit(gamma)
+        assert str(exc.value) == f"learning rate must be in [0, 1), got {gamma}"
+
+def test_splitter_registers_exist_from_the_first_run():
+    # a new splitter holds no registers; run() gives it fresh ones
+    from qwalk.core import BeamSplitter
+    from qwalk.network import build_jeong, run
+
+    net = build_jeong(2, 0.3, -0.7, 0.9)
+    splitters = [u for u in net.units if isinstance(u, BeamSplitter)]
+    assert splitters and all(u.state is None for u in splitters)
+    run(net, 10, RngStream(3))
+    assert all(type(u.state) is AdaptiveState and u.state.gamma == 0.9
+               for u in splitters)

@@ -35,3 +35,15 @@ def test_default_seed_output_bytes_are_pinned(tmp_path, monkeypatch, capsys,
     assert main(list(argv) + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,argv,digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_pinned_bytes_hold_on_the_python_loop(tmp_path, monkeypatch, capsys,
+                                              name, argv, digest):
+    # the same bytes when the compiled kernel is unavailable
+    monkeypatch.setattr("qwalk._kernel.load", lambda: None)
+    monkeypatch.delenv("QWALK_SEED", raising=False)
+    out = tmp_path / "report"
+    assert main(list(argv) + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,0 +1,82 @@
+"""The loader of the compiled event loop: one build per source, a reported fallback."""
+import ctypes
+import subprocess
+import sys
+
+import pytest
+
+from qwalk import _kernel
+from qwalk.cli import main
+from qwalk.core import RngStream
+from qwalk.network import build_robens, run
+
+
+@pytest.fixture
+def fresh_loader(tmp_path, monkeypatch):
+    """An empty cache and a loader that has not run in this process yet."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _kernel.load.cache_clear()
+    yield tmp_path / "qwalk"
+    _kernel.load.cache_clear()
+
+
+def compiles(monkeypatch):
+    """Counts the compiler runs of the loader."""
+    calls = []
+    real = subprocess.run
+
+    def counted(cmd, **kwargs):
+        calls.append(cmd)
+        return real(cmd, **kwargs)
+
+    monkeypatch.setattr(_kernel.subprocess, "run", counted)
+    return calls
+
+
+def test_import_loads_no_kernel():
+    code = ("import sys, qwalk, qwalk.cli; "
+            "sys.exit(bool({'ctypes', 'qwalk._kernel'} & set(sys.modules)))")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_second_load_does_not_recompile(fresh_loader, monkeypatch):
+    calls = compiles(monkeypatch)
+    assert _kernel.load() is not None
+    [library] = fresh_loader.iterdir()
+    assert library.name.startswith("_kernel-") and library.suffix == ".so"
+    built = library.stat().st_mtime_ns
+    _kernel.load.cache_clear()  # as in a new process
+    assert _kernel.load() is not None
+    assert len(calls) == 1
+    assert list(fresh_loader.iterdir()) == [library]
+    assert library.stat().st_mtime_ns == built
+    assert ctypes.CDLL(str(_kernel.library_path())).qwalk_run
+
+
+def test_missing_compiler_is_reported_once_on_stderr(fresh_loader, monkeypatch,
+                                                     capsys):
+    argv = ["robens", "--taps", "--format", "json", "--particles", "500"]
+    assert main(argv) == 0
+    on_kernel = capsys.readouterr()
+    assert on_kernel.err == ""
+    built = list(fresh_loader.iterdir())
+
+    _kernel.load.cache_clear()
+    monkeypatch.setattr(_kernel, "COMPILE", ("no-such-compiler",) + _kernel.COMPILE[1:])
+    assert main(argv) == 0
+    assert main(argv) == 0
+    fallback = capsys.readouterr()
+    assert fallback.out == 2 * on_kernel.out
+    [line] = fallback.err.splitlines()
+    assert line.startswith("qwalk: compiled event loop unavailable (")
+    assert line.endswith("); using the Python loop")
+    assert list(fresh_loader.iterdir()) == built
+
+
+def test_failed_compile_leaves_no_file(fresh_loader, monkeypatch, capsys):
+    monkeypatch.setattr(_kernel, "COMPILE", _kernel.COMPILE + ("-no-such-flag",))
+    assert _kernel.load() is None
+    assert "qwalk: compiled event loop unavailable" in capsys.readouterr().err
+    assert list(fresh_loader.iterdir()) == []
+    net = build_robens(0.9)
+    assert run(net, 200, RngStream(5)).removed == 0

@@ -22,8 +22,9 @@ from qwalk.core import (
     pbs_route,
     phase_shift,
 )
+from qwalk import _kernel
 from qwalk.cli import main
-from qwalk.errors import InvalidLevels, QwalkError, UnwiredPort
+from qwalk.errors import DegenerateAmplitude, InvalidLevels, QwalkError, UnwiredPort
 from qwalk.network import (
     _BS,
     _BS1,
@@ -168,6 +169,11 @@ def reference_run(net, n_particles, rng, filters=(), taps_enabled=False):
 def registers(state):
     return (state.w0, state.w1, state.y0h, state.y0v, state.y1h, state.y1v)
 
+def splitter_registers(net):
+    """repr of every adaptive unit's registers, which tells -0.0 from 0.0."""
+    return {j: repr(registers(unit.state)) for j, unit in enumerate(net.units)
+            if isinstance(unit, BeamSplitter)}
+
 def build_mixed(levels, phi1, phi2, gamma=0.95):
     """Jeong mesh with a HadamardUnit spliced onto the source wire.
 
@@ -203,7 +209,7 @@ def build_rejoined(gamma=0.95):
 
 def adaptive_kinds(net):
     """Kind code of each adaptive unit, keyed by unit identity."""
-    kind = _compile(net, RngStream(1), set())[0]
+    kind = _compile(net, set())[0]
     return {id(unit): kind[j] for j, unit in enumerate(net.units)
             if isinstance(unit, BeamSplitter)}
 
@@ -224,6 +230,27 @@ class CountingRng(RngStream):
         child.random = counted
         return child
 
+def run_on_kernel(net, n, seed, filters=(), taps=False):
+    """run() on the compiled kernel, with its draw count for each adaptive unit.
+
+    The draw counts are keyed like ``CountingRng.draws``; a kernel that does
+    not load fails the caller instead of being skipped.
+    """
+    real, draws = _kernel.run, []
+
+    def spy(*args):
+        removed, per_unit = real(*args)
+        draws.append({(j,): d for j, d in enumerate(per_unit) if d})
+        return removed, per_unit
+
+    _kernel.run = spy
+    try:
+        result = run(net, n, RngStream(seed), filters=filters, taps_enabled=taps)
+    finally:
+        _kernel.run = real
+    assert len(draws) == 1, "the compiled kernel did not run"
+    return result, draws[0]
+
 finite_phases = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 
 @given(st.one_of(
@@ -238,11 +265,13 @@ finite_phases = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
        st.floats(0.0, 0.99), st.integers(0, 2 ** 64 - 1), st.integers(1, 60))
 @settings(max_examples=100, deadline=None)
 def test_compiled_loop_matches_reference_stepper(shape, gamma, seed, n):
-    # the compiled loop must reproduce, bit for bit, the walk that calls the
-    # core functions unit by unit: counts, t2 table, removed tally and every
+    # both event loops over the compiled tables, the C kernel and the Python
+    # loop, must reproduce, bit for bit, the walk that calls the core
+    # functions unit by unit: counts, t2 table, removed tally and every
     # final register, and every unit draws from its stream once per arrival
     # (a merge too, although its port is fixed); the shapes reach every
-    # adaptive kind (see test_only_polarization_free_networks_get_scalar_splitters)
+    # adaptive kind (see test_only_polarization_free_networks_get_scalar_splitters).
+    # A CountingRng is a subclassed stream, so it keeps the Python loop.
     name, levels, phi1, phi2, removed_site, taps = shape
     if name == "jeong":
         net = build_jeong(levels, phi1, phi2, gamma)
@@ -253,15 +282,22 @@ def test_compiled_loop_matches_reference_stepper(shape, gamma, seed, n):
     else:
         net = build_robens(gamma)
     filters = [] if removed_site is None else [RemovalFilter("t2", removed_site)]
-    reference, compiled = CountingRng(seed), CountingRng(seed)
+    reference = CountingRng(seed)
     counts, t2, removed, states = reference_run(net, n, reference, filters, taps)
-    result = run(net, n, compiled, filters=filters, taps_enabled=taps)
-    assert result.counts == counts
-    assert result.t2 == t2
-    assert result.removed == removed
-    assert compiled.draws == reference.draws
-    for j, state in states.items():
-        assert registers(net.units[j].state) == registers(state)
+    expected = {j: registers(state) for j, state in states.items()}
+
+    result, draws = run_on_kernel(net, n, seed, filters, taps)
+    assert (result.counts, result.t2, result.removed) == (counts, t2, removed)
+    assert draws == reference.draws
+    assert {j: registers(net.units[j].state) for j in states} == expected
+    on_kernel = splitter_registers(net)
+
+    counted = CountingRng(seed)
+    result = run(net, n, counted, filters=filters, taps_enabled=taps)
+    assert (result.counts, result.t2, result.removed) == (counts, t2, removed)
+    assert counted.draws == reference.draws
+    assert {j: registers(net.units[j].state) for j in states} == expected
+    assert splitter_registers(net) == on_kernel  # the two loops agree to the bit
 
 def test_only_polarization_free_networks_get_scalar_splitters():
     # the mesh routes a scalar message; a Hadamard on its source wire puts
@@ -368,6 +404,96 @@ def test_run_rejects_malformed_networks(wire, error, message):
     assert rng.draws == {}
     assert sum(isinstance(unit, Source) for unit in net.units) <= 1
 
+# --- the two event loops ----------------------------------------------------------
+
+@pytest.fixture(params=["kernel", "python loop"])
+def loop(request, monkeypatch):
+    """Pins run() to one event loop; a kernel that does not load fails the test."""
+    if request.param == "python loop":
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    else:
+        assert _kernel.load() is not None, "the compiled kernel did not load"
+    return request.param
+
+@pytest.mark.parametrize("build,filters,taps", [
+    (lambda: build_jeong(12, PHI1, PHI2, 0.98), [], False),
+    (lambda: build_mixed(5, 0.3, -1.1, 0.9), [], False),
+    (lambda: build_robens(0.95), [], True),
+    (lambda: build_robens(0.95), [RemovalFilter("t2", -1)], False),
+    (build_rejoined, [], False),
+], ids=["jeong", "mixed", "robens taps", "robens minus", "rejoined"])
+def test_python_loop_gives_identical_run_results(monkeypatch, build, filters, taps):
+    # with the loader stubbed as unavailable, run() takes the Python loop
+    # and returns the kernel's result and registers
+    net = build()
+    result, _draws = run_on_kernel(net, 3000, 99, filters, taps)
+    on_kernel = splitter_registers(net)
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert run(net, 3000, RngStream(99), filters=filters, taps_enabled=taps) == result
+    assert splitter_registers(net) == on_kernel
+
+def test_loops_agree_to_the_bit_over_many_short_runs(monkeypatch):
+    # libm's pow(x, 2.0), which CPython's float ** 2 calls, differs from
+    # x * x in the last bit for about 1 double in 1170; such a difference
+    # reaches a final register in a few percent of short runs, so a hundred
+    # of them pin the kernel's squares to CPython's
+    def runs():
+        for seed in range(100):
+            net = build_jeong(12, 0.3, -1.1, 0.125)
+            yield seed, net, run(net, 20, RngStream(seed))
+
+    assert _kernel.load() is not None, "the compiled kernel did not load"
+    on_kernel = [(result, splitter_registers(net)) for _seed, net, result in runs()]
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    for seed, net, result in runs():
+        assert (result, splitter_registers(net)) == on_kernel[seed]
+
+def vanishing_mesh(monkeypatch):
+    # at the largest gamma below 1 the first arrival leaves |y0| = 2**-53
+    return build_jeong(1, PHI1, PHI2, 1 - 2 ** -53)
+
+def live_port_unwired_mesh(monkeypatch):
+    net = Network()
+    live_port_unwired(net)
+    return net
+
+def corrupted_mesh(monkeypatch):
+    def corrupted(net, absorbed):
+        tables = _compile(net, absorbed)
+        tables[6][1].w1 = 0.7
+        return tables
+
+    monkeypatch.setattr("qwalk.network._compile", corrupted)
+    return build_jeong(1, PHI1, PHI2, 0.9)
+
+@pytest.mark.parametrize("make,error,message", [
+    (vanishing_mesh, DegenerateAmplitude, "routing amplitudes vanished "
+     "(p0=3.0814879110195774e-33, p1=3.0814879110195774e-33)"),
+    (live_port_unwired_mesh, UnwiredPort,
+     "the path from BeamSplitter output port 1 ends unwired"),
+    (corrupted_mesh, QwalkError, "register invariant breach at BeamSplitter 1: "
+     "w0=0.55, w1=0.63, |y0|=0.09999999999999998, |y1|=0.0"),
+], ids=["vanished", "unwired", "register breach"])
+def test_errors_keep_messages_and_exit_codes(loop, monkeypatch, capsys, make,
+                                             error, message):
+    net = make(monkeypatch)
+    with pytest.raises(error) as exc:
+        run(net, 1, RngStream(1))
+    assert str(exc.value) == message
+    monkeypatch.setattr("qwalk.cli.build_jeong", lambda *args: net)
+    assert main(["jeong", "--steps", "1", "--particles", "1"]) == 3
+    assert capsys.readouterr().err == f"qwalk: internal invariant breach: {message}\n"
+
+def test_tapped_particle_must_cross_t2(loop):
+    # a detector reached without crossing t2 has no row in the t2 table
+    net = Network()
+    bs, left, right = splitter_into_detectors(net)
+    net.connect(bs, 0, left, 0, tap=("t2", -1))
+    net.connect(bs, 1, right, 0)
+    with pytest.raises(QwalkError, match="^taps are on, but a particle reached "
+                                         "a detector without crossing t2$"):
+        run(net, 50, RngStream(4), taps_enabled=True)
+
 def test_detector_sites_follow_the_detectors():
     # a hand-built network never states its detector sites; run() keys the
     # counts by the sites of the detectors it holds
@@ -401,8 +527,8 @@ def test_corrupted_registers_stop_the_run(monkeypatch, capsys, register, value,
                                           shown):
     # unit 1 of the one-level mesh is its splitter; one particle enters it on
     # port 0, which leaves w0 + w1 = 1.18 and |y1| = 3.0
-    def corrupted(net, rng, absorbed):
-        tables = _compile(net, rng, absorbed)
+    def corrupted(net, absorbed):
+        tables = _compile(net, absorbed)
         setattr(tables[6][1], register, value)
         return tables
 
