@@ -78,51 +78,71 @@ def _zeros(typecode: str, n: int) -> array:
     return array(typecode, [0]) * n
 
 
-def run(fn, tables: tuple, n_particles: int, seed: int, counts: dict,
-        t2: dict) -> tuple[int, list[int]]:
-    """Run ``_compile``'s tables through the kernel ``fn``.
+def _marshal(plan) -> tuple:
+    """The arrays of a ``network._plan`` that the kernel reads and no run changes.
 
-    Adds to ``counts`` and, if it is not empty, to the t2 table ``t2`` in
-    place, and leaves each unit's final registers in its ``state``.  Adaptive
-    unit j draws from the stream ``RngStream(seed).derive(j)`` would give.
-    Returns the removed tally and the number of draws of each unit.
+    In the order of ``qwalk_run``'s inputs: the source message, per unit
+    the kind, detector slot and gamma, per edge the dst, dst_port, tag code
+    (_NONE or the t2 row; a run overlays _ABSORB on a copy) and transform
+    code, and the phase factors.
     """
-    kind, site, dst, dst_port, tag, xform, state, start = tables
-    n = len(kind) + 1  # and the sink that unwired ports lead to
-    sites = list(counts)
-    slot = {x: i for i, x in enumerate(sites)}
-    # without taps the t2 row a particle crosses is never read
-    row = {x2: r for r, x2 in enumerate(t2)}
-    reg, gamma, seeds = _zeros("d", 10 * n), _zeros("d", n), _zeros("Q", n)
-    for j, st in enumerate(state):
-        if st is not None:
-            reg[10 * j:10 * j + 10] = array("d", (
-                st.w0, st.w1, st.y0h.real, st.y0h.imag, st.y0v.real,
-                st.y0v.imag, st.y1h.real, st.y1h.imag, st.y1v.real, st.y1v.imag))
-            gamma[j] = st.gamma
-            seeds[j] = derive_seed(seed, j)
-    xcode, factor = _zeros("i", len(xform)), _zeros("d", 2 * len(xform))
-    for e, f in enumerate(xform):
+    slot = {x: i for i, x in enumerate(plan.sites)}
+    row = {x2: r for r, x2 in enumerate(plan.t2_sites)}
+    xcode, factor = _zeros("i", len(plan.xform)), _zeros("d", 2 * len(plan.xform))
+    for e, f in enumerate(plan.xform):
         if type(f) is complex:
             xcode[e] = _PHASE
             factor[2 * e], factor[2 * e + 1] = f.real, f.imag
         elif f is not None:
             xcode[e] = _HADAMARD
     h, v = SOURCE_MESSAGE
-    out_counts = _zeros("q", len(sites))
-    out_t2 = _zeros("q", len(t2) * len(sites))
+    return (array("d", (h.real, h.imag, v.real, v.imag)),
+            array("i", [-1 if k is None else k for k in plan.kind] + [-1]),
+            array("i", [-1 if x is None else slot[x] for x in plan.site] + [-1]),
+            array("d", [0.0 if g is None else g for g in plan.gamma] + [0.0]),
+            array("i", plan.dst), array("i", plan.dst_port),
+            array("i", [_NONE if t is None else row[t] for t in plan.tag]),
+            xcode, factor)
+
+
+def run(fn, plan, tables: tuple, n_particles: int, seed: int, counts: dict,
+        t2: dict) -> tuple[int, list[int]]:
+    """Run one run's tables (``network._compile``) through the kernel ``fn``.
+
+    The arrays that do not change between runs are marshalled once and
+    kept on the network's ``plan``; the registers (read from each unit's
+    ``state``), the seeds and the absorbed edges are made for each run.
+    Adds to ``counts`` and, if it is not empty, to the t2 table ``t2`` in
+    place, and leaves each unit's final registers in its ``state``.
+    Adaptive unit j draws from the stream ``RngStream(seed).derive(j)``
+    would give.  Returns the removed tally and the number of draws of each
+    unit.
+    """
+    if plan.arrays is None:
+        plan.arrays = _marshal(plan)
+    source, kind, slot, gamma, dst, dst_port, tag, xcode, factor = plan.arrays
+    state, n_sites = tables[6], len(plan.sites)
+    n = len(state) + 1  # and the sink that unwired ports lead to
+    if tables[4] is not plan.tag:
+        tag = array("i", tag)
+        for e, t in enumerate(tables[4]):
+            if t is not None and type(t) is not int:
+                tag[e] = _ABSORB
+    reg, seeds = _zeros("d", 10 * n), _zeros("Q", n)
+    for j, st in enumerate(state):
+        if st is not None:
+            reg[10 * j:10 * j + 10] = array("d", (
+                st.w0, st.w1, st.y0h.real, st.y0h.imag, st.y0v.real,
+                st.y0v.imag, st.y1h.real, st.y1h.imag, st.y1v.real, st.y1v.imag))
+            seeds[j] = derive_seed(seed, j)
+    out_counts = _zeros("q", n_sites)
+    out_t2 = _zeros("q", len(t2) * n_sites)
     removed, draws, err = _zeros("q", 1), _zeros("q", n), _zeros("d", 2)
-    keep = (
-        array("d", (h.real, h.imag, v.real, v.imag)),
-        array("i", [-1 if k is None else k for k in kind] + [-1]),
-        array("i", [-1 if x is None else slot[x] for x in site] + [-1]),
-        gamma, seeds, reg, array("i", dst), array("i", dst_port),
-        array("i", [_NONE if t is None else row.get(t, 0) if type(t) is int
-                    else _ABSORB for t in tag]),
-        xcode, factor)
+    inputs = (source, kind, slot, gamma, seeds, reg, dst, dst_port, tag, xcode,
+              factor)
     outputs = (out_counts, out_t2, removed, draws, err)
-    status = fn(n, n_particles, start, *(a.buffer_info()[0] for a in keep),
-                1 if t2 else 0, len(sites), *(a.buffer_info()[0] for a in outputs))
+    status = fn(n, n_particles, tables[7], *(a.buffer_info()[0] for a in inputs),
+                1 if t2 else 0, n_sites, *(a.buffer_info()[0] for a in outputs))
     for j, st in enumerate(state):
         if st is not None:
             r = reg[10 * j:10 * j + 10]
@@ -135,9 +155,9 @@ def run(fn, tables: tuple, n_particles: int, seed: int, counts: dict,
         raise _untapped()
     if status == _NO_MEMORY:
         raise MemoryError("compiled event loop: out of memory")
-    for x, c in zip(sites, out_counts):
+    for x, c in zip(plan.sites, out_counts):
         counts[x] += c
     for r, x2 in enumerate(t2):
-        for i, x in enumerate(sites):
-            t2[x2][x] += out_t2[r * len(sites) + i]
+        for i, x in enumerate(plan.sites):
+            t2[x2][x] += out_t2[r * n_sites + i]
     return removed[0], draws[:n - 1].tolist()

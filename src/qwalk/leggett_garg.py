@@ -18,8 +18,8 @@ Two estimation protocols are implemented:
   come from one dataset; <Q(t3)> comes from a separate unconditioned run.
   K stays at 1 up to statistical fluctuations.
 
-Replicate helpers seed each replicate independently and can dispatch them
-across processes; error bars are standard errors over replicates.
+Replicate helpers seed each replicate independently and dispatch a large
+job across processes; error bars are standard errors over replicates.
 """
 from __future__ import annotations
 
@@ -34,6 +34,16 @@ from .network import RemovalFilter, build_robens, run
 
 THREE_RUN = "three_run"
 SINGLE_RUN = "single_run"
+#: runs per replicate of each protocol
+_RUNS = {THREE_RUN: 3, SINGLE_RUN: 2}
+#: a job of fewer particle-runs (runs x particles, summed over its
+#: replicates) runs in this process: below it a process pool's start-up
+#: costs more than the pool saves.  Measured with the compiled kernel on 2
+#: vCPUs (CPython 3.11), both protocols at 2 replicates on 2 workers,
+#: medians of 7 to 11 jobs over two sessions: 20 000 particle-runs take
+#: 24-44 ms on the pool and 19-20 ms in process, 50 000 take 39-43 and
+#: 45-51 ms, 100 000 take 57-65 and 77-86 ms.
+POOL_MIN_PARTICLE_RUNS = 50_000
 
 
 @dataclass(frozen=True)
@@ -182,11 +192,13 @@ def _aggregate(protocol: str,
 def run_protocols(protocols: list[tuple[str, RngStream]], *, particles: int = 100_000,
                   gamma: float = 0.95, replicates: int = 10,
                   workers: int | None = None) -> list[tuple[LgiResult, list[LgiResult]]]:
-    """``run_protocol`` for several (protocol, stream) pairs, on one pool.
+    """``run_protocol`` for several (protocol, stream) pairs, as one job.
 
-    Every replicate of every protocol is submitted to one pool of at most
+    A job of at least ``POOL_MIN_PARTICLE_RUNS`` particle-runs submits
+    every replicate of every protocol to one pool of at most
     ``min(workers, len(protocols) * replicates)`` worker processes;
-    ``workers`` defaults to the CPUs this process may run on.  Each
+    ``workers`` defaults to the CPUs this process may run on.  A smaller
+    job, or one worker, runs the replicates in this process.  Each
     replicate's stream depends only on its protocol's stream and index, so
     the results do not depend on the dispatch.  Fewer than 2 replicates
     raise ``InsufficientReplicates`` before any replicate runs.  An
@@ -209,7 +221,12 @@ def run_protocols(protocols: list[tuple[str, RngStream]], *, particles: int = 10
     # the pool starts all of its worker processes up front: never more
     # than there are replicates to run
     workers = min(workers, len(jobs))
-    if workers > 1:
+    particle_runs = sum(_RUNS[protocol] for protocol, *_ in jobs) * particles
+    if workers > 1 and particle_runs >= POOL_MIN_PARTICLE_RUNS:
+        # loaded (or reported unavailable) once, here: forked workers
+        # inherit the library
+        from . import _kernel
+        _kernel.load()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate_worker, jobs))
     else:
@@ -225,10 +242,13 @@ def run_protocol(protocol: str, *, particles: int = 100_000, gamma: float = 0.95
 
     Returns (aggregate, per-replicate results).  The aggregate K is computed
     from the averaged components so K = 1 + <Q3Q2> - <Q3> holds exactly;
-    stderr is the standard error over the per-replicate K values.  At most
-    ``min(workers, replicates)`` worker processes run (``workers`` defaults
-    to the CPUs this process may run on); one worker runs the replicates in
-    this process.
+    stderr is the standard error over the per-replicate K values.  Each
+    replicate builds one network and runs it 3 times (three-run) or twice
+    (single-run); the network is compiled once, and every run starts from
+    fresh registers and streams.  Dispatch follows ``run_protocols``: a job
+    of ``POOL_MIN_PARTICLE_RUNS`` particle-runs or more runs on at most
+    ``min(workers, replicates)`` worker processes (``workers`` defaults to
+    the CPUs this process may run on), a smaller one in this process.
     """
     [result] = run_protocols([(protocol, rng)], particles=particles, gamma=gamma,
                              replicates=replicates, workers=workers)

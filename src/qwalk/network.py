@@ -27,16 +27,17 @@ Leggett-Garg analysis.
 A run is strictly sequential: a particle finishes (detector or filter)
 before the next one is emitted, and the adaptive registers persist across
 all particles of the run.  ``run`` compiles the graph into flat tables
-(``_compile``), which also checks it: one source, no cycle, and every port
-a particle can reach is wired.  A compiled C kernel (``_kernel.c``) or the
-Python loop ``_loop`` then routes the particles, with bit-identical
-results.  Each adaptive unit's stream is derived from the supplied one and
-starts from fresh registers, so identical seeds reproduce bit-identical
-counts and tables.
+(``_plan``) once per network, which also checks it: one source, no cycle,
+and every port a particle can reach is wired.  A compiled C kernel
+(``_kernel.c``) or the Python loop ``_loop`` then routes the particles,
+with bit-identical results.  Each run starts every adaptive unit from
+fresh registers and a stream derived from the supplied one, so identical
+seeds reproduce bit-identical counts and tables.
 """
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
 from .core import (
@@ -93,13 +94,19 @@ class Wire:
 
 
 class Network:
-    """Directed acyclic graph of processing units owned by one run at a time."""
+    """Directed acyclic graph of processing units owned by one run at a time.
+
+    ``run`` compiles the graph once (``_plan``) and keeps the tables until
+    the next ``add`` or ``connect``; the units' parameters (gamma, phase,
+    detector site) are read then.
+    """
 
     def __init__(self):
         self.units: list = []
         self.source: Source | None = None
         #: label -> {site: wire} for every annotated cut point
         self.cut_points: dict[str, dict[int, Wire]] = {}
+        self._plan: SimpleNamespace | None = None
 
     @property
     def detector_sites(self) -> list[int]:
@@ -112,6 +119,7 @@ class Network:
                 raise QwalkError("network already has a source")
             self.source = unit
         self.units.append(unit)
+        self._plan = None
         return unit
 
     def connect(self, src, src_port: int, dst, dst_port: int, tap=None) -> Wire:
@@ -123,6 +131,7 @@ class Network:
             raise QwalkError("output port already wired")
         wire = Wire(dst, dst_port, tap)
         src.out[src_port] = wire
+        self._plan = None
         if tap is not None:
             label, site = tap
             self.cut_points.setdefault(label, {})[site] = wire
@@ -224,7 +233,7 @@ def build_robens(gamma: float = 0.95) -> Network:
 # Compiled form of a network.  Units are numbered by their position in
 # ``net.units``; the edge leaving unit j on out-port q is numbered 2*j + q.
 # _BS1, _SPLIT and _MERGE are adaptive units with dead message halves (see
-# ``_compile``); _BS and _PBS run the core routing functions.  _kernel.c
+# ``_plan``); _BS and _PBS run the core routing functions.  _kernel.c
 # repeats these codes.
 _DETECTOR, _BS, _PBS, _BS1, _SPLIT, _MERGE = 0, 1, 2, 3, 4, 5
 #: edge tag of a wire absorbed by a removal filter
@@ -295,16 +304,19 @@ def _live_inputs(units: list, kind: list, dst: list, dst_port: list,
     return live
 
 
-def _compile(net: Network, absorbed: set) -> tuple:
-    """Lower the unit graph to the flat tables the event loop runs on.
+def _plan(net: Network) -> SimpleNamespace:
+    """The network's compiled tables, built on the first run after a change.
+
+    The plan is kept on the network until ``add`` or ``connect`` drops it,
+    or until ``net.units`` no longer holds the units it was compiled from.
+    Building it checks the graph, so a malformed network raises on every
+    run.
 
     Each edge runs from an adaptive unit (or the source) to the next adaptive
     unit or detector; the stateless unit sitting on it, if any, is folded
-    into the edge as its transform.  Wires in ``absorbed`` tag their edge as
-    absorbing; t2 wires tag it with their site.  An unwired port's edge
-    leads to unit n, one past the last, and ``_live_inputs`` proves that no
-    particle takes it.  Each adaptive unit gets fresh registers, a new
-    ``AdaptiveState`` assigned to its ``state``.  A network without a
+    into the edge as its transform.  t2 wires tag their edge with their
+    site.  An unwired port's edge leads to unit n, one past the last, and
+    ``_live_inputs`` proves that no particle takes it.  A network without a
     source, with a cycle, with a reachable unwired port, with two stateless
     units on one edge or wired to a unit it does not hold raises
     ``QwalkError`` (``UnwiredPort`` for the port).
@@ -322,41 +334,48 @@ def _compile(net: Network, absorbed: set) -> tuple:
     - ``_SPLIT``: a PBS that nothing reaches on in-port 1.  z0 is (z0h, 0)
       and z1 is (0, z1v).
 
-    Returns, in order:
+    The plan holds:
 
-    - per unit: ``kind``, detector ``site``;
-    - per edge: ``dst`` unit, its ``dst_port``, ``tag`` (None, _ABSORB or
-      the t2 site crossed) and ``xform`` (None, _HADAMARD or a phase factor);
-    - per unit: ``state``, the ``AdaptiveState`` of an adaptive unit (None
-      for any other);
-    - the edge leaving the source.
+    - per unit: ``kind``, detector ``site`` and the ``gamma`` of an adaptive
+      unit (None for any other);
+    - per edge: ``dst`` unit, its ``dst_port``, ``tag`` (None or the t2 site
+      crossed) and ``xform`` (None, _HADAMARD or a phase factor);
+    - ``start``, the edge leaving the source; ``edge``, the edge of every
+      annotated wire; the sorted detector ``sites`` and ``t2_sites``;
+      ``units``, the units compiled; and ``arrays``, None until the kernel's
+      first run stores its copy of the tables there.
     """
     units = net.units
+    plan = net._plan
+    if plan is not None and plan.units == units:
+        return plan
     n = len(units)
     index = {id(u): j for j, u in enumerate(units)}
     kind: list = [None] * n
     site: list = [None] * n
-    state: list = [None] * n
+    gamma: list = [None] * n
     for j, unit in enumerate(units):
         if isinstance(unit, Detector):
             kind[j] = _DETECTOR
             site[j] = unit.site
         elif isinstance(unit, BeamSplitter):
             kind[j] = _PBS if isinstance(unit, PolarizingBeamSplitter) else _BS
+            gamma[j] = unit.gamma
     dst: list = [n] * (2 * n)
     dst_port: list = [0] * (2 * n)
     tag: list = [None] * (2 * n)
     xform: list = [None] * (2 * n)
+    edge: dict = {}
     for j, unit in enumerate(units):
         if not isinstance(unit, (Source, BeamSplitter)):
             continue
         for port, wire in enumerate(unit.out):
             e = 2 * j + port
             while wire is not None:
-                if wire in absorbed:
-                    tag[e] = _ABSORB
-                elif wire.tap_label == "t2" and tag[e] is None:
-                    tag[e] = wire.tap_site
+                if wire.tap_label is not None:
+                    edge[wire] = e
+                    if wire.tap_label == "t2" and tag[e] is None:
+                        tag[e] = wire.tap_site
                 target = wire.dst
                 if isinstance(target, PhaseShifter):
                     step = target.factor
@@ -385,10 +404,39 @@ def _compile(net: Network, absorbed: set) -> tuple:
                 kind[j] = _MERGE
             elif not in1:
                 kind[j] = _SPLIT
-        unit = units[j]
-        if isinstance(unit, BeamSplitter):
-            unit.state = state[j] = AdaptiveState(unit.gamma)
-    return kind, site, dst, dst_port, tag, xform, state, start
+    net._plan = plan = SimpleNamespace(
+        units=list(units), kind=kind, site=site, dst=dst, dst_port=dst_port,
+        tag=tag, xform=xform, start=start, gamma=gamma, edge=edge,
+        sites=sorted({x for x in site if x is not None}),
+        t2_sites=sorted(net.cut_points.get("t2", ())), arrays=None)
+    return plan
+
+
+def _compile(net: Network, absorbed: set) -> tuple:
+    """The tables of one run: the network's ``_plan`` and fresh registers.
+
+    Wires in ``absorbed`` tag their edge as absorbing, on a copy of the
+    plan's tags.  Each adaptive unit gets fresh registers, a new
+    ``AdaptiveState`` assigned to its ``state``.
+
+    Returns, in order: per unit ``kind`` and detector ``site``; per edge
+    ``dst``, ``dst_port``, ``tag`` (None, _ABSORB or the t2 site crossed)
+    and ``xform``; per unit ``state``, the ``AdaptiveState`` of an adaptive
+    unit (None for any other); and ``start``, the edge leaving the source.
+    """
+    plan = _plan(net)
+    tag = plan.tag
+    if absorbed:
+        tag = list(tag)
+        for wire in absorbed:
+            if wire in plan.edge:
+                tag[plan.edge[wire]] = _ABSORB
+    state: list = [None] * len(plan.units)
+    for j, g in enumerate(plan.gamma):
+        if g is not None:
+            plan.units[j].state = state[j] = AdaptiveState(g)
+    return (plan.kind, plan.site, plan.dst, plan.dst_port, tag, plan.xform,
+            state, plan.start)
 
 
 def _loop(tables: tuple, n_particles: int, rng: RngStream, counts: dict,
@@ -401,7 +449,7 @@ def _loop(tables: tuple, n_particles: int, rng: RngStream, counts: dict,
 
     A general splitter calls ``adaptive_update`` followed by ``bs_route``
     or ``pbs_route``, drawing one number after the update.  Units with dead
-    message halves (see ``_compile``) run those steps inline with the same
+    message halves (see ``_plan``) run those steps inline with the same
     float operations in the same order, skipping the terms that are zero; a
     merging PBS, whose port 0 always wins, draws and discards its number.
     The edges apply ``phase_shift``/``hadamard_apply`` inline.
@@ -546,12 +594,14 @@ def run(net: Network, n_particles: int, rng: RngStream,
         taps_enabled: bool = False) -> RunResult:
     """Send ``n_particles`` through the network one at a time.
 
-    Each adaptive unit's ``state`` is replaced by fresh registers at the
-    start; the loop updates it in place, so they persist across all
-    particles of the run and hold their final values at the end.  Returns
-    the detector counts, the t2 table (empty unless ``taps_enabled``; a
-    network without a t2 cut point cannot be tapped), and the removed
-    tally.
+    The network is compiled once, on its first run after an ``add`` or
+    ``connect`` (``_plan``), and every later run reuses the tables.  Each
+    run gives every adaptive unit a fresh ``state``, new registers that the
+    loop updates in place, so they persist across all particles of the run
+    and hold their final values at the end; each unit draws from its own
+    stream, derived afresh from ``rng``.  Returns the detector counts, the
+    t2 table (empty unless ``taps_enabled``; a network without a t2 cut
+    point cannot be tapped), and the removed tally.
 
     There are two event loops over ``_compile``'s tables, with bit-identical
     results: the compiled kernel (``_kernel.c``), used when its library
@@ -571,20 +621,22 @@ def run(net: Network, n_particles: int, rng: RngStream,
         if sites is None or f.site not in sites:
             raise ValueError(f"no cut point {f.label!r} at site {f.site}")
         absorbed.add(sites[f.site])
-    counts = dict.fromkeys(net.detector_sites, 0)
-    t2: dict[int, dict[int, int]] = {}
-    if taps_enabled:
-        if "t2" not in net.cut_points:
-            raise ValueError("taps need a t2 cut point; this network has none")
-        t2 = {x2: dict(counts) for x2 in sorted(net.cut_points["t2"])}
+    if taps_enabled and "t2" not in net.cut_points:
+        raise ValueError("taps need a t2 cut point; this network has none")
 
     tables = _compile(net, absorbed)
+    plan = net._plan
+    counts = dict.fromkeys(plan.sites, 0)
+    t2: dict[int, dict[int, int]] = {}
+    if taps_enabled:
+        t2 = {x2: dict(counts) for x2 in plan.t2_sites}
     from . import _kernel  # on first use: import qwalk stays free of ctypes
     fn = _kernel.load() if type(rng) is RngStream else None
     if fn is None:
         removed = _loop(tables, n_particles, rng, counts, t2)
     else:
-        removed, _draws = _kernel.run(fn, tables, n_particles, rng.seed, counts, t2)
+        removed, _draws = _kernel.run(fn, plan, tables, n_particles, rng.seed,
+                                      counts, t2)
     state = tables[6]
     if sum(counts.values()) + removed != n_particles:
         raise QwalkError("conservation breach: emitted != detected + removed")

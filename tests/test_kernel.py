@@ -1,5 +1,6 @@
 """The loader of the compiled event loop: one build per source, a reported fallback."""
 import ctypes
+import os
 import subprocess
 import sys
 
@@ -80,3 +81,18 @@ def test_failed_compile_leaves_no_file(fresh_loader, monkeypatch, capsys):
     assert list(fresh_loader.iterdir()) == []
     net = build_robens(0.9)
     assert run(net, 200, RngStream(5)).removed == 0
+
+
+def test_pool_job_reports_a_missing_compiler_once(tmp_path):
+    # the parent loads the kernel before its pool starts, so the forked
+    # workers inherit the outcome instead of each reporting the fallback
+    code = ("import sys, qwalk.leggett_garg as lg; from qwalk.cli import main; "
+            "lg.POOL_MIN_PARTICLE_RUNS = 0; sys.exit(main(sys.argv[1:]))")
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path), "PATH": str(tmp_path)}
+    done = subprocess.run([sys.executable, "-c", code, "lgi", "--particles", "300",
+                           "--replicates", "2", "--workers", "2"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    reports = [line for line in done.stderr.splitlines()
+               if line.startswith("qwalk: compiled event loop unavailable (")]
+    assert len(reports) == 1

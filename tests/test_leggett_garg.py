@@ -1,5 +1,6 @@
 """Correlation estimators for both measurement protocols."""
 import itertools
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from qwalk.errors import EmptyRun, InsufficientReplicates
 from qwalk.leggett_garg import (
     SINGLE_RUN,
     THREE_RUN,
+    LgiComponents,
+    LgiResult,
     k_single_run,
     k_three_run,
     q3_of_site,
@@ -159,11 +162,24 @@ def test_run_protocol_aggregates_and_is_deterministic():
     assert agg_a.stderr > 0.0
     assert agg_a.k == 1.0 + agg_a.components.q3q2_mean - agg_a.components.q3_mean
 
-def test_run_protocol_parallel_matches_serial():
+def test_run_protocol_parallel_matches_serial(monkeypatch):
+    # a real pool, started whatever the job's size
+    import qwalk.leggett_garg as lg
+
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(lg, "POOL_MIN_PARTICLE_RUNS", 0)
+    monkeypatch.setattr(lg, "ProcessPoolExecutor", CountingPool)
     serial, _ = run_protocol(SINGLE_RUN, particles=1200, gamma=0.9,
                              replicates=2, rng=RngStream(4), workers=1)
     parallel, _ = run_protocol(SINGLE_RUN, particles=1200, gamma=0.9,
                                replicates=2, rng=RngStream(4), workers=2)
+    assert pools == [2]
     assert serial == parallel
 
 class RecordingExecutor:
@@ -187,6 +203,7 @@ class RecordingExecutor:
 def test_run_protocol_pool_never_exceeds_replicates(monkeypatch, workers, pools):
     import qwalk.leggett_garg as lg
 
+    monkeypatch.setattr(lg, "POOL_MIN_PARTICLE_RUNS", 0)  # any job is large
     monkeypatch.setattr(lg, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(lg.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(lg.os, "sched_getaffinity", lambda pid: set(range(64)),
@@ -207,6 +224,7 @@ def test_lgi_job_starts_one_pool(monkeypatch, capsys, workers, pools):
     argv = ["lgi", "--particles", "300", "--replicates", "2"]
     assert main(argv + ["--workers", "1"]) == 0
     serial = capsys.readouterr().out
+    monkeypatch.setattr(lg, "POOL_MIN_PARTICLE_RUNS", 0)  # any job is large
     monkeypatch.setattr(lg, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(lg.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(lg.os, "sched_getaffinity", lambda pid: set(range(64)),
@@ -222,6 +240,7 @@ def test_default_pool_follows_cpu_affinity(monkeypatch, usable, pools):
     # CPUs the machine has
     import qwalk.leggett_garg as lg
 
+    monkeypatch.setattr(lg, "POOL_MIN_PARTICLE_RUNS", 0)  # any job is large
     monkeypatch.setattr(lg, "ProcessPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(lg.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(lg.os, "sched_getaffinity", lambda pid: usable,
@@ -230,6 +249,31 @@ def test_default_pool_follows_cpu_affinity(monkeypatch, usable, pools):
     run_protocol(THREE_RUN, particles=20, gamma=0.9, replicates=4,
                  rng=RngStream(5))
     assert RecordingExecutor.sizes == pools
+
+def test_small_jobs_run_in_process(monkeypatch):
+    # a job below POOL_MIN_PARTICLE_RUNS (runs x particles over all
+    # replicates: 3 runs for three-run, 2 for single-run) starts no pool
+    # whatever --workers says; the default lgi job starts one
+    import qwalk.leggett_garg as lg
+
+    def fixed(job):
+        return LgiResult(1.0, 0.0, job[0], LgiComponents(0.0, 0.0, 0.5, 0.5), 1)
+
+    monkeypatch.setattr(lg, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(lg, "_replicate_worker", fixed)
+    monkeypatch.setattr(lg.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    both = [(THREE_RUN, RngStream(1)), (SINGLE_RUN, RngStream(2))]
+    # both protocols at 2 replicates: 10 particle-runs per particle
+    smallest = lg.POOL_MIN_PARTICLE_RUNS // 10
+    lg.run_protocols(both, particles=smallest - 1, replicates=2, workers=4)
+    lg.run_protocols(both, particles=2000, replicates=2, workers=2)
+    assert RecordingExecutor.sizes == []
+    lg.run_protocols(both, particles=smallest, replicates=2, workers=4)
+    assert RecordingExecutor.sizes == [4]
+    lg.run_protocols(both)
+    assert RecordingExecutor.sizes == [4, 20]
 
 def test_single_replicate_is_rejected_before_any_runs(monkeypatch):
     import qwalk.leggett_garg as lg

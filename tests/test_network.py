@@ -579,6 +579,79 @@ def test_registers_reset_between_runs():
     for j in splitters:
         assert registers(net.units[j].state) == registers(fresh.units[j].state)
 
+@pytest.mark.parametrize("stream", [RngStream, CountingRng],
+                         ids=["kernel", "python loop"])
+def test_one_network_runs_like_fresh_networks(stream):
+    # run() compiles a network once and reuses its tables; each run on it
+    # must still equal the same run on a network built for that run alone.
+    # A CountingRng is a subclassed stream, so it keeps the Python loop
+    if stream is RngStream:
+        assert _kernel.load() is not None, "the compiled kernel did not load"
+    builders = {"robens": lambda: build_robens(0.95),
+                "jeong": lambda: build_jeong(5, PHI1, PHI2, 0.9)}
+    shared = {name: build() for name, build in builders.items()}
+    for name, filters, taps, seed in [
+        ("robens", [], False, 1),
+        ("robens", [RemovalFilter("t2", +1)], False, 2),
+        ("robens", [RemovalFilter("t2", -1)], False, 3),
+        ("robens", [], True, 4),
+        ("robens", [RemovalFilter("t2", -1)], True, 4),
+        ("robens", [], False, 5),
+        ("jeong", [], False, 6),
+        ("jeong", [], False, 7),
+    ]:
+        net, fresh = shared[name], builders[name]()
+        result = run(net, 400, stream(seed), filters=filters, taps_enabled=taps)
+        expected = run(fresh, 400, stream(seed), filters=filters, taps_enabled=taps)
+        assert (result.counts, result.t2, result.removed) == (
+            expected.counts, expected.t2, expected.removed)
+        assert splitter_registers(net) == splitter_registers(fresh)
+
+def test_add_and_connect_after_a_run_take_effect():
+    net = build_jeong(4, PHI1, PHI2)
+    run(net, 300, RngStream(6))
+    assert set(adaptive_kinds(net).values()) == {_BS1}
+    # splice a Hadamard onto the source wire, as build_mixed does
+    wire = net.source.out[0]
+    net.source.out[0] = None
+    had = net.add(HadamardUnit())
+    net.connect(net.source, 0, had, 0)
+    net.connect(had, 0, wire.dst, wire.dst_port)
+    assert set(adaptive_kinds(net).values()) == {_BS}
+    fresh = build_mixed(4, PHI1, PHI2)
+    assert run(net, 300, RngStream(6)) == run(fresh, 300, RngStream(6))
+    assert splitter_registers(net) == splitter_registers(fresh)
+    net.add(Detector(9))
+    assert sorted(run(net, 10, RngStream(1)).counts) == [-4, -2, 0, 2, 4, 9]
+    # a connect alone: a new t2 cut point on a merge's dead port
+    net = build_robens(0.95)
+    spare = net.add(Detector(0))
+    assert sorted(run(net, 10, RngStream(1), taps_enabled=True).t2) == [-1, 1]
+    merge = next(unit for unit in net.units
+                 if isinstance(unit, PolarizingBeamSplitter) and unit.out[1] is None)
+    net.connect(merge, 1, spare, 0, tap=("t2", 3))
+    assert sorted(run(net, 10, RngStream(1), taps_enabled=True).t2) == [-1, 1, 3]
+
+@pytest.mark.parametrize("wire", [no_source, self_loop, live_port_unwired,
+                                  unit_never_added],
+                         ids=["no source", "cycle", "live port unwired",
+                              "unit never added"])
+def test_malformed_network_raises_on_every_run(wire):
+    net = Network()
+    wire(net)
+    for _ in range(3):
+        with pytest.raises(QwalkError):
+            run(net, 10, RngStream(1))
+
+def test_network_mended_after_a_failed_run_runs():
+    net = Network()
+    live_port_unwired(net)
+    with pytest.raises(UnwiredPort):
+        run(net, 10, RngStream(1))
+    bs, right = net.units[0], net.units[3]
+    net.connect(bs, 1, right, 0)
+    assert sum(run(net, 10, RngStream(1)).counts.values()) == 10
+
 def test_taps_are_non_invasive():
     net = build_robens(0.95)
     silent = run(net, 500, RngStream(31), taps_enabled=False)
