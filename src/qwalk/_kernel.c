@@ -9,15 +9,36 @@
  *   32-bit words of the seed, genrand_res53 for random());
  * - complex arithmetic is spelled out in CPython's order (3.10 to 3.13):
  *   _Py_c_prod for a product, a float operand promoted to complex(x, 0.0),
- *   and float ** 2 as a call of libm's pow(x, 2.0).
+ *   and float ** 2 as libm's pow(x, 2.0), which CPython calls.
+ *
+ * pow(x, 2.0) is not always x * x: the two differ in about 1 of 1170
+ * random doubles.  But pow costs more than the rest of a hop, so sq() calls
+ * it only when it must.  It computes p = x * x and the exact residual
+ * e = x**2 - p (Veltkamp's split and Dekker's product, Numer. Math. 18,
+ * 1971; no fma(), so no libm call or compile flag is added).  When p is no
+ * power of two, every other double lies at least ulp(p) from p, so if
+ * |e| < 0.45 ulp(p) every other double is more than 0.55 ulp from x**2.
+ * A pow whose error stays below 0.54 ulp must then return p.  Only that
+ * case returns p; pow is called when p is outside [2**-900, 2**1000) (0,
+ * subnormals, overflow, inf and NaN included), when p is a power of two,
+ * and when |e| >= 0.45 ulp(p), about 1 call in 10.
+ *
+ * The precondition is the libm's: the kernel and CPython link the same
+ * one, and its pow must be accurate to 0.54 ulp.  That is the documented
+ * bound of the pow of glibc >= 2.28 and of musl >= 1.1.20, which share
+ * one implementation.  tests/test_kernel_arithmetic.py checks sq()
+ * against CPython's x ** 2 on over 10**6 doubles.
  *
  * Build with -O2 -ffp-contract=off -fno-builtin-pow, so that no product is
- * fused into an FMA and pow is not folded into x * x.  The loader in
- * _kernel.py does this once per machine and caches the library.
+ * fused into an FMA (which would break the exact residual and CPython's
+ * order) and pow is not folded into x * x.  The loader in _kernel.py does
+ * this once per machine and caches the library.
  */
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* --- MT19937 as in CPython's _randommodule.c ---------------------------- */
 
@@ -129,8 +150,47 @@ static cpx rmul(double x, cpx b) { cpx a = {x, 0.0}; return cmul(a, b); }
 
 static cpx mulr(cpx a, double x) { cpx b = {x, 0.0}; return cmul(a, b); }
 
-/* float ** 2; float_pow hands finite nonzero operands to libm's pow */
-static double sq(double x) { return pow(x, 2.0); }
+/*
+ * float ** 2.  float_pow hands finite nonzero operands to libm's pow, so
+ * this returns pow(x, 2.0); the header comment says when x * x is that.
+ */
+static double sq(double x)
+{
+    double p = x * x;
+    uint64_t bits;
+    memcpy(&bits, &p, sizeof bits);
+    /* p's biased exponent, 0x7ff for inf and NaN; p >= 0, so no sign bit */
+    uint64_t ex = bits >> 52;
+    /* 2**-900 <= p < 2**1000 (biased 123 .. 2022), and p no power of two */
+    if (ex - 123 < 1900 && (bits & 0xfffffffffffffU) != 0) {
+        /* Veltkamp's split of x into 26-bit halves, then Dekker's exact
+           residual e = x * x - p */
+        double c = 134217729.0 * x;  /* 2**27 + 1 */
+        double hi = c - (c - x), lo = x - hi;
+        double e = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo;
+        /* ulp(p) = 2**(exponent - 52), a normal double in this range */
+        uint64_t ulp_bits = (ex - 52) << 52;
+        double ulp;
+        memcpy(&ulp, &ulp_bits, sizeof ulp);
+        if (fabs(e) < 0.45 * ulp)
+            return p;
+    }
+    return pow(x, 2.0);
+}
+
+/* core._normalized: (zh, zv) / sqrt(p), where a p below the normal range
+   is summed again from (zh, zv) * 2**600 */
+static void normalized(cpx zh, cpx zv, double p, cpx *h, cpx *v)
+{
+    if (p < DBL_MIN) {
+        zh = mulr(zh, 0x1p600);
+        zv = mulr(zv, 0x1p600);
+        p = sq(zh.re) + sq(zh.im) + sq(zv.re) + sq(zv.im);
+    }
+    double inv = 1.0 / sqrt(p);
+    *h = mulr(zh, inv);
+    *v = mulr(zv, inv);
+}
 
 /* --- the event loop -------------------------------------------------------- */
 
@@ -351,14 +411,10 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
                 if (!(total >= 1e-30))
                     goto vanished;
                 if (u < p0 / total) {
-                    double inv = 1.0 / sqrt(p0);
-                    h = mulr(z0h, inv);
-                    v = mulr(z0v, inv);
+                    normalized(z0h, z0v, p0, &h, &v);
                     e = 2 * j;
                 } else {
-                    double inv = 1.0 / sqrt(p1);
-                    h = mulr(z1h, inv);
-                    v = mulr(z1v, inv);
+                    normalized(z1h, z1v, p1, &h, &v);
                     e = 2 * j + 1;
                 }
                 continue;

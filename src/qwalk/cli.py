@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 
 from .errors import EmptyRun, InsufficientReplicates, QwalkError
@@ -393,10 +392,19 @@ def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
+    # the temp file gets the mode open(out, "w") would give: the umask's for
+    # a new file, the old mode for a file being overwritten
+    try:
+        mode = os.stat(out).st_mode & 0o7777
+    except FileNotFoundError:
+        mode = None
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qwalk-")
+    tmp = os.path.join(directory, f".qwalk-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
+            if mode is not None:
+                os.fchmod(handle.fileno(), mode)
             handle.write(text)
         os.replace(tmp, out)
     except BaseException:

@@ -38,6 +38,8 @@ from typing import NamedTuple
 from .errors import DegenerateAmplitude, QwalkError
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_MIN_NORMAL = 2.0 ** -1022
+_UPSCALE = 2.0 ** 600
 _MASK64 = (1 << 64) - 1
 
 
@@ -197,10 +199,24 @@ def _pick_port(z0h: complex, z0v: complex, z1h: complex, z1v: complex,
     if not total >= 1e-30:  # also catches a NaN total
         raise _vanished(p0, p1)
     if u < p0 / total:
-        inv = 1.0 / math.sqrt(p0)
-        return 0, Message(z0h * inv, z0v * inv)
-    inv = 1.0 / math.sqrt(p1)
-    return 1, Message(z1h * inv, z1v * inv)
+        return 0, _normalized(z0h, z0v, p0)
+    return 1, _normalized(z1h, z1v, p1)
+
+
+def _normalized(zh: complex, zv: complex, p: float) -> Message:
+    """(zh, zv) / sqrt(p), p the sum of their squares as ``_pick_port`` has it.
+
+    A port is taken when u < p / total, so a small enough u (of
+    ``random()``'s values, only 0.0) can take one whose p fell below the
+    normal range (``_MIN_NORMAL``), where its squares lost bits.  Then p
+    is summed again from (zh, zv) * 2**600, a scaling that is exact here
+    and cancels in the quotient.
+    """
+    if p < _MIN_NORMAL:
+        zh, zv = zh * _UPSCALE, zv * _UPSCALE
+        p = zh.real ** 2 + zh.imag ** 2 + zv.real ** 2 + zv.imag ** 2
+    inv = 1.0 / math.sqrt(p)
+    return Message(zh * inv, zv * inv)
 
 
 def _vanished(p0: float, p1: float) -> DegenerateAmplitude:

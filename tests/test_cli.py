@@ -1,6 +1,8 @@
 """Command-line interface: schemas, exit codes, seeding, idempotence."""
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -248,6 +250,23 @@ def test_unwritable_out_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
     assert err.startswith("qwalk:") and len(err.splitlines()) == 1
     assert [p.name for p in tmp_path.iterdir()] == ["a_directory"]
     assert list(target.iterdir()) == []
+
+def test_out_file_mode_is_that_of_a_plain_open(tmp_path, capsys):
+    argv = ["oracle", "--steps", "3", "--out"]
+    new, kept = tmp_path / "new.csv", tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    kept.chmod(0o640)
+    umask = os.umask(0o022)
+    try:
+        assert main(argv + [str(new)]) == 0
+        assert main(argv + [str(kept)]) == 0
+    finally:
+        os.umask(umask)
+    capsys.readouterr()
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    assert kept.read_text() == new.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "new.csv"]
 
 def test_gamma_zero_reproduces_binomial(capsys):
     code, out, _ = run_cli(capsys, "jeong", "--steps", "4", "--gamma", "0.0",

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qwalk.core import (
@@ -171,6 +171,9 @@ unit_messages = st.builds(
        st.floats(0.0, 0.99), st.floats(0.0, 1.0, exclude_max=True),
        unit_messages, st.floats(-10.0, 10.0))
 @settings(max_examples=150, deadline=None)
+# a draw of 0.0 takes the port whose p = (4.5e-160) ** 2 is subnormal
+@example(arrivals=[(1, Message(1 + 0j, 4.479587625619944e-160 + 0j))], gamma=0.0,
+         u=0.0, m=Message(1 + 0j, 0j), phi=0.0)
 def test_units_emit_unit_norm_messages(arrivals, gamma, u, m, phi):
     # registers reached by any sequence of unit-norm arrivals are valid;
     # routing from them, and every stateless unit, emits a unit-norm message

@@ -1,0 +1,131 @@
+"""The kernel's float arithmetic against CPython's, bit for bit."""
+import ctypes
+import math
+import random
+import struct
+import subprocess
+from array import array
+
+import pytest
+
+from qwalk import _kernel
+from qwalk.core import _normalized
+
+# exposes static functions of the kernel over arrays; the kernel's own
+# interface stays as it is
+HARNESS = """\
+#include "{source}"
+
+void sq_array(const double *x, double *out, long n)
+{{
+    for (long i = 0; i < n; i++)
+        out[i] = sq(x[i]);
+}}
+
+/* per item: zh, zv and p in, the normalized (h, v) out */
+void normalized_array(const double *in, double *out, long n)
+{{
+    for (long i = 0; i < n; i++) {{
+        const double *z = in + 5 * i;
+        cpx zh = {{z[0], z[1]}}, zv = {{z[2], z[3]}}, h, v;
+        normalized(zh, zv, z[4], &h, &v);
+        out[4 * i] = h.re;
+        out[4 * i + 1] = h.im;
+        out[4 * i + 2] = v.re;
+        out[4 * i + 3] = v.im;
+    }}
+}}
+"""
+
+
+@pytest.fixture(scope="module")
+def harness(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("harness")
+    c_file, library = tmp / "harness.c", tmp / "harness.so"
+    c_file.write_text(HARNESS.format(source=_kernel.SOURCE.resolve()))
+    subprocess.run([*_kernel.COMPILE, "-o", str(library), str(c_file), "-lm"],
+                   check=True, stdin=subprocess.DEVNULL, capture_output=True,
+                   timeout=300)
+    lib = ctypes.CDLL(str(library))
+    for fn in (lib.sq_array, lib.normalized_array):
+        fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long)
+        fn.restype = None
+    return lib
+
+
+def call(fn, xs: list[float], out_per_item: int, in_per_item: int = 1) -> array:
+    n = len(xs) // in_per_item
+    xs, out = array("d", xs), array("d", [0.0]) * (n * out_per_item)
+    fn(xs.buffer_info()[0], out.buffer_info()[0], n)
+    return out
+
+
+def python_sq(x: float) -> float:
+    try:
+        return x ** 2
+    except OverflowError:  # libm's pow returns inf, float_pow raises
+        return math.inf
+
+
+def square_inputs() -> list[float]:
+    rng = random.Random(20201118)
+    xs = [rng.uniform(-1.0, 1.0) for _ in range(400_000)]
+    xs += [rng.uniform(0.0, 1e-3) for _ in range(400_000)]
+    # both sides of the fast path's guards on x * x, 2**-900 and 2**1000
+    for edge in (2.0 ** -450, 2.0 ** 500):
+        xs += [s * edge * rng.uniform(0.5, 2.0) for s in (1, -1)
+               for _ in range(50_000)]
+        xs += [edge, -edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+    # powers of two, their neighbours, and squares that overflow
+    for k in range(-1074, 1024):
+        p = 2.0 ** k
+        xs += [p, -p, math.nextafter(p, 0.0), math.nextafter(p, math.inf)]
+    xs += [rng.uniform(2.0 ** 511, 2.0 ** 600) for _ in range(1000)]
+    # subnormals, zeros, infinities, NaN
+    xs += [struct.unpack("<d", struct.pack("<Q", rng.randrange(1, 1 << 52)))[0]
+           for _ in range(10_000)]
+    xs += [0.0, -0.0, math.inf, -math.inf, math.nan,
+           math.ulp(0.0), -math.ulp(0.0), math.ulp(1.0), 1.0, -1.0]
+    return xs
+
+
+def assert_same_bits(xs: list, expected: list[float], got: array) -> None:
+    want = struct.pack(f"<{len(expected)}d", *expected)
+    if got.tobytes() != want:
+        bad = [(x, e.hex(), g.hex()) for x, e, g in zip(xs, expected, got)
+               if struct.pack("<d", e) != struct.pack("<d", g)]
+        raise AssertionError(f"{len(bad)} mismatches (input, Python, kernel), "
+                             f"first: {bad[:5]}")
+
+
+def test_kernel_square_is_pythons_float_square(harness):
+    xs = square_inputs()
+    expected = [python_sq(x) for x in xs]
+    assert len(xs) >= 1_000_000
+    # the set reaches the doubles whose pow(x, 2.0) is not x * x
+    assert sum(e != x * x for x, e in zip(xs, expected)) >= 500
+    assert_same_bits([x.hex() for x in xs], expected,
+                     call(harness.sq_array, xs, 1))
+
+
+def test_kernel_normalization_is_cores(harness):
+    # messages of unit norm scaled down until p nears and leaves the
+    # normal range, where core._normalized sums p again
+    rng = random.Random(2005)
+    items, inputs, expected = [], [], []
+    for scale in (1.0, 2.0 ** -500, 2.0 ** -511, 2.0 ** -520, 2.0 ** -535):
+        for _ in range(200):
+            z = [rng.gauss(0.0, 1.0) for _ in range(4)]
+            r = math.sqrt(sum(c * c for c in z))
+            zh, zv = complex(z[0], z[1]) * (scale / r), complex(z[2], z[3]) * (scale / r)
+            p = zh.real ** 2 + zh.imag ** 2 + zv.real ** 2 + zv.imag ** 2
+            if p == 0.0:
+                continue
+            m = _normalized(zh, zv, p)
+            assert abs(m.norm() - 1.0) < 1e-12
+            items.append((zh, zv))
+            inputs += [zh.real, zh.imag, zv.real, zv.imag, p]
+            expected += [m.c_h.real, m.c_h.imag, m.c_v.real, m.c_v.imag]
+    assert sum(p < 2.0 ** -1022 for p in inputs[4::5]) >= 200
+    got = call(harness.normalized_array, inputs, 4, 5)
+    assert_same_bits([z for z in items for _ in range(4)], expected, got)
