@@ -1,9 +1,14 @@
 /*
  * Compiled event loop of qwalk.network.run.
  *
- * It walks the flat tables that network._compile builds, one particle at a
- * time, and reproduces the Python loop in network._loop bit for bit:
+ * It walks the flat tables of a compiled network (network._plan, as
+ * _kernel.py marshals them), one particle at a time, and reproduces the
+ * Python loop in network._loop, which runs core.adaptive_update and then
+ * core.bs_route or core.pbs_route at every splitter, bit for bit:
  *
+ * - a splitter whose messages have dead halves (_kernel.cases) runs the
+ *   case BS1, SPLIT or MERGE, which skips terms that are +0.0 squares or
+ *   +-0 registers and so computes the same doubles as the core functions;
  * - every adaptive unit draws from its own MT19937 stream, seeded and read
  *   exactly as CPython's Modules/_randommodule.c does (init_by_array on the
  *   32-bit words of the seed, genrand_res53 for random());
@@ -192,9 +197,21 @@ static void normalized(cpx zh, cpx zv, double p, cpx *h, cpx *v)
     *v = mulr(zv, inv);
 }
 
+/* normalized() for a message whose other half is dead: z / sqrt(p), p the
+   sum of z's squares; the caller sets the dead half.  inline, because GCC
+   -O2 otherwise calls it, which costs the mesh's scalar hop about 5 % */
+static inline cpx normalized_half(cpx z, double p)
+{
+    if (p < DBL_MIN) {
+        z = mulr(z, 0x1p600);
+        p = sq(z.re) + sq(z.im);
+    }
+    return mulr(z, 1.0 / sqrt(p));
+}
+
 /* --- the event loop -------------------------------------------------------- */
 
-/* unit kinds, as in network.py */
+/* unit cases: network.py's kinds, then _kernel.py's dead-half cases */
 enum { DETECTOR = 0, BS = 1, PBS = 2, BS1 = 3, SPLIT = 4, MERGE = 5 };
 /* edge tags: NONE, ABSORB, or the t2 row the edge crosses (>= 0) */
 enum { NONE = -1, ABSORB = -2 };
@@ -323,10 +340,10 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
                 if (!(total >= 1e-30))
                     goto vanished;
                 if (u < p0 / total) {
-                    h = mulr(z0h, 1.0 / sqrt(p0));
+                    h = normalized_half(z0h, p0);
                     e = 2 * j;
                 } else {
-                    h = mulr(z1h, 1.0 / sqrt(p1));
+                    h = normalized_half(z1h, p1);
                     e = 2 * j + 1;
                 }
                 continue;
@@ -348,12 +365,12 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
                 if (!(total >= 1e-30))
                     goto vanished;
                 if (u < p0 / total) {
-                    h = mulr(z0h, 1.0 / sqrt(p0));
+                    h = normalized_half(z0h, p0);
                     v.re = v.im = 0.0;
                     e = 2 * j;
                 } else {
                     h.re = h.im = 0.0;
-                    v = mulr(z1v, 1.0 / sqrt(p1));
+                    v = normalized_half(z1v, p1);
                     e = 2 * j + 1;
                 }
                 continue;
@@ -379,9 +396,7 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
                     p1 = 0.0;
                     goto vanished;
                 }
-                double inv = 1.0 / sqrt(p0);
-                h = mulr(z0h, inv);
-                v = mulr(z0v, inv);
+                normalized(z0h, z0v, p0, &h, &v);
                 e = 2 * j;
                 continue;
             }
@@ -430,8 +445,8 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
                 }
                 break;
             }
-            /* a detector, or the sink, which _compile proves no particle
-               reaches (one that did would be lost, and run()'s
+            /* a detector, or the sink, which network._plan proves no
+               particle reaches (one that did would be lost, and run()'s
                conservation check would report it) */
             break;
         vanished:

@@ -2,11 +2,12 @@
 
 ``network.run`` sends particles through this kernel when it loads and the
 stream is a plain ``RngStream``; the kernel reproduces the Python loop
-(``network._loop``) bit for bit.  The library is built once per machine
-and per source with the C compiler ``cc``: the file is keyed by the sha256
-of the C source and the compile command, lives in ``$XDG_CACHE_HOME/qwalk``
-(default ``~/.cache/qwalk``), and is written to a temporary file first and
-moved into place, so processes building it at the same time do not clash.
+(``network._loop``, which calls the core functions) bit for bit.  The
+library is built once per machine and per source with the C compiler
+``cc``: the file is keyed by the sha256 of the C source and the compile
+command, lives in ``$XDG_CACHE_HOME/qwalk`` (default ``~/.cache/qwalk``),
+and is written to a temporary file first and moved into place, so
+processes building it at the same time do not clash.
 Nothing happens at ``import qwalk``: the first ``run`` loads the library.
 When it cannot be built or loaded, one ``qwalk:`` line on stderr says so,
 once per process, and runs use the Python loop.
@@ -24,13 +25,16 @@ from array import array
 from pathlib import Path
 
 from .core import SOURCE_MESSAGE, derive_seed, _untapped, _vanished
+from .network import _BS, _PBS, _V, _emitted
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 #: the compile command, less its output and input files
 COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fno-builtin-pow", "-shared",
            "-fPIC")
 
-# codes shared with _kernel.c
+# codes shared with _kernel.c; the cases DETECTOR, BS and PBS are the
+# network's kinds
+_BS1, _SPLIT, _MERGE = 3, 4, 5
 _NONE, _ABSORB = -1, -2
 _HADAMARD, _PHASE = 1, 2
 _VANISHED, _UNTAPPED, _NO_MEMORY = 1, 2, 3
@@ -78,13 +82,46 @@ def _zeros(typecode: str, n: int) -> array:
     return array(typecode, [0]) * n
 
 
+def cases(plan) -> list[int]:
+    """The C case of each unit of a ``network._plan``, -1 for a stateless one.
+
+    A splitter whose messages have dead halves (``plan.live``) gets a case
+    that skips them; every term it skips is a +0.0 square or a ±0 register,
+    so it computes the same doubles as ``adaptive_update`` and
+    ``bs_route``/``pbs_route``:
+
+    - ``_BS1``: a beam splitter that no v half reaches; it updates and
+      routes the h half alone.
+    - ``_MERGE``: a PBS whose out-port 1 is dead (h only on in-port 0, v only
+      on in-port 1).  Its p1 is +0.0, so p0/total is exactly 1.0 and port 0
+      always wins.  It still draws once per hop, like every adaptive unit,
+      and discards the number; no other unit reads its stream.
+    - ``_SPLIT``: a PBS that nothing reaches on in-port 1.  z0 is (z0h, 0)
+      and z1 is (0, z1v).
+
+    Any other splitter keeps its kind, ``_BS`` or ``_PBS``, and a detector
+    its kind, 0.
+    """
+    case = []
+    for k, (in0, in1) in zip(plan.kind, plan.live):
+        if k == _BS and not (in0 | in1) & _V:
+            k = _BS1
+        elif k == _PBS:
+            if not _emitted(_PBS, in0, in1)[1]:
+                k = _MERGE
+            elif not in1:
+                k = _SPLIT
+        case.append(-1 if k is None else k)
+    return case
+
+
 def _marshal(plan) -> tuple:
     """The arrays of a ``network._plan`` that the kernel reads and no run changes.
 
     In the order of ``qwalk_run``'s inputs: the source message, per unit
-    the kind, detector slot and gamma, per edge the dst, dst_port, tag code
-    (_NONE or the t2 row; a run overlays _ABSORB on a copy) and transform
-    code, and the phase factors.
+    the C case (``cases``), detector slot and gamma, per edge the dst,
+    dst_port, tag code (_NONE or the t2 row; a run overlays _ABSORB on a
+    copy) and transform code, and the phase factors.
     """
     slot = {x: i for i, x in enumerate(plan.sites)}
     row = {x2: r for r, x2 in enumerate(plan.t2_sites)}
@@ -97,7 +134,7 @@ def _marshal(plan) -> tuple:
             xcode[e] = _HADAMARD
     h, v = SOURCE_MESSAGE
     return (array("d", (h.real, h.imag, v.real, v.imag)),
-            array("i", [-1 if k is None else k for k in plan.kind] + [-1]),
+            array("i", cases(plan) + [-1]),
             array("i", [-1 if x is None else slot[x] for x in plan.site] + [-1]),
             array("d", [0.0 if g is None else g for g in plan.gamma] + [0.0]),
             array("i", plan.dst), array("i", plan.dst_port),
@@ -105,13 +142,14 @@ def _marshal(plan) -> tuple:
             xcode, factor)
 
 
-def run(fn, plan, tables: tuple, n_particles: int, seed: int, counts: dict,
-        t2: dict) -> tuple[int, list[int]]:
-    """Run one run's tables (``network._compile``) through the kernel ``fn``.
+def run(fn, plan, absorbed: set, state: list, n_particles: int, seed: int,
+        counts: dict, t2: dict) -> tuple[int, list[int]]:
+    """Send the particles through a ``network._plan`` with the kernel ``fn``.
 
     The arrays that do not change between runs are marshalled once and
-    kept on the network's ``plan``; the registers (read from each unit's
-    ``state``), the seeds and the absorbed edges are made for each run.
+    kept on the ``plan``; the registers (read from ``state``, the run's
+    ``AdaptiveState`` of each adaptive unit or None), the seeds and the
+    tags of the ``absorbed`` edges are made for each run.
     Adds to ``counts`` and, if it is not empty, to the t2 table ``t2`` in
     place, and leaves each unit's final registers in its ``state``.
     Adaptive unit j draws from the stream ``RngStream(seed).derive(j)``
@@ -121,13 +159,12 @@ def run(fn, plan, tables: tuple, n_particles: int, seed: int, counts: dict,
     if plan.arrays is None:
         plan.arrays = _marshal(plan)
     source, kind, slot, gamma, dst, dst_port, tag, xcode, factor = plan.arrays
-    state, n_sites = tables[6], len(plan.sites)
+    n_sites = len(plan.sites)
     n = len(state) + 1  # and the sink that unwired ports lead to
-    if tables[4] is not plan.tag:
+    if absorbed:
         tag = array("i", tag)
-        for e, t in enumerate(tables[4]):
-            if t is not None and type(t) is not int:
-                tag[e] = _ABSORB
+        for e in absorbed:
+            tag[e] = _ABSORB
     reg, seeds = _zeros("d", 10 * n), _zeros("Q", n)
     for j, st in enumerate(state):
         if st is not None:
@@ -141,7 +178,7 @@ def run(fn, plan, tables: tuple, n_particles: int, seed: int, counts: dict,
     inputs = (source, kind, slot, gamma, seeds, reg, dst, dst_port, tag, xcode,
               factor)
     outputs = (out_counts, out_t2, removed, draws, err)
-    status = fn(n, n_particles, tables[7], *(a.buffer_info()[0] for a in inputs),
+    status = fn(n, n_particles, plan.start, *(a.buffer_info()[0] for a in inputs),
                 1 if t2 else 0, n_sites, *(a.buffer_info()[0] for a in outputs))
     for j, st in enumerate(state):
         if st is not None:

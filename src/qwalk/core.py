@@ -245,11 +245,11 @@ def hadamard_apply(m: Message) -> Message:
 # output port, filled by the owning network, and ``n_inputs`` counts the
 # input ports.  ``network.run`` compiles the graph into flat tables and runs
 # them through one of two event loops with bit-identical results: the
-# compiled kernel (``_kernel.c``) or the Python loop ``network._loop``,
-# which applies the functions above or, for units with dead message halves,
-# their float operations inline.  ``state`` holds an adaptive unit's
-# registers as they stood at the end of the last run (None before the
-# first).
+# Python loop ``network._loop``, which applies the functions above at every
+# unit, or the compiled kernel (``_kernel.c``), which repeats their float
+# operations and skips the terms of dead message halves.  ``state`` holds
+# an adaptive unit's registers as they stood at the end of the last run
+# (None before the first).
 
 
 class Source:

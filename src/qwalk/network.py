@@ -51,11 +51,10 @@ from .core import (
     RngStream,
     Source,
     SOURCE_MESSAGE,
-    _INV_SQRT2,
     _untapped,
-    _vanished,
     adaptive_update,
     bs_route,
+    hadamard_apply,
     pbs_route,
 )
 from .errors import InvalidLevels, QwalkError, UnwiredPort
@@ -232,10 +231,8 @@ def build_robens(gamma: float = 0.95) -> Network:
 
 # Compiled form of a network.  Units are numbered by their position in
 # ``net.units``; the edge leaving unit j on out-port q is numbered 2*j + q.
-# _BS1, _SPLIT and _MERGE are adaptive units with dead message halves (see
-# ``_plan``); _BS and _PBS run the core routing functions.  _kernel.c
-# repeats these codes.
-_DETECTOR, _BS, _PBS, _BS1, _SPLIT, _MERGE = 0, 1, 2, 3, 4, 5
+# _kernel.c repeats these codes.
+_DETECTOR, _BS, _PBS = 0, 1, 2
 #: edge tag of a wire absorbed by a removal filter
 _ABSORB = object()
 #: edge transform of a polarization Hadamard (a phase edge holds its factor)
@@ -321,23 +318,13 @@ def _plan(net: Network) -> SimpleNamespace:
     units on one edge or wired to a unit it does not hold raises
     ``QwalkError`` (``UnwiredPort`` for the port).
 
-    Units whose messages have dead halves (``_live_inputs``) get a kernel
-    that skips them; every term it skips is a +0.0 square or a ±0 register
-    (the general kinds ``_BS`` and ``_PBS`` call the core functions):
-
-    - ``_BS1``: a beam splitter that no v half reaches; it updates and
-      routes the h half alone.
-    - ``_MERGE``: a PBS whose out-port 1 is dead (h only on in-port 0, v only
-      on in-port 1).  Its p1 is +0.0, so p0/total is exactly 1.0 and port 0
-      always wins.  It still draws once per hop, like every adaptive unit,
-      and discards the number; no other unit reads its stream.
-    - ``_SPLIT``: a PBS that nothing reaches on in-port 1.  z0 is (z0h, 0)
-      and z1 is (0, z1v).
-
     The plan holds:
 
-    - per unit: ``kind``, detector ``site`` and the ``gamma`` of an adaptive
-      unit (None for any other);
+    - per unit: ``kind`` (_DETECTOR, _BS, _PBS or None), detector ``site``,
+      the ``gamma`` of an adaptive unit (None for any other) and ``live``,
+      the halves that can be nonzero at its in-ports 0 and 1
+      (``_live_inputs``), from which the compiled kernel picks the units
+      whose dead halves it skips (``_kernel.cases``);
     - per edge: ``dst`` unit, its ``dst_port``, ``tag`` (None or the t2 site
       crossed) and ``xform`` (None, _HADAMARD or a phase factor);
     - ``start``, the edge leaving the source; ``edge``, the edge of every
@@ -396,187 +383,73 @@ def _plan(net: Network) -> SimpleNamespace:
         raise QwalkError("network has no source")
     start = 2 * index[id(net.source)]
     live = _live_inputs(units, kind, dst, dst_port, xform, start)
-    for j, (in0, in1) in enumerate(live):
-        if kind[j] == _BS and not (in0 | in1) & _V:
-            kind[j] = _BS1
-        elif kind[j] == _PBS:
-            if not _emitted(_PBS, in0, in1)[1]:
-                kind[j] = _MERGE
-            elif not in1:
-                kind[j] = _SPLIT
     net._plan = plan = SimpleNamespace(
-        units=list(units), kind=kind, site=site, dst=dst, dst_port=dst_port,
-        tag=tag, xform=xform, start=start, gamma=gamma, edge=edge,
+        units=list(units), kind=kind, site=site, gamma=gamma, live=live,
+        dst=dst, dst_port=dst_port, tag=tag, xform=xform, start=start, edge=edge,
         sites=sorted({x for x in site if x is not None}),
         t2_sites=sorted(net.cut_points.get("t2", ())), arrays=None)
     return plan
 
 
-def _compile(net: Network, absorbed: set) -> tuple:
-    """The tables of one run: the network's ``_plan`` and fresh registers.
+def _registers(plan: SimpleNamespace) -> list:
+    """Fresh registers for one run, per unit of the plan.
 
-    Wires in ``absorbed`` tag their edge as absorbing, on a copy of the
-    plan's tags.  Each adaptive unit gets fresh registers, a new
-    ``AdaptiveState`` assigned to its ``state``.
-
-    Returns, in order: per unit ``kind`` and detector ``site``; per edge
-    ``dst``, ``dst_port``, ``tag`` (None, _ABSORB or the t2 site crossed)
-    and ``xform``; per unit ``state``, the ``AdaptiveState`` of an adaptive
-    unit (None for any other); and ``start``, the edge leaving the source.
+    An adaptive unit gets a new ``AdaptiveState``, also assigned to its
+    ``state``; any other unit gets None.
     """
-    plan = _plan(net)
-    tag = plan.tag
-    if absorbed:
-        tag = list(tag)
-        for wire in absorbed:
-            if wire in plan.edge:
-                tag[plan.edge[wire]] = _ABSORB
     state: list = [None] * len(plan.units)
     for j, g in enumerate(plan.gamma):
         if g is not None:
             plan.units[j].state = state[j] = AdaptiveState(g)
-    return (plan.kind, plan.site, plan.dst, plan.dst_port, tag, plan.xform,
-            state, plan.start)
+    return state
 
 
-def _loop(tables: tuple, n_particles: int, rng: RngStream, counts: dict,
-          t2: dict) -> int:
+def _loop(plan: SimpleNamespace, absorbed: set, state: list, n_particles: int,
+          rng: RngStream, counts: dict, t2: dict) -> int:
     """The event loop in Python: the readable reference for ``_kernel.c``.
 
-    Sends the particles through ``_compile``'s tables, adds to ``counts``
-    and, if it is not empty, to the t2 table ``t2`` in place, and returns
-    the removed tally.  Adaptive unit j draws from ``rng.derive(j)``.
+    Sends the particles through the plan's tables, the edges in ``absorbed``
+    absorbing and ``state`` holding the registers; adds to ``counts`` and,
+    if it is not empty, to the t2 table ``t2`` in place, and returns the
+    removed tally.  Adaptive unit j draws from ``rng.derive(j)``.
 
-    A general splitter calls ``adaptive_update`` followed by ``bs_route``
-    or ``pbs_route``, drawing one number after the update.  Units with dead
-    message halves (see ``_plan``) run those steps inline with the same
-    float operations in the same order, skipping the terms that are zero; a
-    merging PBS, whose port 0 always wins, draws and discards its number.
-    The edges apply ``phase_shift``/``hadamard_apply`` inline.
+    Every adaptive hop is ``adaptive_update`` followed by ``bs_route`` or
+    ``pbs_route``, with one number drawn after the update; an edge applies
+    its phase factor, as ``phase_shift`` does, or ``hadamard_apply``.
     """
-    kind, site_of, dst, dst_port, tag, xform, state, start = tables
+    tag = list(plan.tag)
+    for e in absorbed:
+        tag[e] = _ABSORB
+    route = [bs_route if k == _BS else pbs_route if k == _PBS else None
+             for k in plan.kind]
     draw = [None if st is None else rng.derive(j).random
             for j, st in enumerate(state)]
+    site_of, dst, dst_port, xform = plan.site, plan.dst, plan.dst_port, plan.xform
     taps_enabled = bool(t2)
-    # hot-loop names as locals
-    sqrt = math.sqrt
-    s = _INV_SQRT2
-    BS, BS1, DETECTOR, ABSORB, HADAMARD = _BS, _BS1, _DETECTOR, _ABSORB, _HADAMARD
-    SPLIT, MERGE = _SPLIT, _MERGE
-    h0, v0 = SOURCE_MESSAGE
     removed = 0
     for _ in range(n_particles):
-        e = start
-        h = h0
-        v = v0
+        e = plan.start
+        m = SOURCE_MESSAGE
         x2 = None
         while True:
             t = tag[e]
             if t is not None:
-                if t is ABSORB:
+                if t is _ABSORB:
                     removed += 1
                     break
                 x2 = t
             f = xform[e]
-            if f is not None:
-                if f is HADAMARD:
-                    h, v = (h + v) * s, (h - v) * s
-                else:
-                    h = f * h
-                    v = f * v
+            if f is _HADAMARD:
+                m = hadamard_apply(m)
+            elif f is not None:
+                m = Message(f * m.c_h, f * m.c_v)
             j = dst[e]
-            k = kind[j]
-            if k == BS1:
-                # adaptive_update and bs_route on the h half alone
-                st = state[j]
-                g = st.gamma
-                c = 1.0 - g
-                if dst_port[e] == 0:
-                    st.w0 = w0 = g * st.w0 + c
-                    st.w1 = w1 = g * st.w1
-                    st.y0h = y0h = g * st.y0h + c * h
-                    y1h = st.y1h
-                else:
-                    st.w1 = w1 = g * st.w1 + c
-                    st.w0 = w0 = g * st.w0
-                    st.y1h = y1h = g * st.y1h + c * h
-                    y0h = st.y0h
-                u = draw[j]()
-                v0h = sqrt(w0) * y0h
-                v1h = sqrt(w1) * y1h
-                z0h = (v0h + 1j * v1h) * s
-                z1h = (1j * v0h + v1h) * s
-                p0 = z0h.real ** 2 + z0h.imag ** 2
-                p1 = z1h.real ** 2 + z1h.imag ** 2
-                total = p0 + p1
-                if not total >= 1e-30:
-                    raise _vanished(p0, p1)
-                if u < p0 / total:
-                    h = z0h * (1.0 / sqrt(p0))
-                    e = 2 * j
-                else:
-                    h = z1h * (1.0 / sqrt(p1))
-                    e = 2 * j + 1
-            elif k == SPLIT:
-                # pbs_route fed on port 0 only: y1h and y1v stay zero
-                st = state[j]
-                g = st.gamma
-                c = 1.0 - g
-                st.w0 = w0 = g * st.w0 + c
-                st.w1 = g * st.w1
-                st.y0h = y0h = g * st.y0h + c * h
-                st.y0v = y0v = g * st.y0v + c * v
-                u = draw[j]()
-                a = sqrt(w0)
-                z0h = a * y0h
-                z1v = 1j * (a * y0v)
-                p0 = z0h.real ** 2 + z0h.imag ** 2
-                p1 = z1v.real ** 2 + z1v.imag ** 2
-                total = p0 + p1
-                if not total >= 1e-30:
-                    raise _vanished(p0, p1)
-                if u < p0 / total:
-                    h = z0h * (1.0 / sqrt(p0))
-                    v = 0j
-                    e = 2 * j
-                else:
-                    h = 0j
-                    v = z1v * (1.0 / sqrt(p1))
-                    e = 2 * j + 1
-            elif k == MERGE:
-                # pbs_route with h only on port 0 and v only on port 1: p1 is
-                # +0.0, so port 0 wins whatever the draw, which is discarded
-                st = state[j]
-                g = st.gamma
-                c = 1.0 - g
-                if dst_port[e] == 0:
-                    st.w0 = w0 = g * st.w0 + c
-                    st.w1 = w1 = g * st.w1
-                    st.y0h = y0h = g * st.y0h + c * h
-                    y1v = st.y1v
-                else:
-                    st.w1 = w1 = g * st.w1 + c
-                    st.w0 = w0 = g * st.w0
-                    st.y1v = y1v = g * st.y1v + c * v
-                    y0h = st.y0h
-                draw[j]()
-                z0h = sqrt(w0) * y0h
-                z0v = 1j * (sqrt(w1) * y1v)
-                p0 = z0h.real ** 2 + z0h.imag ** 2 + z0v.real ** 2 + z0v.imag ** 2
-                if not p0 >= 1e-30:
-                    raise _vanished(p0, 0.0)
-                inv = 1.0 / sqrt(p0)
-                h = z0h * inv
-                v = z0v * inv
-                e = 2 * j
-            elif k > DETECTOR:
-                # a general splitter runs the core functions themselves
+            r = route[j]
+            if r is not None:
                 st = state[j]
                 port = dst_port[e]
-                m = Message(h, v)
                 adaptive_update(st, port, m)
-                route = bs_route if k == BS else pbs_route
-                port, (h, v) = route(st, port, m, draw[j]())
+                port, m = r(st, port, m, draw[j]())
                 e = 2 * j + port
             else:
                 site = site_of[j]
@@ -603,11 +476,11 @@ def run(net: Network, n_particles: int, rng: RngStream,
     t2 table (empty unless ``taps_enabled``; a network without a t2 cut
     point cannot be tapped), and the removed tally.
 
-    There are two event loops over ``_compile``'s tables, with bit-identical
-    results: the compiled kernel (``_kernel.c``), used when its library
-    loads and ``rng`` is a plain ``RngStream``, and the Python loop
-    ``_loop``, used otherwise (a subclassed stream, such as one that counts
-    its draws, keeps it).
+    Both event loops take the plan, the edges the filters absorb and the
+    run's registers (``_registers``), with bit-identical results: the
+    compiled kernel (``_kernel.c``), used when its library loads and ``rng``
+    is a plain ``RngStream``, and the Python loop ``_loop``, used otherwise
+    (a subclassed stream, such as one that counts its draws, keeps it).
 
     After the loop the run checks particle conservation and, for every
     adaptive unit, the register invariants: |w0 + w1 - 1| <= 1e-12,
@@ -615,17 +488,18 @@ def run(net: Network, n_particles: int, rng: RngStream,
     """
     if n_particles < 1:
         raise ValueError(f"n_particles must be >= 1, got {n_particles}")
-    absorbed = set()
+    wires = []
     for f in filters:
         sites = net.cut_points.get(f.label)
         if sites is None or f.site not in sites:
             raise ValueError(f"no cut point {f.label!r} at site {f.site}")
-        absorbed.add(sites[f.site])
+        wires.append(sites[f.site])
     if taps_enabled and "t2" not in net.cut_points:
         raise ValueError("taps need a t2 cut point; this network has none")
 
-    tables = _compile(net, absorbed)
-    plan = net._plan
+    plan = _plan(net)
+    absorbed = {plan.edge[wire] for wire in wires if wire in plan.edge}
+    state = _registers(plan)
     counts = dict.fromkeys(plan.sites, 0)
     t2: dict[int, dict[int, int]] = {}
     if taps_enabled:
@@ -633,11 +507,10 @@ def run(net: Network, n_particles: int, rng: RngStream,
     from . import _kernel  # on first use: import qwalk stays free of ctypes
     fn = _kernel.load() if type(rng) is RngStream else None
     if fn is None:
-        removed = _loop(tables, n_particles, rng, counts, t2)
+        removed = _loop(plan, absorbed, state, n_particles, rng, counts, t2)
     else:
-        removed, _draws = _kernel.run(fn, plan, tables, n_particles, rng.seed,
-                                      counts, t2)
-    state = tables[6]
+        removed, _draws = _kernel.run(fn, plan, absorbed, state, n_particles,
+                                      rng.seed, counts, t2)
     if sum(counts.values()) + removed != n_particles:
         raise QwalkError("conservation breach: emitted != detected + removed")
     for j, st in enumerate(state):

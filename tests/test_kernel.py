@@ -1,6 +1,8 @@
-"""The loader of the compiled event loop: one build per source, a reported fallback."""
+"""The compiled event loop: its splitter cases, one build per source, a reported fallback."""
 import ctypes
+import math
 import os
+import random
 import subprocess
 import sys
 
@@ -8,8 +10,62 @@ import pytest
 
 from qwalk import _kernel
 from qwalk.cli import main
-from qwalk.core import RngStream
-from qwalk.network import build_robens, run
+from qwalk.core import BeamSplitter, PolarizingBeamSplitter, RngStream
+from qwalk.network import _plan, build_jeong, build_robens, run
+from test_network import build_mixed, build_rejoined, splice_hadamard
+
+PHI1 = math.pi / 2
+PHI2 = -math.pi / 2
+
+
+def adaptive_kinds(net):
+    """The kernel's case of each adaptive unit, keyed by unit identity."""
+    case = _kernel.cases(_plan(net))
+    return {id(unit): case[j] for j, unit in enumerate(net.units)
+            if isinstance(unit, BeamSplitter)}
+
+
+def test_only_polarization_free_networks_get_scalar_splitters():
+    # the mesh routes a scalar message; a Hadamard on its source wire puts
+    # it back on the two-component branch.  The polarized walk's PBSs split
+    # (nothing reaches in-port 1) or merge (out-port 1 is dead, and exactly
+    # the merges leave it unwired); a PBS fed on both in-ports and emitting
+    # on both out-ports keeps the general one
+    def kinds(net):
+        return set(adaptive_kinds(net).values())
+
+    assert kinds(build_jeong(4, PHI1, PHI2)) == {_kernel._BS1}
+    assert kinds(build_mixed(4, PHI1, PHI2)) == {_kernel._BS}
+    robens = build_robens(0.95)
+    assert kinds(robens) == {_kernel._SPLIT, _kernel._MERGE}
+    case = adaptive_kinds(robens)
+    pbs = [u for u in robens.units if isinstance(u, PolarizingBeamSplitter)]
+    assert ({id(u) for u in pbs if u.out[1] is None}
+            == {id(u) for u in pbs if case[id(u)] == _kernel._MERGE})
+    assert kinds(build_rejoined()) == {_kernel._SPLIT, _kernel._PBS}
+
+
+@pytest.mark.parametrize("build", [lambda: build_jeong(4, PHI1, PHI2),
+                                   lambda: build_mixed(4, PHI1, PHI2),
+                                   build_robens, build_rejoined],
+                         ids=["jeong", "mixed", "robens", "rejoined"])
+def test_unit_kinds_do_not_depend_on_unit_order(build):
+    # the liveness pass follows the wiring, not the order of net.units
+    net = build()
+    expected = adaptive_kinds(net)
+    for reorder in (lambda units: units.reverse(),
+                    lambda units: random.Random(7).shuffle(units)):
+        reorder(net.units)
+        assert adaptive_kinds(net) == expected
+
+
+def test_cases_follow_add_and_connect():
+    # a plan compiled by a run is dropped by a later connect, cases and all
+    net = build_jeong(4, PHI1, PHI2)
+    run(net, 300, RngStream(6))
+    assert set(adaptive_kinds(net).values()) == {_kernel._BS1}
+    splice_hadamard(net, net.source, 0)
+    assert set(adaptive_kinds(net).values()) == {_kernel._BS}
 
 
 @pytest.fixture

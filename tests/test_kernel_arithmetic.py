@@ -35,6 +35,17 @@ void normalized_array(const double *in, double *out, long n)
         out[4 * i + 3] = v.im;
     }}
 }}
+
+/* per item: z and p in, the normalized z out */
+void normalized_half_array(const double *in, double *out, long n)
+{{
+    for (long i = 0; i < n; i++) {{
+        cpx z = {{in[3 * i], in[3 * i + 1]}};
+        z = normalized_half(z, in[3 * i + 2]);
+        out[2 * i] = z.re;
+        out[2 * i + 1] = z.im;
+    }}
+}}
 """
 
 
@@ -47,7 +58,7 @@ def harness(tmp_path_factory):
                    check=True, stdin=subprocess.DEVNULL, capture_output=True,
                    timeout=300)
     lib = ctypes.CDLL(str(library))
-    for fn in (lib.sq_array, lib.normalized_array):
+    for fn in (lib.sq_array, lib.normalized_array, lib.normalized_half_array):
         fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long)
         fn.restype = None
     return lib
@@ -129,3 +140,23 @@ def test_kernel_normalization_is_cores(harness):
     assert sum(p < 2.0 ** -1022 for p in inputs[4::5]) >= 200
     got = call(harness.normalized_array, inputs, 4, 5)
     assert_same_bits([z for z in items for _ in range(4)], expected, got)
+
+
+def test_kernel_one_half_normalization_is_cores(harness):
+    # the splitter cases with a dead half normalize the live one as
+    # core._normalized does a message whose other half is zero
+    rng = random.Random(2006)
+    inputs, expected = [], []
+    for scale in (1.0, 2.0 ** -500, 2.0 ** -511, 2.0 ** -520, 2.0 ** -535):
+        for _ in range(200):
+            z = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+            z *= scale / abs(z)
+            p = z.real ** 2 + z.imag ** 2
+            if p == 0.0:
+                continue
+            h = _normalized(z, 0j, p).c_h
+            inputs += [z.real, z.imag, p]
+            expected += [h.real, h.imag]
+    assert sum(p < 2.0 ** -1022 for p in inputs[2::3]) >= 200
+    got = call(harness.normalized_half_array, inputs, 2, 3)
+    assert_same_bits([z for z in inputs[0::3] for _ in range(2)], expected, got)

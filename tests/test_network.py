@@ -1,6 +1,5 @@
 """Topology builders, the sequential event loop, taps, and removal filters."""
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,18 +21,13 @@ from qwalk.core import (
     pbs_route,
     phase_shift,
 )
-from qwalk import _kernel
+from qwalk import _kernel, network
 from qwalk.cli import main
 from qwalk.errors import DegenerateAmplitude, InvalidLevels, QwalkError, UnwiredPort
 from qwalk.network import (
-    _BS,
-    _BS1,
-    _MERGE,
-    _PBS,
-    _SPLIT,
     Network,
     RemovalFilter,
-    _compile,
+    _registers,
     build_jeong,
     build_robens,
     run,
@@ -78,12 +72,9 @@ def test_polarized_network_layout():
     assert net.detector_sites == [-4, -2, 0, 2, 4]
     pbs = [u for u in net.units if isinstance(u, PolarizingBeamSplitter)]
     # one splitting PBS per occupied site (1+2+3+4) and one merging PBS per
-    # target site (2+3+4+5); exactly the merges leave out-port 1 unwired
+    # target site (2+3+4+5); the merges leave out-port 1 unwired
     assert len(pbs) == (1 + 2 + 3 + 4) + (2 + 3 + 4 + 5)
-    kinds = adaptive_kinds(net)
-    unwired = {id(u) for u in pbs if u.out[1] is None}
-    assert unwired == {id(u) for u in pbs if kinds[id(u)] == _MERGE}
-    assert len(unwired) == 2 + 3 + 4 + 5
+    assert len([u for u in pbs if u.out[1] is None]) == 2 + 3 + 4 + 5
     assert sorted(net.cut_points) == ["t1", "t2", "t3"]
     assert sorted(net.cut_points["t1"]) == [0]
     assert sorted(net.cut_points["t2"]) == [-1, 1]
@@ -174,18 +165,31 @@ def splitter_registers(net):
     return {j: repr(registers(unit.state)) for j, unit in enumerate(net.units)
             if isinstance(unit, BeamSplitter)}
 
+def splice_hadamard(net, unit, port):
+    """Puts a HadamardUnit on the wire leaving ``unit`` on out-port ``port``."""
+    wire = unit.out[port]
+    unit.out[port] = None
+    had = net.add(HadamardUnit())
+    net.connect(unit, port, had, 0)
+    net.connect(had, 0, wire.dst, wire.dst_port)
+    return net
+
 def build_mixed(levels, phi1, phi2, gamma=0.95):
     """Jeong mesh with a HadamardUnit spliced onto the source wire.
 
     Every splitter then sees messages with both an h and a v half.
     """
     net = build_jeong(levels, phi1, phi2, gamma)
-    wire = net.source.out[0]
-    net.source.out[0] = None
-    had = net.add(HadamardUnit())
-    net.connect(net.source, 0, had, 0)
-    net.connect(had, 0, wire.dst, wire.dst_port)
-    return net
+    return splice_hadamard(net, net.source, 0)
+
+def build_revived(levels, phi1, phi2, gamma=0.95):
+    """Jeong mesh (levels >= 2) with a HadamardUnit on the top splitter's down rail.
+
+    The top splitter and those fed by its up rail alone see no v half;
+    the Hadamard revives it for the splitters downstream of the down rail.
+    """
+    net = build_jeong(levels, phi1, phi2, gamma)
+    return splice_hadamard(net, net.source.out[0].dst, 1)
 
 def build_rejoined(gamma=0.95):
     """Hadamard, then a PBS whose two rails re-merge on a second PBS.
@@ -206,12 +210,6 @@ def build_rejoined(gamma=0.95):
     net.connect(rejoin, 0, net.add(Detector(-1)), 0)
     net.connect(rejoin, 1, net.add(Detector(1)), 0)
     return net
-
-def adaptive_kinds(net):
-    """Kind code of each adaptive unit, keyed by unit identity."""
-    kind = _compile(net, set())[0]
-    return {id(unit): kind[j] for j, unit in enumerate(net.units)
-            if isinstance(unit, BeamSplitter)}
 
 class CountingRng(RngStream):
     """An RngStream that tallies the draws of each derived stream by index."""
@@ -258,6 +256,8 @@ finite_phases = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
                      finite_phases, st.just(None), st.just(False)),
            st.tuples(st.just("mixed"), st.integers(1, 4), finite_phases,
                      finite_phases, st.just(None), st.just(False)),
+           st.tuples(st.just("revived"), st.integers(2, 5), finite_phases,
+                     finite_phases, st.just(None), st.just(False)),
            st.tuples(st.just("robens"), st.just(0), st.just(0.0), st.just(0.0),
                      st.sampled_from([None, -1, +1]), st.booleans()),
            st.tuples(st.just("rejoined"), st.just(0), st.just(0.0), st.just(0.0),
@@ -270,13 +270,16 @@ def test_compiled_loop_matches_reference_stepper(shape, gamma, seed, n):
     # functions unit by unit: counts, t2 table, removed tally and every
     # final register, and every unit draws from its stream once per arrival
     # (a merge too, although its port is fixed); the shapes reach every
-    # adaptive kind (see test_only_polarization_free_networks_get_scalar_splitters).
+    # case of the kernel (see tests/test_kernel.py), and the revived mesh
+    # feeds splitters with a dead v half into ones where it lives again.
     # A CountingRng is a subclassed stream, so it keeps the Python loop.
     name, levels, phi1, phi2, removed_site, taps = shape
     if name == "jeong":
         net = build_jeong(levels, phi1, phi2, gamma)
     elif name == "mixed":
         net = build_mixed(levels, phi1, phi2, gamma)
+    elif name == "revived":
+        net = build_revived(levels, phi1, phi2, gamma)
     elif name == "rejoined":
         net = build_rejoined(gamma)
     else:
@@ -298,32 +301,6 @@ def test_compiled_loop_matches_reference_stepper(shape, gamma, seed, n):
     assert counted.draws == reference.draws
     assert {j: registers(net.units[j].state) for j in states} == expected
     assert splitter_registers(net) == on_kernel  # the two loops agree to the bit
-
-def test_only_polarization_free_networks_get_scalar_splitters():
-    # the mesh routes a scalar message; a Hadamard on its source wire puts
-    # it back on the two-component branch.  The polarized walk's PBSs split
-    # (nothing reaches in-port 1) or merge (out-port 1 is dead); a PBS fed
-    # on both in-ports and emitting on both out-ports keeps the general one
-    def kinds(net):
-        return set(adaptive_kinds(net).values())
-
-    assert kinds(build_jeong(4, PHI1, PHI2)) == {_BS1}
-    assert kinds(build_mixed(4, PHI1, PHI2)) == {_BS}
-    assert kinds(build_robens(0.95)) == {_SPLIT, _MERGE}
-    assert kinds(build_rejoined()) == {_SPLIT, _PBS}
-
-@pytest.mark.parametrize("build", [lambda: build_jeong(4, PHI1, PHI2),
-                                   lambda: build_mixed(4, PHI1, PHI2),
-                                   build_robens, build_rejoined],
-                         ids=["jeong", "mixed", "robens", "rejoined"])
-def test_unit_kinds_do_not_depend_on_unit_order(build):
-    # the liveness pass follows the wiring, not the order of net.units
-    net = build()
-    expected = adaptive_kinds(net)
-    for reorder in (lambda units: units.reverse(),
-                    lambda units: random.Random(7).shuffle(units)):
-        reorder(net.units)
-        assert adaptive_kinds(net) == expected
 
 def test_particle_at_dark_port_raises():
     # an unwired port that does carry amplitude stops the run instead of
@@ -415,13 +392,37 @@ def loop(request, monkeypatch):
         assert _kernel.load() is not None, "the compiled kernel did not load"
     return request.param
 
-@pytest.mark.parametrize("build,filters,taps", [
+#: network, filters and taps of a run; the shapes reach every splitter case
+#: of the kernel
+RUN_SHAPES = pytest.mark.parametrize("build,filters,taps", [
     (lambda: build_jeong(12, PHI1, PHI2, 0.98), [], False),
     (lambda: build_mixed(5, 0.3, -1.1, 0.9), [], False),
     (lambda: build_robens(0.95), [], True),
     (lambda: build_robens(0.95), [RemovalFilter("t2", -1)], False),
     (build_rejoined, [], False),
 ], ids=["jeong", "mixed", "robens taps", "robens minus", "rejoined"])
+
+@RUN_SHAPES
+def test_python_loop_runs_the_core_functions(monkeypatch, build, filters, taps):
+    # every adaptive hop of the Python loop is one adaptive_update and one
+    # bs_route (mesh) or pbs_route (polarized walk) call, after which the
+    # unit draws once, whatever dead halves its messages have
+    calls = dict.fromkeys(["adaptive_update", "bs_route", "pbs_route"], 0)
+    for name in calls:
+        def counted(*args, name=name, real=getattr(network, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(network, name, counted)
+    net, rng = build(), CountingRng(3)
+    result = run(net, 300, rng, filters=filters, taps_enabled=taps)
+    draws = sum(rng.draws.values())
+    assert sum(result.counts.values()) > 0 and draws > 300
+    polarized = any(isinstance(unit, PolarizingBeamSplitter) for unit in net.units)
+    assert calls == {"adaptive_update": draws,
+                     "bs_route": 0 if polarized else draws,
+                     "pbs_route": draws if polarized else 0}
+
+@RUN_SHAPES
 def test_python_loop_gives_identical_run_results(monkeypatch, build, filters, taps):
     # with the loader stubbed as unavailable, run() takes the Python loop
     # and returns the kernel's result and registers
@@ -458,12 +459,12 @@ def live_port_unwired_mesh(monkeypatch):
     return net
 
 def corrupted_mesh(monkeypatch):
-    def corrupted(net, absorbed):
-        tables = _compile(net, absorbed)
-        tables[6][1].w1 = 0.7
-        return tables
+    def corrupted(plan):
+        state = _registers(plan)
+        state[1].w1 = 0.7
+        return state
 
-    monkeypatch.setattr("qwalk.network._compile", corrupted)
+    monkeypatch.setattr("qwalk.network._registers", corrupted)
     return build_jeong(1, PHI1, PHI2, 0.9)
 
 @pytest.mark.parametrize("make,error,message", [
@@ -527,12 +528,12 @@ def test_corrupted_registers_stop_the_run(monkeypatch, capsys, register, value,
                                           shown):
     # unit 1 of the one-level mesh is its splitter; one particle enters it on
     # port 0, which leaves w0 + w1 = 1.18 and |y1| = 3.0
-    def corrupted(net, absorbed):
-        tables = _compile(net, absorbed)
-        setattr(tables[6][1], register, value)
-        return tables
+    def corrupted(plan):
+        state = _registers(plan)
+        setattr(state[1], register, value)
+        return state
 
-    monkeypatch.setattr("qwalk.network._compile", corrupted)
+    monkeypatch.setattr("qwalk.network._registers", corrupted)
     with pytest.raises(QwalkError,
                        match=r"^register invariant breach at BeamSplitter 1: ") as exc:
         run(build_jeong(1, PHI1, PHI2, 0.9), 1, RngStream(1))
@@ -610,14 +611,8 @@ def test_one_network_runs_like_fresh_networks(stream):
 def test_add_and_connect_after_a_run_take_effect():
     net = build_jeong(4, PHI1, PHI2)
     run(net, 300, RngStream(6))
-    assert set(adaptive_kinds(net).values()) == {_BS1}
     # splice a Hadamard onto the source wire, as build_mixed does
-    wire = net.source.out[0]
-    net.source.out[0] = None
-    had = net.add(HadamardUnit())
-    net.connect(net.source, 0, had, 0)
-    net.connect(had, 0, wire.dst, wire.dst_port)
-    assert set(adaptive_kinds(net).values()) == {_BS}
+    splice_hadamard(net, net.source, 0)
     fresh = build_mixed(4, PHI1, PHI2)
     assert run(net, 300, RngStream(6)) == run(fresh, 300, RngStream(6))
     assert splitter_registers(net) == splitter_registers(fresh)
