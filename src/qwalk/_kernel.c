@@ -11,7 +11,9 @@
  *   +-0 registers and so computes the same doubles as the core functions;
  * - every adaptive unit draws from its own MT19937 stream, seeded and read
  *   exactly as CPython's Modules/_randommodule.c does (init_by_array on the
- *   32-bit words of the seed, genrand_res53 for random());
+ *   32-bit words of the seed, genrand_res53 for random()), except that a
+ *   MERGE generates no number: its draw decides nothing, and no other
+ *   unit reads its stream;
  * - complex arithmetic is spelled out in CPython's order (3.10 to 3.13):
  *   _Py_c_prod for a product, a float operand promoted to complex(x, 0.0),
  *   and float ** 2 as libm's pow(x, 2.0), which CPython calls.
@@ -24,9 +26,12 @@
  * power of two, every other double lies at least ulp(p) from p, so if
  * |e| < 0.45 ulp(p) every other double is more than 0.55 ulp from x**2.
  * A pow whose error stays below 0.54 ulp must then return p.  Only that
- * case returns p; pow is called when p is outside [2**-900, 2**1000) (0,
- * subnormals, overflow, inf and NaN included), when p is a power of two,
- * and when |e| >= 0.45 ulp(p), about 1 call in 10.
+ * case, and a zero x, whose square CPython returns as +0.0 without calling
+ * pow, return p.  pow is called when p is outside [2**-900, 2**1000) for a
+ * nonzero x (underflow, subnormals, overflow, inf and NaN included), when
+ * p is a power of two, and when |e| >= 0.45 ulp(p): for 2 % of the squares
+ * on the Robens network, whose amplitudes are real or imaginary so that
+ * half of its squares are of a zero, and 7 to 10 % on the Jeong mesh.
  *
  * The precondition is the libm's: the kernel and CPython link the same
  * one, and its pow must be accurate to 0.54 ulp.  That is the documented
@@ -34,10 +39,12 @@
  * one implementation.  tests/test_kernel_arithmetic.py checks sq()
  * against CPython's x ** 2 on over 10**6 doubles.
  *
- * Build with -O2 -ffp-contract=off -fno-builtin-pow, so that no product is
- * fused into an FMA (which would break the exact residual and CPython's
- * order) and pow is not folded into x * x.  The loader in _kernel.py does
- * this once per machine and caches the library.
+ * Build with -O2 -ffp-contract=off -fno-builtin-pow -fno-math-errno, so
+ * that no product is fused into an FMA (which would break the exact
+ * residual and CPython's order), pow is not folded into x * x, and sqrt is
+ * one instruction with no errno branch (IEEE sqrt is correctly rounded
+ * either way).  The loader in _kernel.py does this once per machine and
+ * caches the library.
  */
 #include <float.h>
 #include <math.h>
@@ -156,10 +163,12 @@ static cpx rmul(double x, cpx b) { cpx a = {x, 0.0}; return cmul(a, b); }
 static cpx mulr(cpx a, double x) { cpx b = {x, 0.0}; return cmul(a, b); }
 
 /*
- * float ** 2.  float_pow hands finite nonzero operands to libm's pow, so
- * this returns pow(x, 2.0); the header comment says when x * x is that.
+ * float ** 2.  float_pow returns +0.0 for a zero operand without calling
+ * libm, and x * x is +0.0 for either zero, so neither calls pow.  It hands
+ * finite nonzero operands to libm's pow, so this returns pow(x, 2.0) for
+ * them; the header comment says when x * x is that.
  */
-static double sq(double x)
+static inline double sq(double x)
 {
     double p = x * x;
     uint64_t bits;
@@ -180,12 +189,14 @@ static double sq(double x)
         if (fabs(e) < 0.45 * ulp)
             return p;
     }
+    if (x == 0.0)
+        return p;
     return pow(x, 2.0);
 }
 
 /* core._normalized: (zh, zv) / sqrt(p), where a p below the normal range
    is summed again from (zh, zv) * 2**600 */
-static void normalized(cpx zh, cpx zv, double p, cpx *h, cpx *v)
+static inline void normalized(cpx zh, cpx zv, double p, cpx *h, cpx *v)
 {
     if (p < DBL_MIN) {
         zh = mulr(zh, 0x1p600);
@@ -223,18 +234,17 @@ enum { OK = 0, VANISHED = 1, UNTAPPED = 2, NO_MEMORY = 3 };
 /* registers of one adaptive unit, the fields of core.AdaptiveState */
 typedef struct { double w0, w1; cpx y0h, y0v, y1h, y1v; } regs;
 
+/* the MT19937 stream of each adaptive unit, seeded on its first draw */
 typedef struct {
-    mt_state *streams;
+    mt_state *mt;
     const uint64_t *seed;
-    long long *draws;
-} draws_t;
+} streams_t;
 
-static double draw(draws_t *d, int j)
+static inline double draw(streams_t *d, int j)
 {
-    mt_state *s = &d->streams[j];
+    mt_state *s = &d->mt[j];
     if (s->mti < 0)
         seed_stream(s, d->seed[j]);
-    d->draws[j]++;
     return genrand_res53(s);
 }
 
@@ -266,7 +276,8 @@ static void update(regs *r, int port, double g, cpx h, cpx v)
  * holds the emitted message (h.re, h.im, v.re, v.im).
  *
  * Adds to counts[slot], t2[row * n_sites + slot] (when taps), removed and
- * draws[j].  Returns OK or an error code; VANISHED leaves p0, p1 in err.
+ * arrivals[j], the particles that reached adaptive unit j.  Returns OK or
+ * an error code; VANISHED leaves p0, p1 in err.
  */
 int qwalk_run(int n, long long n_particles, int start, const double *source,
               const int *kind, const int *slot, const double *gamma,
@@ -274,22 +285,21 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
               const int *dst, const int *dst_port, const int *tag,
               const int *xform, const double *factor,
               int taps, int n_sites, long long *counts, long long *t2,
-              long long *removed, long long *draws, double *err)
+              long long *removed, long long *arrivals, double *err)
 {
     const double s = 1.0 / sqrt(2.0);
     const cpx h0 = {source[0], source[1]}, v0 = {source[2], source[3]};
     regs *R = (regs *)reg;
-    draws_t d;
+    streams_t d;
     int status = OK;
     long long i;
 
-    d.streams = malloc((size_t)n * sizeof *d.streams);
-    if (d.streams == NULL)
+    d.mt = malloc((size_t)n * sizeof *d.mt);
+    if (d.mt == NULL)
         return NO_MEMORY;
     for (int j = 0; j < n; j++)
-        d.streams[j].mti = -1;
+        d.mt[j].mti = -1;
     d.seed = seed;
-    d.draws = draws;
 
     for (i = 0; i < n_particles && status == OK; i++) {
         int e = start, x2 = NONE;
@@ -330,6 +340,7 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
                     r->w0 = g * r->w0;
                     r->y1h = cadd(rmul(g, r->y1h), rmul(c, h));
                 }
+                arrivals[j]++;
                 u = draw(&d, j);
                 cpx v0h = rmul(sqrt(r->w0), r->y0h), v1h = rmul(sqrt(r->w1), r->y1h);
                 z0h = mulr(cadd(v0h, cmul(I, v1h)), s);
@@ -355,6 +366,7 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
                 r->w1 = g * r->w1;
                 r->y0h = cadd(rmul(g, r->y0h), rmul(c, h));
                 r->y0v = cadd(rmul(g, r->y0v), rmul(c, v));
+                arrivals[j]++;
                 u = draw(&d, j);
                 double a = sqrt(r->w0);
                 z0h = rmul(a, r->y0h);
@@ -377,7 +389,9 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
             }
             case MERGE: {
                 /* pbs_route with h only on port 0 and v only on port 1:
-                   port 0 wins whatever the draw, which is discarded */
+                   port 0 wins whatever the draw, so the merge counts the
+                   hop but generates no number.  No other unit reads its
+                   stream, which is therefore never seeded */
                 double c = 1.0 - g;
                 if (port == 0) {
                     r->w0 = g * r->w0 + c;
@@ -388,7 +402,7 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
                     r->w0 = g * r->w0;
                     r->y1v = cadd(rmul(g, r->y1v), rmul(c, v));
                 }
-                draw(&d, j);
+                arrivals[j]++;
                 z0h = rmul(sqrt(r->w0), r->y0h);
                 z0v = cmul(I, rmul(sqrt(r->w1), r->y1v));
                 p0 = sq(z0h.re) + sq(z0h.im) + sq(z0v.re) + sq(z0v.im);
@@ -404,6 +418,7 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
             case PBS: {
                 /* adaptive_update, then bs_route or pbs_route */
                 update(r, port, g, h, v);
+                arrivals[j]++;
                 u = draw(&d, j);
                 double a = sqrt(r->w0), b = sqrt(r->w1);
                 if (kind[j] == BS) {
@@ -456,6 +471,6 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
             break;
         }
     }
-    free(d.streams);
+    free(d.mt);
     return status;
 }

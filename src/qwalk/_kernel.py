@@ -28,9 +28,16 @@ from .core import SOURCE_MESSAGE, derive_seed, _untapped, _vanished
 from .network import _BS, _PBS, _V, _emitted
 
 SOURCE = Path(__file__).with_name("_kernel.c")
-#: the compile command, less its output and input files
-COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fno-builtin-pow", "-shared",
-           "-fPIC")
+#: the compile command, less its output and input files.  The kernel's
+#: doubles are CPython's only under these flags: -ffp-contract=off fuses no
+#: product into an FMA (CPython's order, and sq()'s exact residual),
+#: -fno-builtin-pow keeps pow(x, 2.0) a libm call instead of x * x, and
+#: -fno-math-errno lets sqrt compile to one instruction, which returns the
+#: same correctly rounded double without the errno branch.  No flag that
+#: reorders or approximates float arithmetic (-ffast-math and its parts)
+#: may be added.
+COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fno-builtin-pow",
+           "-fno-math-errno", "-shared", "-fPIC")
 
 # codes shared with _kernel.c; the cases DETECTOR, BS and PBS are the
 # network's kinds
@@ -94,8 +101,8 @@ def cases(plan) -> list[int]:
       routes the h half alone.
     - ``_MERGE``: a PBS whose out-port 1 is dead (h only on in-port 0, v only
       on in-port 1).  Its p1 is +0.0, so p0/total is exactly 1.0 and port 0
-      always wins.  It still draws once per hop, like every adaptive unit,
-      and discards the number; no other unit reads its stream.
+      always wins.  It counts the hop but draws no number (the Python loop
+      draws one and discards it); no other unit reads its stream.
     - ``_SPLIT``: a PBS that nothing reaches on in-port 1.  z0 is (z0h, 0)
       and z1 is (0, z1v).
 
@@ -153,8 +160,9 @@ def run(fn, plan, absorbed: set, state: list, n_particles: int, seed: int,
     Adds to ``counts`` and, if it is not empty, to the t2 table ``t2`` in
     place, and leaves each unit's final registers in its ``state``.
     Adaptive unit j draws from the stream ``RngStream(seed).derive(j)``
-    would give.  Returns the removed tally and the number of draws of each
-    unit.
+    would give (a merge draws nothing).  Returns the removed tally and each
+    unit's arrivals, the particles that reached it (the Python loop draws
+    once per arrival), 0 for a stateless unit.
     """
     if plan.arrays is None:
         plan.arrays = _marshal(plan)
@@ -174,10 +182,10 @@ def run(fn, plan, absorbed: set, state: list, n_particles: int, seed: int,
             seeds[j] = derive_seed(seed, j)
     out_counts = _zeros("q", n_sites)
     out_t2 = _zeros("q", len(t2) * n_sites)
-    removed, draws, err = _zeros("q", 1), _zeros("q", n), _zeros("d", 2)
+    removed, arrivals, err = _zeros("q", 1), _zeros("q", n), _zeros("d", 2)
     inputs = (source, kind, slot, gamma, seeds, reg, dst, dst_port, tag, xcode,
               factor)
-    outputs = (out_counts, out_t2, removed, draws, err)
+    outputs = (out_counts, out_t2, removed, arrivals, err)
     status = fn(n, n_particles, plan.start, *(a.buffer_info()[0] for a in inputs),
                 1 if t2 else 0, n_sites, *(a.buffer_info()[0] for a in outputs))
     for j, st in enumerate(state):
@@ -197,4 +205,4 @@ def run(fn, plan, absorbed: set, state: list, n_particles: int, seed: int,
     for r, x2 in enumerate(t2):
         for i, x in enumerate(plan.sites):
             t2[x2][x] += out_t2[r * n_sites + i]
-    return removed[0], draws[:n - 1].tolist()
+    return removed[0], arrivals[:n - 1].tolist()

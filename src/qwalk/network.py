@@ -509,7 +509,7 @@ def run(net: Network, n_particles: int, rng: RngStream,
     if fn is None:
         removed = _loop(plan, absorbed, state, n_particles, rng, counts, t2)
     else:
-        removed, _draws = _kernel.run(fn, plan, absorbed, state, n_particles,
+        removed, _arrivals = _kernel.run(fn, plan, absorbed, state, n_particles,
                                       rng.seed, counts, t2)
     if sum(counts.values()) + removed != n_particles:
         raise QwalkError("conservation breach: emitted != detected + removed")

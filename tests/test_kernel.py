@@ -96,6 +96,17 @@ def test_import_loads_no_kernel():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+def test_compile_flags_keep_pythons_float_arithmetic():
+    # the kernel reproduces CPython's doubles only with no fused products,
+    # pow kept a libm call, and no flag that reorders or approximates
+    # float arithmetic
+    assert {"-ffp-contract=off", "-fno-builtin-pow"} <= set(_kernel.COMPILE)
+    unsafe = {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+              "-ffinite-math-only", "-freciprocal-math", "-fassociative-math",
+              "-fno-signed-zeros"}
+    assert not unsafe & set(_kernel.COMPILE)
+
+
 def test_second_load_does_not_recompile(fresh_loader, monkeypatch):
     calls = compiles(monkeypatch)
     assert _kernel.load() is not None

@@ -8,12 +8,25 @@ from array import array
 
 import pytest
 
-from qwalk import _kernel
+from qwalk import _kernel, network
 from qwalk.core import _normalized
+from test_network import splitter_registers
 
-# exposes static functions of the kernel over arrays; the kernel's own
-# interface stays as it is
+# exposes static functions of the kernel over arrays, and counts the kernel's
+# calls of libm's pow in pow_calls; the values and the kernel's own interface
+# stay as they are
 HARNESS = """\
+#include <math.h>
+
+long pow_calls;
+
+static double counted_pow(double x, double y)
+{{
+    pow_calls++;
+    return pow(x, y);
+}}
+
+#define pow counted_pow
 #include "{source}"
 
 void sq_array(const double *x, double *out, long n)
@@ -61,7 +74,14 @@ def harness(tmp_path_factory):
     for fn in (lib.sq_array, lib.normalized_array, lib.normalized_half_array):
         fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long)
         fn.restype = None
+    kernel = _kernel.load()
+    assert kernel is not None, "the compiled kernel did not load"
+    lib.qwalk_run.argtypes, lib.qwalk_run.restype = kernel.argtypes, kernel.restype
     return lib
+
+
+def pow_calls(harness) -> ctypes.c_long:
+    return ctypes.c_long.in_dll(harness, "pow_calls")
 
 
 def call(fn, xs: list[float], out_per_item: int, in_per_item: int = 1) -> array:
@@ -117,6 +137,38 @@ def test_kernel_square_is_pythons_float_square(harness):
     assert sum(e != x * x for x, e in zip(xs, expected)) >= 500
     assert_same_bits([x.hex() for x in xs], expected,
                      call(harness.sq_array, xs, 1))
+
+
+def test_kernel_square_of_zero_calls_no_pow(harness):
+    # float_pow returns +0.0 for either zero without calling libm
+    calls = pow_calls(harness)
+    calls.value = 0
+    got = call(harness.sq_array, [0.0, -0.0], 1)
+    assert got.tobytes() == struct.pack("<2d", 0.0, 0.0)
+    assert calls.value == 0
+
+
+def test_robens_run_calls_pow_rarely(harness):
+    # the Robens network's amplitudes are real or imaginary, so half of its
+    # squares are of an exact zero; the run through the counting harness is
+    # the loaded kernel's run, counts, registers and arrivals alike
+    calls, n = pow_calls(harness), 2000
+    outcomes = []
+    for fn in (harness.qwalk_run, _kernel.load()):
+        net = network.build_robens(0.95)
+        plan = network._plan(net)
+        state = network._registers(plan)
+        counts = dict.fromkeys(plan.sites, 0)
+        calls.value = 0
+        removed, arrivals = _kernel.run(fn, plan, set(), state, n, 2015,
+                                        counts, {})
+        outcomes.append((counts, removed, arrivals, splitter_registers(net)))
+        if fn is harness.qwalk_run:
+            assert calls.value < 2 * n
+    assert outcomes[0] == outcomes[1]
+    counts, removed, arrivals, _ = outcomes[0]
+    assert sum(counts.values()) + removed == n
+    assert sum(arrivals) == 8 * n  # every particle passes 8 adaptive units
 
 
 def test_kernel_normalization_is_cores(harness):

@@ -229,16 +229,17 @@ class CountingRng(RngStream):
         return child
 
 def run_on_kernel(net, n, seed, filters=(), taps=False):
-    """run() on the compiled kernel, with its draw count for each adaptive unit.
+    """run() on the compiled kernel, with its arrivals at each adaptive unit.
 
-    The draw counts are keyed like ``CountingRng.draws``; a kernel that does
-    not load fails the caller instead of being skipped.
+    The arrival counts are keyed like ``CountingRng.draws``, since the
+    Python loop draws once per arrival; a kernel that does not load fails
+    the caller instead of being skipped.
     """
-    real, draws = _kernel.run, []
+    real, arrivals = _kernel.run, []
 
     def spy(*args):
         removed, per_unit = real(*args)
-        draws.append({(j,): d for j, d in enumerate(per_unit) if d})
+        arrivals.append({(j,): a for j, a in enumerate(per_unit) if a})
         return removed, per_unit
 
     _kernel.run = spy
@@ -246,8 +247,8 @@ def run_on_kernel(net, n, seed, filters=(), taps=False):
         result = run(net, n, RngStream(seed), filters=filters, taps_enabled=taps)
     finally:
         _kernel.run = real
-    assert len(draws) == 1, "the compiled kernel did not run"
-    return result, draws[0]
+    assert len(arrivals) == 1, "the compiled kernel did not run"
+    return result, arrivals[0]
 
 finite_phases = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 
@@ -268,10 +269,12 @@ def test_compiled_loop_matches_reference_stepper(shape, gamma, seed, n):
     # both event loops over the compiled tables, the C kernel and the Python
     # loop, must reproduce, bit for bit, the walk that calls the core
     # functions unit by unit: counts, t2 table, removed tally and every
-    # final register, and every unit draws from its stream once per arrival
-    # (a merge too, although its port is fixed); the shapes reach every
-    # case of the kernel (see tests/test_kernel.py), and the revived mesh
-    # feeds splitters with a dead v half into ones where it lives again.
+    # final register.  The Python loops draw from a unit's stream once per
+    # arrival (a merge too, although its port is fixed), and the kernel
+    # counts the same arrivals (a merge's without drawing).  The shapes
+    # reach every case of the kernel (see tests/test_kernel.py), and the
+    # revived mesh feeds splitters with a dead v half into ones where it
+    # lives again.
     # A CountingRng is a subclassed stream, so it keeps the Python loop.
     name, levels, phi1, phi2, removed_site, taps = shape
     if name == "jeong":
@@ -289,9 +292,9 @@ def test_compiled_loop_matches_reference_stepper(shape, gamma, seed, n):
     counts, t2, removed, states = reference_run(net, n, reference, filters, taps)
     expected = {j: registers(state) for j, state in states.items()}
 
-    result, draws = run_on_kernel(net, n, seed, filters, taps)
+    result, arrivals = run_on_kernel(net, n, seed, filters, taps)
     assert (result.counts, result.t2, result.removed) == (counts, t2, removed)
-    assert draws == reference.draws
+    assert arrivals == reference.draws
     assert {j: registers(net.units[j].state) for j in states} == expected
     on_kernel = splitter_registers(net)
 
@@ -427,7 +430,7 @@ def test_python_loop_gives_identical_run_results(monkeypatch, build, filters, ta
     # with the loader stubbed as unavailable, run() takes the Python loop
     # and returns the kernel's result and registers
     net = build()
-    result, _draws = run_on_kernel(net, 3000, 99, filters, taps)
+    result, _arrivals = run_on_kernel(net, 3000, 99, filters, taps)
     on_kernel = splitter_registers(net)
     monkeypatch.setattr(_kernel, "load", lambda: None)
     assert run(net, 3000, RngStream(99), filters=filters, taps_enabled=taps) == result
