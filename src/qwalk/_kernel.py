@@ -155,8 +155,9 @@ def run(fn, plan, absorbed: set, state: list, n_particles: int, seed: int,
 
     The arrays that do not change between runs are marshalled once and
     kept on the ``plan``; the registers (read from ``state``, the run's
-    ``AdaptiveState`` of each adaptive unit or None), the seeds and the
-    tags of the ``absorbed`` edges are made for each run.
+    ``AdaptiveState`` of each adaptive unit or None), the seeds (of the
+    units that draw: a merge gets none) and the tags of the ``absorbed``
+    edges are made for each run.
     Adds to ``counts`` and, if it is not empty, to the t2 table ``t2`` in
     place, and leaves each unit's final registers in its ``state``.
     Adaptive unit j draws from the stream ``RngStream(seed).derive(j)``
@@ -179,7 +180,8 @@ def run(fn, plan, absorbed: set, state: list, n_particles: int, seed: int,
             reg[10 * j:10 * j + 10] = array("d", (
                 st.w0, st.w1, st.y0h.real, st.y0h.imag, st.y0v.real,
                 st.y0v.imag, st.y1h.real, st.y1h.imag, st.y1v.real, st.y1v.imag))
-            seeds[j] = derive_seed(seed, j)
+            if kind[j] != _MERGE:  # a merge's stream is never seeded
+                seeds[j] = derive_seed(seed, j)
     out_counts = _zeros("q", n_sites)
     out_t2 = _zeros("q", len(t2) * n_sites)
     removed, arrivals, err = _zeros("q", 1), _zeros("q", n), _zeros("d", 2)

@@ -18,6 +18,7 @@ atomically (write-then-rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,7 +33,8 @@ from .leggett_garg import (
     THREE_RUN,
     run_protocols,
 )
-from .network import MAX_LEVELS, RemovalFilter, build_jeong, build_robens, run
+from .network import (MAX_LEVELS, RemovalFilter, _compiled, build_jeong,
+                      build_robens, run)
 from .theory import (
     DOWN,
     MAX_ORACLE_STEPS,
@@ -105,7 +107,9 @@ def _resolve_seed(raw: str | None) -> int:
         raise ConfigError(f"seed must be an integer or 'random', got {raw!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and shared by every ``main``."""
     parser = argparse.ArgumentParser(
         prog="qwalk",
         description="Event-by-event quantum-walk simulator with exact theory reference.")
@@ -235,7 +239,7 @@ def _merge_counts(target: dict[int, int], extra: dict[int, int]) -> None:
 
 
 def cmd_jeong(cfg: RunConfig) -> tuple[dict, str]:
-    net = build_jeong(cfg.steps, cfg.phi1, cfg.phi2, cfg.gamma)
+    net = _compiled(build_jeong, cfg.steps, cfg.phi1, cfg.phi2, cfg.gamma)
     rng = RngStream(cfg.seed)
     counts: dict[int, int] = {s: 0 for s in net.detector_sites}
     for r in range(cfg.replicates):
@@ -253,7 +257,7 @@ def cmd_jeong(cfg: RunConfig) -> tuple[dict, str]:
 
 
 def cmd_robens(cfg: RunConfig) -> tuple[dict, str]:
-    net = build_robens(cfg.gamma)
+    net = _compiled(build_robens, cfg.gamma)
     rng = RngStream(cfg.seed)
     filters = []
     if cfg.removal == "minus":
@@ -414,8 +418,16 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one ``qwalk`` command line; returns its exit code.
+
+    Within a process every call shares what no command changes: the parser
+    (``parse_args`` copies a subcommand's values into a new namespace and
+    never writes to the parser) and, through ``network._compiled``, the
+    network of each (builder, arguments) configuration, which ``run`` gives
+    fresh registers and streams.  So a call writes the same bytes whatever
+    ran before it in the process.
+    """
+    args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         if cfg.mode == "jeong":

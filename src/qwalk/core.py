@@ -82,15 +82,23 @@ class RngStream:
 
     Identical seeds give identical sequences.  ``derive(i)`` returns a new
     independent stream; the derivation is a hash of (seed, i), so streams for
-    distinct replicates or units never share state.
+    distinct replicates or units never share state.  The generator is made
+    the first time ``random`` (or ``_gen``) is read: the compiled kernel
+    reads only ``seed``.
     """
 
     __slots__ = ("seed", "_gen", "random")
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
+
+    def __getattr__(self, name: str):
+        # called only while a slot is unset, that is before the first use
+        if name not in ("_gen", "random"):
+            raise AttributeError(name)
         self._gen = random.Random(self.seed)
         self.random = self._gen.random  # bound method, hot path
+        return getattr(self, name)
 
     def derive(self, *indices: int) -> "RngStream":
         return RngStream(derive_seed(self.seed, *indices))

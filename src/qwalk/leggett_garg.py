@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .core import RngStream
 from .errors import EmptyRun, InsufficientReplicates
-from .network import RemovalFilter, build_robens, run
+from .network import RemovalFilter, _compiled, build_robens, run
 
 THREE_RUN = "three_run"
 SINGLE_RUN = "single_run"
@@ -146,7 +146,7 @@ def replicate_stats(values: list[float]) -> tuple[float, float]:
 
 def three_run_replicate(particles: int, gamma: float, rng: RngStream) -> LgiResult:
     """One replicate of the invasive protocol: 3 independent runs."""
-    net = build_robens(gamma)
+    net = _compiled(build_robens, gamma)
     uncond = run(net, particles, rng.derive(0))
     kept_minus = run(net, particles, rng.derive(1),
                      filters=[RemovalFilter("t2", +1)])
@@ -158,7 +158,7 @@ def three_run_replicate(particles: int, gamma: float, rng: RngStream) -> LgiResu
 
 def single_run_replicate(particles: int, gamma: float, rng: RngStream) -> LgiResult:
     """One replicate of the non-invasive protocol: tapped run + reference run."""
-    net = build_robens(gamma)
+    net = _compiled(build_robens, gamma)
     tapped = run(net, particles, rng.derive(0), taps_enabled=True)
     uncond = run(net, particles, rng.derive(1))
     return k_single_run(tapped.t2, uncond.counts)
@@ -243,9 +243,10 @@ def run_protocol(protocol: str, *, particles: int = 100_000, gamma: float = 0.95
     Returns (aggregate, per-replicate results).  The aggregate K is computed
     from the averaged components so K = 1 + <Q3Q2> - <Q3> holds exactly;
     stderr is the standard error over the per-replicate K values.  Each
-    replicate builds one network and runs it 3 times (three-run) or twice
-    (single-run); the network is compiled once, and every run starts from
-    fresh registers and streams.  Dispatch follows ``run_protocols``: a job
+    replicate runs the network 3 times (three-run) or twice (single-run);
+    a process builds and compiles the network of one gamma once
+    (``network._compiled``) for all its replicates, and every run starts
+    from fresh registers and streams.  Dispatch follows ``run_protocols``: a job
     of ``POOL_MIN_PARTICLE_RUNS`` particle-runs or more runs on at most
     ``min(workers, replicates)`` worker processes (``workers`` defaults to
     the CPUs this process may run on), a smaller one in this process.

@@ -37,6 +37,7 @@ seeds reproduce bit-identical counts and tables.
 from __future__ import annotations
 
 import math
+import threading
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
@@ -389,6 +390,37 @@ def _plan(net: Network) -> SimpleNamespace:
         sites=sorted({x for x in site if x is not None}),
         t2_sites=sorted(net.cut_points.get("t2", ())), arrays=None)
     return plan
+
+
+#: networks ``_compiled`` keeps, the least recently used dropped first
+_COMPILED_MAX = 8
+_compiled_cache: dict = {}
+_compiled_lock = threading.Lock()
+
+
+def _compiled(builder, *args) -> Network:
+    """The network ``builder(*args)`` returns, built once per process.
+
+    The key is the builder itself and each argument's type and ``repr``,
+    which tells apart every pair of doubles (``0.0`` and ``-0.0`` too) and
+    ``1``, ``1.0`` and ``True``.  At most ``_COMPILED_MAX`` networks are
+    kept, so a sweep over gamma does not hold them all.
+
+    Sharing is safe for a caller that only passes the network to ``run``
+    and reads nothing of it but ``detector_sites``: ``run`` keeps only the
+    plan (``_plan``, and the kernel's arrays on it), which no run changes,
+    and gives every run fresh registers and streams.  A forked process
+    keeps its own copy of the cache; threads share it behind a lock.
+    """
+    key = (builder, *((type(a), repr(a)) for a in args))
+    with _compiled_lock:
+        net = _compiled_cache.pop(key, None)
+        if net is None:
+            net = builder(*args)
+        _compiled_cache[key] = net  # now the most recently used
+        if len(_compiled_cache) > _COMPILED_MAX:
+            del _compiled_cache[next(iter(_compiled_cache))]
+    return net
 
 
 def _registers(plan: SimpleNamespace) -> list:

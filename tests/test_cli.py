@@ -3,6 +3,9 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +178,40 @@ def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["jeong", "--bogus"])
     assert excinfo.value.code == 2
+
+def test_main_shares_one_parser():
+    assert cli.build_parser() is cli.build_parser()
+
+#: a valid command, and the bytes a fresh interpreter writes for it
+VALID = ["robens", "--taps", "--format", "json", "--particles", "500", "--seed", "8"]
+
+@pytest.fixture(scope="module")
+def valid_alone(tmp_path_factory):
+    out = tmp_path_factory.mktemp("alone") / "report"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    subprocess.run([sys.executable, "-m", "qwalk.cli", *VALID, "--out", str(out)],
+                   env=env, check=True)
+    return out.read_bytes()
+
+@pytest.mark.parametrize("bad", [
+    ("robens", "--bogus"),
+    ("robens", "--removal", "sideways"),
+    ("robens", "--particles", "many"),
+    ("robens", "--gamma", "1.5"),
+], ids=["unknown flag", "bad choice", "bad type", "config error"])
+def test_a_bad_command_line_leaves_nothing_behind(tmp_path, capsys, valid_alone,
+                                                  bad):
+    # the parser and the networks outlive a main() call; after a rejected
+    # command line the next call writes what a fresh interpreter writes
+    try:
+        code = main(list(bad))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    after = tmp_path / "after"
+    assert main(VALID + ["--out", str(after)]) == 0
+    capsys.readouterr()
+    assert after.read_bytes() == valid_alone
 
 def test_mesh_depth_limit_is_config_error(capsys):
     code, _, err = run_cli(capsys, "jeong", "--steps", "13", "--particles", "10")

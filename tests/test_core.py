@@ -1,6 +1,7 @@
 """Unit ops: register updates, routing, stateless transforms, rng streams."""
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -314,6 +315,32 @@ def test_derived_streams_differ():
     for i in range(4):
         for j in range(i + 1, 4):
             assert seqs[i] != seqs[j]
+
+def test_stream_makes_its_generator_on_first_use(monkeypatch):
+    # the compiled kernel reads a stream's seed alone, so a run on it seeds
+    # no random.Random; the first draw makes the generator, whose sequence
+    # is that of random.Random(seed)
+    from qwalk import _kernel
+    from qwalk.network import build_robens, run
+
+    assert _kernel.load() is not None, "the compiled kernel did not load"
+    made = []
+    real = random.Random
+
+    class Counted(real):
+        def __init__(self, seed):
+            made.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Counted)
+    rng = RngStream(31)
+    run(build_robens(0.95), 200, rng.derive(0))
+    assert made == []
+    expected = real(rng.seed)
+    assert [rng.random() for _ in range(5)] == [expected.random() for _ in range(5)]
+    assert made == [rng.seed]
+    rng.random()
+    assert made == [rng.seed]
 
 def test_seed_derivation_is_stable():
     # frozen so a refactor cannot silently change every seeded result

@@ -47,3 +47,25 @@ def test_pinned_bytes_hold_on_the_python_loop(tmp_path, monkeypatch, capsys,
     assert main(list(argv) + ["--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+#: run between the forward and the backward pass of the golden commands
+INTERLEAVED = [("robens", "--gamma", "0.9", "--particles", "2000"),
+               ("jeong", "--steps", "12", "--particles", "2000")]
+
+
+@pytest.mark.parametrize("loop", ["kernel", "python loop"])
+def test_pinned_bytes_hold_in_any_order_in_one_process(tmp_path, monkeypatch,
+                                                       capsys, loop):
+    # main() keeps its parser and each configuration's network for the rest
+    # of the process, so no command may depend on what ran before it
+    if loop == "python loop":
+        monkeypatch.setattr("qwalk._kernel.load", lambda: None)
+    monkeypatch.delenv("QWALK_SEED", raising=False)
+    out = tmp_path / "report"
+    sequence = GOLDEN + [(None, argv, None) for argv in INTERLEAVED] + GOLDEN[::-1]
+    for name, argv, digest in sequence:
+        assert main(list(argv) + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        if digest is not None:
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, name

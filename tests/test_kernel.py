@@ -12,7 +12,8 @@ from qwalk import _kernel
 from qwalk.cli import main
 from qwalk.core import BeamSplitter, PolarizingBeamSplitter, RngStream
 from qwalk.network import _plan, build_jeong, build_robens, run
-from test_network import build_mixed, build_rejoined, splice_hadamard
+from test_network import (CountingRng, build_mixed, build_rejoined, run_on_kernel,
+                          splice_hadamard, splitter_registers)
 
 PHI1 = math.pi / 2
 PHI2 = -math.pi / 2
@@ -66,6 +67,35 @@ def test_cases_follow_add_and_connect():
     assert set(adaptive_kinds(net).values()) == {_kernel._BS1}
     splice_hadamard(net, net.source, 0)
     assert set(adaptive_kinds(net).values()) == {_kernel._BS}
+
+
+@pytest.mark.parametrize("build,seeded", [
+    (lambda: build_robens(0.95), 10),
+    (lambda: build_jeong(12, PHI1, PHI2, 0.98), 78),
+], ids=["robens", "mesh12"])
+def test_kernel_seeds_only_the_units_that_draw(monkeypatch, build, seeded):
+    # of the Robens network's 24 PBSs the 14 merges generate no number, so
+    # the kernel derives seeds for the 10 splits alone; every splitter of
+    # the mesh draws.  Counts, registers and arrivals stay those of the
+    # Python loop, which derives a stream for every adaptive unit
+    real, calls = _kernel.derive_seed, []
+
+    def counted(seed, *indices):
+        calls.append(indices)
+        return real(seed, *indices)
+
+    reference_net, reference = build(), CountingRng(17)
+    expected = run(reference_net, 500, reference)
+    net = build()
+    monkeypatch.setattr(_kernel, "derive_seed", counted)
+    result, arrivals = run_on_kernel(net, 500, 17)
+    case = _kernel.cases(_plan(net))
+    assert len(calls) == seeded
+    assert calls == [(j,) for j, c in enumerate(case)
+                     if c not in (-1, 0, _kernel._MERGE)]
+    assert result == expected
+    assert splitter_registers(net) == splitter_registers(reference_net)
+    assert arrivals == reference.draws
 
 
 @pytest.fixture

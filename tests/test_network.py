@@ -1,5 +1,7 @@
 """Topology builders, the sequential event loop, taps, and removal filters."""
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -610,6 +612,76 @@ def test_one_network_runs_like_fresh_networks(stream):
         assert (result.counts, result.t2, result.removed) == (
             expected.counts, expected.t2, expected.removed)
         assert splitter_registers(net) == splitter_registers(fresh)
+
+def test_compiled_networks_are_shared_by_exact_arguments(monkeypatch):
+    # one network per builder and argument bits: 0.0 and -0.0 differ, and so
+    # do 1, 1.0 and True, which a plain lru_cache key would conflate
+    monkeypatch.setattr(network, "_compiled_cache", {})
+    built = []
+
+    def builder(*args):
+        built.append(args)
+        return Network()
+
+    a = network._compiled(builder, 0.95)
+    assert network._compiled(builder, 0.95) is a
+    assert network._compiled(lambda g: Network(), 0.95) is not a
+    assert network._compiled(builder, 0.0) is not network._compiled(builder, -0.0)
+    one = {network._compiled(builder, 3, x) for x in (1, 1.0, True)}
+    assert len(one) == 3
+    assert built == [(0.95,), (0.0,), (-0.0,), (3, 1), (3, 1.0), (3, True)]
+    assert network._compiled(build_robens, 0.9) is network._compiled(build_robens, 0.9)
+
+def test_compiled_networks_stay_within_the_bound(monkeypatch):
+    # the least recently used network goes first
+    monkeypatch.setattr(network, "_compiled_cache", {})
+    bound = network._COMPILED_MAX
+
+    def builder(gamma):
+        return Network()
+
+    first = {g: network._compiled(builder, g) for g in range(bound)}
+    assert network._compiled(builder, 0) is first[0]  # now the most recent
+    network._compiled(builder, bound)
+    assert len(network._compiled_cache) == bound
+    assert network._compiled(builder, 0) is first[0]
+    assert network._compiled(builder, 1) is not first[1]
+    for g in range(3 * bound):
+        network._compiled(builder, g / 7)
+        assert len(network._compiled_cache) <= bound
+
+def test_compiled_networks_hold_under_threads(monkeypatch):
+    # more threads than CPUs, switching often, over more configurations
+    # than the bound: every call gets the network built for its arguments
+    monkeypatch.setattr(network, "_compiled_cache", {})
+    switch = sys.getswitchinterval()
+    errors = []
+
+    def builder(gamma):
+        net = Network()
+        net.gamma = gamma
+        return net
+
+    def work(offset):
+        try:
+            for i in range(1000):
+                g = (i * 7 + offset) % (network._COMPILED_MAX + 3)
+                assert network._compiled(builder, g).gamma == g
+        except Exception as exc:  # reported below, with the thread's args
+            errors.append((offset, exc))
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(network._compiled_cache) <= network._COMPILED_MAX
 
 def test_add_and_connect_after_a_run_take_effect():
     net = build_jeong(4, PHI1, PHI2)
