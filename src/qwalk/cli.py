@@ -107,10 +107,17 @@ def _resolve_seed(raw: str | None) -> int:
         raise ConfigError(f"seed must be an integer or 'random', got {raw!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and the subcommands' parsers, that report bad input on one line."""
+
+    def error(self, message: str):
+        self.exit(2, f"qwalk: usage error: {message} (see '{self.prog} --help')\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and shared by every ``main``."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qwalk",
         description="Event-by-event quantum-walk simulator with exact theory reference.")
     sub = parser.add_subparsers(dest="mode", required=True)
@@ -149,8 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="negative measurement at t2: 'minus' keeps the x2=-1 "
                         "branch (absorbs the +1 rail), 'plus' keeps x2=+1")
     p.add_argument("--taps", action="store_true",
-                   help="record non-invasive t1/t2/t3 observations and emit "
-                        "the t2-partitioned sub-distributions")
+                   help="tally each detection by the t2 site the particle "
+                        "crossed, without touching it, and add the "
+                        "t2-partitioned sub-distributions to the JSON panels")
     add_common(p)
 
     p = sub.add_parser("lgi", help="Leggett-Garg K for both protocols")

@@ -251,11 +251,12 @@ def hadamard_apply(m: Message) -> Message:
 # ---------------------------------------------------------------------------
 # Processing units.  Units describe the graph: ``out`` holds one wire per
 # output port, filled by the owning network, and ``n_inputs`` counts the
-# input ports.  ``network.run`` compiles the graph into flat tables and runs
-# them through one of two event loops with bit-identical results: the
-# Python loop ``network._loop``, which applies the functions above at every
-# unit, or the compiled kernel (``_kernel.c``), which repeats their float
-# operations and skips the terms of dead message halves.  ``state`` holds
+# input ports.  ``network.run`` compiles the graph into one set of flat
+# tables (``network._plan``), which both event loops read, with
+# bit-identical results: the Python loop ``network._loop``, which applies
+# the functions above at every unit, or the compiled kernel
+# (``_kernel.c``), which repeats their float operations and skips the terms
+# of dead message halves.  ``state`` holds
 # an adaptive unit's registers as they stood at the end of the last run
 # (None before the first).
 

@@ -29,15 +29,17 @@ before the next one is emitted, and the adaptive registers persist across
 all particles of the run.  ``run`` compiles the graph into flat tables
 (``_plan``) once per network, which also checks it: one source, no cycle,
 and every port a particle can reach is wired.  A compiled C kernel
-(``_kernel.c``) or the Python loop ``_loop`` then routes the particles,
-with bit-identical results.  Each run starts every adaptive unit from
-fresh registers and a stream derived from the supplied one, so identical
-seeds reproduce bit-identical counts and tables.
+(``_kernel.c``) or the Python loop ``_loop`` then routes the particles
+through those same tables, with bit-identical results.  Each run starts
+every adaptive unit from fresh registers and a stream derived from the
+supplied one, so identical seeds reproduce bit-identical counts and
+tables.
 """
 from __future__ import annotations
 
 import math
 import threading
+from array import array
 from types import SimpleNamespace
 from typing import Iterable, NamedTuple
 
@@ -230,39 +232,54 @@ def build_robens(gamma: float = 0.95) -> Network:
     return net
 
 
-# Compiled form of a network.  Units are numbered by their position in
-# ``net.units``; the edge leaving unit j on out-port q is numbered 2*j + q.
-# _kernel.c repeats these codes.
-_DETECTOR, _BS, _PBS = 0, 1, 2
-#: edge tag of a wire absorbed by a removal filter
-_ABSORB = object()
-#: edge transform of a polarization Hadamard (a phase edge holds its factor)
-_HADAMARD = object()
+# Compiled form of a network: the one set of tables that both event loops
+# read, ``_loop`` and the C kernel (``_kernel.c``, which repeats these
+# codes).  Units are numbered by their position in ``net.units``, and unit
+# n, one past the last, is the sink that unwired ports lead to; the edge
+# leaving unit j on out-port q is numbered 2*j + q.
+#: unit cases: a detector, a splitter, and a splitter whose messages have
+#: dead halves (``_live_inputs``); _NONE for the source, a stateless unit and
+#: the sink
+_DETECTOR, _BS, _PBS, _BS1, _SPLIT, _MERGE = 0, 1, 2, 3, 4, 5
+#: edge tags: _NONE, _ABSORB (a removal filter's edge, which ``run``
+#: overlays) or the row of the t2 site the edge crosses
+_NONE, _ABSORB = -1, -2
+#: edge transforms: none, a polarization Hadamard or a phase factor
+_PASS, _HADAMARD, _PHASE = 0, 1, 2
 #: bits of a set of message halves that can be nonzero
 _H, _V = 1, 2
 
 
-def _emitted(kind: int, in0: int, in1: int) -> tuple[int, int]:
-    """Halves a splitter can emit on out-ports 0 and 1, given those reaching its in-ports."""
-    if kind == _PBS:  # z0 = (v0h, i*v1v), z1 = (v1h, i*v0v)
-        return (in0 & _H) | (in1 & _V), (in1 & _H) | (in0 & _V)
-    return in0 | in1, in0 | in1
+def _live_inputs(units: list, case: array, dst: array, dst_port: array,
+                 xform: array, start: int) -> None:
+    """Picks each splitter's ``case`` from the message halves live at its in-ports.
 
+    The halves of a message that can be nonzero at a unit's in-ports 0 and
+    1 follow from the wiring: the source edge ``start`` carries the nonzero
+    halves of ``SOURCE_MESSAGE``, a phase edge keeps its set and a Hadamard
+    edge turns any non-empty set into {h, v}.  A half outside the set is
+    exactly ±0 whenever a particle arrives, and a port that emits no half
+    is never taken: a particle only leaves on a port with nonzero amplitude,
+    so such a port may stay unwired.  One topological pass (Kahn's
+    algorithm) visits each unit once, after every unit wired into it, so
+    the cases do not depend on the order of ``units``.
 
-def _live_inputs(units: list, kind: list, dst: list, dst_port: list,
-                 xform: list, start: int) -> list:
-    """Per unit, the halves of a message that can be nonzero at in-ports 0 and 1.
+    The C kernel skips every term of a dead half, each a +0.0 square or a
+    ±0 register, so it computes the same doubles as ``adaptive_update`` and
+    ``bs_route``/``pbs_route``, which the Python loop runs for every case:
 
-    A half outside the set is exactly ±0 whenever a particle arrives, and a
-    port that emits no half is never taken: a particle only leaves on a
-    port with nonzero amplitude, so such a port may stay unwired.  The
-    source edge ``start`` carries the nonzero halves of ``SOURCE_MESSAGE``;
-    a phase edge keeps its set and a Hadamard edge turns any non-empty set
-    into {h, v}.  One topological pass (Kahn's algorithm) visits each unit
-    once, after every unit wired into it, so the sets do not depend on the
-    order of ``units``.
+    - ``_BS1``: a beam splitter that no v half reaches; it updates and
+      routes the h half alone.
+    - ``_MERGE``: a PBS whose out-port 1 is dead (h only on in-port 0, v
+      only on in-port 1).  Its p1 is +0.0, so p0/total is exactly 1.0 and
+      port 0 always wins.  The kernel counts the hop but draws no number
+      (the Python loop draws one and discards it); no other unit reads its
+      stream.
+    - ``_SPLIT``: a PBS that nothing reaches on in-port 1.  z0 is (z0h, 0)
+      and z1 is (0, z1v).
 
-    Raises ``UnwiredPort`` for an unwired port that can emit a half, and
+    Any other splitter keeps its case, ``_BS`` or ``_PBS``.  Raises
+    ``UnwiredPort`` for an unwired port that can emit a half, and
     ``QwalkError`` if a unit is never visited, which puts it on a cycle.
     """
     n = len(units)
@@ -277,10 +294,19 @@ def _live_inputs(units: list, kind: list, dst: list, dst_port: list,
     while ready:
         j = ready.pop()
         visited += 1
+        in0, in1 = live[j]
         if 2 * j == start:
             emitted = ((_H if h else 0) | (_V if v else 0), 0)
-        elif kind[j] in (_BS, _PBS):
-            emitted = _emitted(kind[j], *live[j])
+        elif case[j] == _BS:
+            emitted = (in0 | in1, in0 | in1)
+            if not (in0 | in1) & _V:
+                case[j] = _BS1
+        elif case[j] == _PBS:  # z0 = (v0h, i*v1v), z1 = (v1h, i*v0v)
+            emitted = ((in0 & _H) | (in1 & _V), (in1 & _H) | (in0 & _V))
+            if not emitted[1]:
+                case[j] = _MERGE
+            elif not in1:
+                case[j] = _SPLIT
         else:
             continue
         for port, halves in enumerate(emitted):
@@ -291,7 +317,7 @@ def _live_inputs(units: list, kind: list, dst: list, dst_port: list,
                     raise UnwiredPort(f"the path from {type(units[j]).__name__} "
                                       f"output port {port} ends unwired")
                 continue
-            if halves and xform[e] is _HADAMARD:
+            if halves and xform[e] == _HADAMARD:
                 halves = _H | _V
             live[target][dst_port[e]] |= halves
             waiting[target] -= 1
@@ -299,7 +325,6 @@ def _live_inputs(units: list, kind: list, dst: list, dst_port: list,
                 ready.append(target)
     if visited < n:
         raise QwalkError("wiring graph contains a cycle")
-    return live
 
 
 def _plan(net: Network) -> SimpleNamespace:
@@ -312,26 +337,29 @@ def _plan(net: Network) -> SimpleNamespace:
 
     Each edge runs from an adaptive unit (or the source) to the next adaptive
     unit or detector; the stateless unit sitting on it, if any, is folded
-    into the edge as its transform.  t2 wires tag their edge with their
-    site.  An unwired port's edge leads to unit n, one past the last, and
+    into the edge as its transform.  t2 wires tag their edge with the row of
+    their site.  An unwired port's edge leads to the sink, and
     ``_live_inputs`` proves that no particle takes it.  A network without a
     source, with a cycle, with a reachable unwired port, with two stateless
     units on one edge or wired to a unit it does not hold raises
     ``QwalkError`` (``UnwiredPort`` for the port).
 
-    The plan holds:
+    The tables are ``array``s in the codes above, which the C kernel reads
+    as they are and ``_loop`` through list copies:
 
-    - per unit: ``kind`` (_DETECTOR, _BS, _PBS or None), detector ``site``,
-      the ``gamma`` of an adaptive unit (None for any other) and ``live``,
-      the halves that can be nonzero at its in-ports 0 and 1
-      (``_live_inputs``), from which the compiled kernel picks the units
-      whose dead halves it skips (``_kernel.cases``);
-    - per edge: ``dst`` unit, its ``dst_port``, ``tag`` (None or the t2 site
-      crossed) and ``xform`` (None, _HADAMARD or a phase factor);
-    - ``start``, the edge leaving the source; ``edge``, the edge of every
-      annotated wire; the sorted detector ``sites`` and ``t2_sites``;
-      ``units``, the units compiled; and ``arrays``, None until the kernel's
-      first run stores its copy of the tables there.
+    - per unit and the sink: ``case``, the detector's count ``slot`` (the
+      index of its site in ``sites``; detectors at one site share it, and
+      any other unit has _NONE) and the ``gamma`` of an adaptive unit (0.0
+      for any other);
+    - per edge: ``dst`` unit, its ``dst_port``, ``tag``, ``xform`` and, for
+      a phase edge, the factor's real and imaginary parts in ``factor[2e]``
+      and ``factor[2e + 1]``;
+    - ``source``, the emitted message as (h.re, h.im, v.re, v.im).
+
+    The plan also holds ``start``, the edge leaving the source; ``edge``,
+    the edge of every annotated wire; the sorted detector ``sites`` and
+    ``t2_sites``, which key the slots and t2 rows; and ``units``, the units
+    compiled.
     """
     units = net.units
     plan = net._plan
@@ -339,20 +367,19 @@ def _plan(net: Network) -> SimpleNamespace:
         return plan
     n = len(units)
     index = {id(u): j for j, u in enumerate(units)}
-    kind: list = [None] * n
-    site: list = [None] * n
-    gamma: list = [None] * n
+    sites = net.detector_sites
+    t2_sites = sorted(net.cut_points.get("t2", ()))
+    case, slot = array("i", [_NONE]) * (n + 1), array("i", [_NONE]) * (n + 1)
+    gamma = array("d", [0.0]) * (n + 1)
     for j, unit in enumerate(units):
         if isinstance(unit, Detector):
-            kind[j] = _DETECTOR
-            site[j] = unit.site
+            case[j], slot[j] = _DETECTOR, sites.index(unit.site)
         elif isinstance(unit, BeamSplitter):
-            kind[j] = _PBS if isinstance(unit, PolarizingBeamSplitter) else _BS
+            case[j] = _PBS if isinstance(unit, PolarizingBeamSplitter) else _BS
             gamma[j] = unit.gamma
-    dst: list = [n] * (2 * n)
-    dst_port: list = [0] * (2 * n)
-    tag: list = [None] * (2 * n)
-    xform: list = [None] * (2 * n)
+    dst, dst_port = array("i", [n]) * (2 * n), array("i", [0]) * (2 * n)
+    tag, xform = array("i", [_NONE]) * (2 * n), array("i", [_PASS]) * (2 * n)
+    factor = array("d", [0.0]) * (4 * n)
     edge: dict = {}
     for j, unit in enumerate(units):
         if not isinstance(unit, (Source, BeamSplitter)):
@@ -362,11 +389,13 @@ def _plan(net: Network) -> SimpleNamespace:
             while wire is not None:
                 if wire.tap_label is not None:
                     edge[wire] = e
-                    if wire.tap_label == "t2" and tag[e] is None:
-                        tag[e] = wire.tap_site
+                    if wire.tap_label == "t2" and tag[e] == _NONE:
+                        tag[e] = t2_sites.index(wire.tap_site)
                 target = wire.dst
                 if isinstance(target, PhaseShifter):
-                    step = target.factor
+                    step = _PHASE
+                    factor[2 * e] = target.factor.real
+                    factor[2 * e + 1] = target.factor.imag
                 elif isinstance(target, HadamardUnit):
                     step = _HADAMARD
                 else:
@@ -376,19 +405,20 @@ def _plan(net: Network) -> SimpleNamespace:
                     dst[e] = index[id(target)]
                     dst_port[e] = wire.dst_port
                     break
-                if xform[e] is not None:
+                if xform[e] != _PASS:
                     raise QwalkError("more than one stateless unit on an edge")
                 xform[e] = step
                 wire = target.out[0]
     if net.source is None:
         raise QwalkError("network has no source")
     start = 2 * index[id(net.source)]
-    live = _live_inputs(units, kind, dst, dst_port, xform, start)
+    _live_inputs(units, case, dst, dst_port, xform, start)
+    h, v = SOURCE_MESSAGE
     net._plan = plan = SimpleNamespace(
-        units=list(units), kind=kind, site=site, gamma=gamma, live=live,
-        dst=dst, dst_port=dst_port, tag=tag, xform=xform, start=start, edge=edge,
-        sites=sorted({x for x in site if x is not None}),
-        t2_sites=sorted(net.cut_points.get("t2", ())), arrays=None)
+        units=list(units), case=case, slot=slot, gamma=gamma, dst=dst,
+        dst_port=dst_port, tag=tag, xform=xform, factor=factor,
+        source=array("d", (h.real, h.imag, v.real, v.imag)), start=start,
+        edge=edge, sites=sites, t2_sites=t2_sites)
     return plan
 
 
@@ -408,9 +438,9 @@ def _compiled(builder, *args) -> Network:
 
     Sharing is safe for a caller that only passes the network to ``run``
     and reads nothing of it but ``detector_sites``: ``run`` keeps only the
-    plan (``_plan``, and the kernel's arrays on it), which no run changes,
-    and gives every run fresh registers and streams.  A forked process
-    keeps its own copy of the cache; threads share it behind a lock.
+    plan (``_plan``), whose tables no run changes, and gives every run
+    fresh registers and streams.  A forked process keeps its own copy of
+    the cache; threads share it behind a lock.
     """
     key = (builder, *((type(a), repr(a)) for a in args))
     with _compiled_lock:
@@ -430,50 +460,56 @@ def _registers(plan: SimpleNamespace) -> list:
     ``state``; any other unit gets None.
     """
     state: list = [None] * len(plan.units)
-    for j, g in enumerate(plan.gamma):
-        if g is not None:
-            plan.units[j].state = state[j] = AdaptiveState(g)
+    units, gamma = plan.units, plan.gamma
+    for j, c in enumerate(plan.case):
+        if c > _DETECTOR:
+            units[j].state = state[j] = AdaptiveState(gamma[j])
     return state
 
 
-def _loop(plan: SimpleNamespace, absorbed: set, state: list, n_particles: int,
-          rng: RngStream, counts: dict, t2: dict) -> int:
+def _loop(plan: SimpleNamespace, tag: array, state: list, n_particles: int,
+          rng: RngStream, counts: array, t2: array) -> int:
     """The event loop in Python: the readable reference for ``_kernel.c``.
 
-    Sends the particles through the plan's tables, the edges in ``absorbed``
-    absorbing and ``state`` holding the registers; adds to ``counts`` and,
-    if it is not empty, to the t2 table ``t2`` in place, and returns the
+    Sends the particles through the plan's tables, with the run's edge tags
+    ``tag`` and registers ``state``; adds to the slots of ``counts`` and, if
+    it is not empty, of the t2 table ``t2`` in place, and returns the
     removed tally.  Adaptive unit j draws from ``rng.derive(j)``.
 
-    Every adaptive hop is ``adaptive_update`` followed by ``bs_route`` or
-    ``pbs_route``, with one number drawn after the update; an edge applies
-    its phase factor, as ``phase_shift`` does, or ``hadamard_apply``.
+    Every adaptive hop is ``adaptive_update`` followed by ``bs_route`` (case
+    _BS or _BS1) or ``pbs_route`` (_PBS, _SPLIT or _MERGE), with one number
+    drawn after the update; an edge applies its phase factor, as
+    ``phase_shift`` does, or ``hadamard_apply``.  The loop reads list copies
+    of the tables: reading an ``array`` makes a new int for every value
+    above 256.
     """
-    tag = list(plan.tag)
-    for e in absorbed:
-        tag[e] = _ABSORB
-    route = [bs_route if k == _BS else pbs_route if k == _PBS else None
-             for k in plan.kind]
+    route = [bs_route if c in (_BS, _BS1) else pbs_route if c > _DETECTOR
+             else None for c in plan.case]
     draw = [None if st is None else rng.derive(j).random
             for j, st in enumerate(state)]
-    site_of, dst, dst_port, xform = plan.site, plan.dst, plan.dst_port, plan.xform
+    tag, dst, dst_port, xform, slot, factor = (
+        a.tolist() for a in (tag, plan.dst, plan.dst_port, plan.xform,
+                             plan.slot, plan.factor))
+    phase = [complex(re, im) for re, im in zip(factor[::2], factor[1::2])]
+    n_sites = len(plan.sites)
     taps_enabled = bool(t2)
     removed = 0
     for _ in range(n_particles):
         e = plan.start
         m = SOURCE_MESSAGE
-        x2 = None
+        x2 = _NONE
         while True:
             t = tag[e]
-            if t is not None:
-                if t is _ABSORB:
+            if t != _NONE:
+                if t == _ABSORB:
                     removed += 1
                     break
                 x2 = t
             f = xform[e]
-            if f is _HADAMARD:
+            if f == _HADAMARD:
                 m = hadamard_apply(m)
-            elif f is not None:
+            elif f == _PHASE:
+                f = phase[e]
                 m = Message(f * m.c_h, f * m.c_v)
             j = dst[e]
             r = route[j]
@@ -484,12 +520,12 @@ def _loop(plan: SimpleNamespace, absorbed: set, state: list, n_particles: int,
                 port, m = r(st, port, m, draw[j]())
                 e = 2 * j + port
             else:
-                site = site_of[j]
-                counts[site] += 1
+                s = slot[j]
+                counts[s] += 1
                 if taps_enabled:
-                    if x2 is None:
+                    if x2 == _NONE:
                         raise _untapped()
-                    t2[x2][site] += 1
+                    t2[x2 * n_sites + s] += 1
                 break
     return removed
 
@@ -508,11 +544,15 @@ def run(net: Network, n_particles: int, rng: RngStream,
     t2 table (empty unless ``taps_enabled``; a network without a t2 cut
     point cannot be tapped), and the removed tally.
 
-    Both event loops take the plan, the edges the filters absorb and the
-    run's registers (``_registers``), with bit-identical results: the
-    compiled kernel (``_kernel.c``), used when its library loads and ``rng``
-    is a plain ``RngStream``, and the Python loop ``_loop``, used otherwise
-    (a subclassed stream, such as one that counts its draws, keeps it).
+    Both event loops read the plan's tables, with bit-identical results:
+    the compiled kernel (``_kernel.c``), used when its library loads and
+    ``rng`` is a plain ``RngStream``, and the Python loop ``_loop``, used
+    otherwise (a subclassed stream, such as one that counts its draws,
+    keeps it).  The run gives them what it owns: a copy of the edge tags
+    with the filters' edges set to _ABSORB, its registers (``_registers``),
+    and zeroed counts, one per detector slot, and t2 table, one row of
+    slots per t2 site (empty unless tapped), which they add to and from
+    which the run's dicts are made.
 
     After the loop the run checks particle conservation and, for every
     adaptive unit, the register invariants: |w0 + w1 - 1| <= 1e-12,
@@ -530,20 +570,22 @@ def run(net: Network, n_particles: int, rng: RngStream,
         raise ValueError("taps need a t2 cut point; this network has none")
 
     plan = _plan(net)
-    absorbed = {plan.edge[wire] for wire in wires if wire in plan.edge}
+    tag = plan.tag[:]
+    for wire in wires:
+        if wire in plan.edge:
+            tag[plan.edge[wire]] = _ABSORB
     state = _registers(plan)
-    counts = dict.fromkeys(plan.sites, 0)
-    t2: dict[int, dict[int, int]] = {}
-    if taps_enabled:
-        t2 = {x2: dict(counts) for x2 in plan.t2_sites}
+    n_sites = len(plan.sites)
+    counts = array("q", [0]) * n_sites
+    t2 = array("q", [0]) * (len(plan.t2_sites) * n_sites if taps_enabled else 0)
     from . import _kernel  # on first use: import qwalk stays free of ctypes
     fn = _kernel.load() if type(rng) is RngStream else None
     if fn is None:
-        removed = _loop(plan, absorbed, state, n_particles, rng, counts, t2)
+        removed = _loop(plan, tag, state, n_particles, rng, counts, t2)
     else:
-        removed, _arrivals = _kernel.run(fn, plan, absorbed, state, n_particles,
+        removed, _arrivals = _kernel.run(fn, plan, tag, state, n_particles,
                                       rng.seed, counts, t2)
-    if sum(counts.values()) + removed != n_particles:
+    if sum(counts) + removed != n_particles:
         raise QwalkError("conservation breach: emitted != detected + removed")
     for j, st in enumerate(state):
         if st is None:
@@ -557,4 +599,6 @@ def run(net: Network, n_particles: int, rng: RngStream,
             raise QwalkError(
                 f"register invariant breach at {type(net.units[j]).__name__} {j}: "
                 f"w0={w0!r}, w1={w1!r}, |y0|={y0!r}, |y1|={y1!r}")
-    return RunResult(counts, t2, removed)
+    rows = {x2: dict(zip(plan.sites, t2[r * n_sites:(r + 1) * n_sites]))
+            for r, x2 in enumerate(plan.t2_sites) if taps_enabled}
+    return RunResult(dict(zip(plan.sites, counts)), rows, removed)

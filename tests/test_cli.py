@@ -179,6 +179,17 @@ def test_unknown_flag_exits_2(capsys):
         main(["jeong", "--bogus"])
     assert excinfo.value.code == 2
 
+@pytest.mark.parametrize("argv", [("jeong", "--steps", "x"),
+                                  ("robens", "--removal", "sideways"),
+                                  ("jeong", "--bogus")],
+                         ids=["bad type", "bad choice", "unknown flag"])
+def test_usage_error_is_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("qwalk: ") and len(err.splitlines()) == 1
+
 def test_main_shares_one_parser():
     assert cli.build_parser() is cli.build_parser()
 

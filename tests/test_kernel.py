@@ -5,13 +5,15 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
-from qwalk import _kernel
+from qwalk import _kernel, core
 from qwalk.cli import main
 from qwalk.core import BeamSplitter, PolarizingBeamSplitter, RngStream
-from qwalk.network import _plan, build_jeong, build_robens, run
+from qwalk.network import (_BS, _BS1, _MERGE, _PBS, _SPLIT, _plan, build_jeong,
+                           build_robens, run)
 from test_network import (CountingRng, build_mixed, build_rejoined, run_on_kernel,
                           splice_hadamard, splitter_registers)
 
@@ -21,7 +23,7 @@ PHI2 = -math.pi / 2
 
 def adaptive_kinds(net):
     """The kernel's case of each adaptive unit, keyed by unit identity."""
-    case = _kernel.cases(_plan(net))
+    case = _plan(net).case
     return {id(unit): case[j] for j, unit in enumerate(net.units)
             if isinstance(unit, BeamSplitter)}
 
@@ -35,15 +37,15 @@ def test_only_polarization_free_networks_get_scalar_splitters():
     def kinds(net):
         return set(adaptive_kinds(net).values())
 
-    assert kinds(build_jeong(4, PHI1, PHI2)) == {_kernel._BS1}
-    assert kinds(build_mixed(4, PHI1, PHI2)) == {_kernel._BS}
+    assert kinds(build_jeong(4, PHI1, PHI2)) == {_BS1}
+    assert kinds(build_mixed(4, PHI1, PHI2)) == {_BS}
     robens = build_robens(0.95)
-    assert kinds(robens) == {_kernel._SPLIT, _kernel._MERGE}
+    assert kinds(robens) == {_SPLIT, _MERGE}
     case = adaptive_kinds(robens)
     pbs = [u for u in robens.units if isinstance(u, PolarizingBeamSplitter)]
     assert ({id(u) for u in pbs if u.out[1] is None}
-            == {id(u) for u in pbs if case[id(u)] == _kernel._MERGE})
-    assert kinds(build_rejoined()) == {_kernel._SPLIT, _kernel._PBS}
+            == {id(u) for u in pbs if case[id(u)] == _MERGE})
+    assert kinds(build_rejoined()) == {_SPLIT, _PBS}
 
 
 @pytest.mark.parametrize("build", [lambda: build_jeong(4, PHI1, PHI2),
@@ -64,9 +66,9 @@ def test_cases_follow_add_and_connect():
     # a plan compiled by a run is dropped by a later connect, cases and all
     net = build_jeong(4, PHI1, PHI2)
     run(net, 300, RngStream(6))
-    assert set(adaptive_kinds(net).values()) == {_kernel._BS1}
+    assert set(adaptive_kinds(net).values()) == {_BS1}
     splice_hadamard(net, net.source, 0)
-    assert set(adaptive_kinds(net).values()) == {_kernel._BS}
+    assert set(adaptive_kinds(net).values()) == {_BS}
 
 
 @pytest.mark.parametrize("build,seeded", [
@@ -78,7 +80,7 @@ def test_kernel_seeds_only_the_units_that_draw(monkeypatch, build, seeded):
     # the kernel derives seeds for the 10 splits alone; every splitter of
     # the mesh draws.  Counts, registers and arrivals stay those of the
     # Python loop, which derives a stream for every adaptive unit
-    real, calls = _kernel.derive_seed, []
+    real, calls = core.derive_seed, []
 
     def counted(seed, *indices):
         calls.append(indices)
@@ -87,15 +89,48 @@ def test_kernel_seeds_only_the_units_that_draw(monkeypatch, build, seeded):
     reference_net, reference = build(), CountingRng(17)
     expected = run(reference_net, 500, reference)
     net = build()
-    monkeypatch.setattr(_kernel, "derive_seed", counted)
+    monkeypatch.setattr(core, "derive_seed", counted)
     result, arrivals = run_on_kernel(net, 500, 17)
-    case = _kernel.cases(_plan(net))
+    case = _plan(net).case
     assert len(calls) == seeded
     assert calls == [(j,) for j, c in enumerate(case)
-                     if c not in (-1, 0, _kernel._MERGE)]
+                     if c not in (-1, 0, _MERGE)]
     assert result == expected
     assert splitter_registers(net) == splitter_registers(reference_net)
     assert arrivals == reference.draws
+
+
+def test_a_restored_derive_seed_is_the_one_later_runs_call():
+    # a tracer may wrap core.derive_seed around the run that first imports
+    # _kernel and then put the original back; the kernel looks the function
+    # up on every run, so a later run calls the wrapper no more.  A fresh
+    # interpreter has not imported _kernel yet
+    code = textwrap.dedent("""
+        import sys
+        from qwalk import core
+        from qwalk.network import build_robens, run
+
+        assert "qwalk._kernel" not in sys.modules
+        real, calls = core.derive_seed, []
+
+        def wrapped(*args):
+            calls.append(args)
+            return real(*args)
+
+        core.derive_seed = wrapped
+        run(build_robens(0.95), 10, core.RngStream(1))
+        core.derive_seed = real
+        from qwalk import _kernel
+        assert _kernel.load() is not None, "the compiled kernel did not load"
+        first = len(calls)
+        run(build_robens(0.95), 10, core.RngStream(1))
+        print(first, len(calls))
+    """)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    first, total = map(int, out.split())
+    assert first == 10  # the Robens network's splits, seeded by the wrapper
+    assert total == first
 
 
 @pytest.fixture

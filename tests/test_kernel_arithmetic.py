@@ -158,11 +158,12 @@ def test_robens_run_calls_pow_rarely(harness):
         net = network.build_robens(0.95)
         plan = network._plan(net)
         state = network._registers(plan)
-        counts = dict.fromkeys(plan.sites, 0)
+        counts = array("q", [0]) * len(plan.sites)
         calls.value = 0
-        removed, arrivals = _kernel.run(fn, plan, set(), state, n, 2015,
-                                        counts, {})
-        outcomes.append((counts, removed, arrivals, splitter_registers(net)))
+        removed, arrivals = _kernel.run(fn, plan, plan.tag, state, n, 2015,
+                                        counts, array("q"))
+        outcomes.append((dict(zip(plan.sites, counts)), removed, arrivals,
+                         splitter_registers(net)))
         if fn is harness.qwalk_run:
             assert calls.value < 2 * n
     assert outcomes[0] == outcomes[1]

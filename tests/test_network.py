@@ -514,6 +514,17 @@ def test_detector_sites_follow_the_detectors():
     with pytest.raises(AttributeError):
         net.detector_sites = [0]
 
+def test_detectors_at_one_site_share_its_count(loop):
+    # the plan gives every detector the count slot of its site, so two
+    # detectors at one site add to one count key
+    net = Network()
+    bs = net.add(BeamSplitter(0.9))
+    net.connect(net.add(Source()), 0, bs, 0)
+    for port in (0, 1):
+        net.connect(bs, port, net.add(Detector(0)), 0)
+    assert net.detector_sites == [0]
+    assert run(net, 300, RngStream(2)).counts == {0: 300}
+
 def test_counts_conserved_across_configurations():
     rng = RngStream(5)
     jeong = build_jeong(3, PHI1, PHI2, 0.9)
