@@ -1,14 +1,16 @@
 /*
  * Compiled event loop of qwalk.network.run.
  *
- * It walks the flat tables of a compiled network (network._plan, as
- * _kernel.py marshals them), one particle at a time, and reproduces the
- * Python loop in network._loop, which runs core.adaptive_update and then
- * core.bs_route or core.pbs_route at every splitter, bit for bit:
+ * It walks the flat tables of a compiled network, the arrays that
+ * network._plan builds and _kernel.py passes as they are, one particle at
+ * a time, and reproduces the Python loop in network._loop, which runs
+ * core.adaptive_update and then core.bs_route or core.pbs_route at every
+ * splitter, bit for bit:
  *
- * - a splitter whose messages have dead halves (_kernel.cases) runs the
- *   case BS1, SPLIT or MERGE, which skips terms that are +0.0 squares or
- *   +-0 registers and so computes the same doubles as the core functions;
+ * - a splitter whose messages have dead halves (network._live_inputs
+ *   picks them) runs the case BS1, SPLIT or MERGE, which skips terms that
+ *   are +0.0 squares or +-0 registers and so computes the same doubles as
+ *   the core functions;
  * - every adaptive unit draws from its own MT19937 stream, seeded and read
  *   exactly as CPython's Modules/_randommodule.c does (init_by_array on the
  *   32-bit words of the seed, genrand_res53 for random()), except that a
@@ -271,7 +273,9 @@ static void update(regs *r, int port, double g, cpx h, cpx v)
  * detector's count slot[j], and gamma[j] and seed[j] of an adaptive unit,
  * with its registers reg[10 j .. 10 j + 9] (w0, w1, then y0h, y0v, y1h,
  * y1v as re, im pairs), read at the start and left holding the final
- * values.  Per edge e: dst[e], dst_port[e], tag[e],
+ * values.  reg is the run's own copy of the plan's template
+ * (network._plan's reg), so a run writes to no other run's registers.
+ * Per edge e: dst[e], dst_port[e], tag[e],
  * xform[e] and, for a phase edge, factor[2 e], factor[2 e + 1].  source
  * holds the emitted message (h.re, h.im, v.re, v.im).
  *

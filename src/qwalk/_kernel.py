@@ -27,7 +27,7 @@ from array import array
 from pathlib import Path
 
 from . import core
-from .network import _MERGE
+from .network import _DETECTOR, _MERGE
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 #: the compile command, less its output and input files.  The kernel's
@@ -87,33 +87,27 @@ def _zeros(typecode: str, n: int) -> array:
     return array(typecode, [0]) * n
 
 
-def run(fn, plan, tag: array, state: list, n_particles: int, seed: int,
+def run(fn, plan, tag: array, reg: array, n_particles: int, seed: int,
         counts: array, t2: array) -> tuple[int, list[int]]:
     """Send the particles through a ``network._plan``'s tables with the kernel ``fn``.
 
-    The kernel reads the plan's arrays as they are, and the run's edge tags
-    ``tag``; the registers (read from ``state``, the run's
-    ``AdaptiveState`` of each adaptive unit or None) and the seeds (of the
-    units that draw: a merge gets none) are made for each run.
-    Adds to the slots of ``counts`` and, if it is not empty, of the t2
-    table ``t2`` in place, and leaves each unit's final registers in its
-    ``state``.  Adaptive unit j draws from the stream
+    The kernel reads the plan's arrays as they are, the run's edge tags
+    ``tag`` and its registers ``reg`` (a copy of ``plan.reg``), which it
+    updates in place, so they hold the final registers afterwards; the
+    seeds (of the units that draw: a merge gets none) are made for each
+    run.  Adds to the slots of ``counts`` and, if it is not empty, of the
+    t2 table ``t2`` in place.  Adaptive unit j draws from the stream
     ``RngStream(seed).derive(j)`` would give (a merge draws nothing).
     Returns the removed tally and each unit's arrivals, the particles that
     reached it (the Python loop draws once per arrival), 0 for a stateless
     unit.
     """
-    n = len(state) + 1  # and the sink that unwired ports lead to
+    n = len(plan.case)  # the units and the sink that unwired ports lead to
     # derive_seed is looked up on each run: a wrapper put back is not kept
-    derive_seed, case = core.derive_seed, plan.case
-    reg, seeds = _zeros("d", 10 * n), _zeros("Q", n)
-    for j, st in enumerate(state):
-        if st is not None:
-            reg[10 * j:10 * j + 10] = array("d", (
-                st.w0, st.w1, st.y0h.real, st.y0h.imag, st.y0v.real,
-                st.y0v.imag, st.y1h.real, st.y1h.imag, st.y1v.real, st.y1v.imag))
-            if case[j] != _MERGE:  # a merge's stream is never seeded
-                seeds[j] = derive_seed(seed, j)
+    derive_seed, seeds = core.derive_seed, _zeros("Q", n)
+    for j, c in enumerate(plan.case):
+        if c > _DETECTOR and c != _MERGE:  # a merge's stream is never seeded
+            seeds[j] = derive_seed(seed, j)
     removed, arrivals, err = _zeros("q", 1), _zeros("q", n), _zeros("d", 2)
     inputs = (plan.source, plan.case, plan.slot, plan.gamma, seeds, reg,
               plan.dst, plan.dst_port, tag, plan.xform, plan.factor)
@@ -121,12 +115,6 @@ def run(fn, plan, tag: array, state: list, n_particles: int, seed: int,
     status = fn(n, n_particles, plan.start, *(a.buffer_info()[0] for a in inputs),
                 1 if t2 else 0, len(plan.sites),
                 *(a.buffer_info()[0] for a in outputs))
-    for j, st in enumerate(state):
-        if st is not None:
-            r = reg[10 * j:10 * j + 10]
-            st.w0, st.w1 = r[0], r[1]
-            st.y0h, st.y0v = complex(r[2], r[3]), complex(r[4], r[5])
-            st.y1h, st.y1v = complex(r[6], r[7]), complex(r[8], r[9])
     if status == _VANISHED:
         raise core._vanished(err[0], err[1])
     if status == _UNTAPPED:

@@ -33,8 +33,8 @@ from .leggett_garg import (
     THREE_RUN,
     run_protocols,
 )
-from .network import (MAX_LEVELS, RemovalFilter, _compiled, build_jeong,
-                      build_robens, run)
+from .network import (MAX_LEVELS, RemovalFilter, _MAX_PARTICLES, _compiled,
+                      build_jeong, build_robens, run)
 from .theory import (
     DOWN,
     MAX_ORACLE_STEPS,
@@ -74,8 +74,9 @@ class RunConfig:
     network: str | None = None
 
     def validate(self) -> None:
-        if self.particles < 1:
-            raise ConfigError(f"particles must be >= 1, got {self.particles}")
+        if not 1 <= self.particles <= _MAX_PARTICLES:
+            raise ConfigError(f"particles must be in 1..{_MAX_PARTICLES}, "
+                              f"got {self.particles}")
         if not 0.0 <= self.gamma < 1.0:
             raise ConfigError(f"gamma must be in [0, 1), got {self.gamma}")
         for name in ("phi1", "phi2"):

@@ -118,6 +118,11 @@ class AdaptiveState:
     Invariants kept by ``adaptive_update``: w0 + w1 == 1, 0 <= w <= 1, and
     each averaged message has norm <= 1 (convex average of unit vectors).
     ``network.run`` checks them, to rounding, at the end of every run.
+
+    A run keeps its registers in one array of doubles
+    (``network.RunResult.registers``); only the Python loop
+    (``network._loop``) makes an ``AdaptiveState`` of each adaptive unit's
+    registers, for the core functions, and writes them back at its end.
     """
 
     __slots__ = ("w0", "w1", "y0h", "y0v", "y1h", "y1v", "gamma")
@@ -256,9 +261,7 @@ def hadamard_apply(m: Message) -> Message:
 # bit-identical results: the Python loop ``network._loop``, which applies
 # the functions above at every unit, or the compiled kernel
 # (``_kernel.c``), which repeats their float operations and skips the terms
-# of dead message halves.  ``state`` holds
-# an adaptive unit's registers as they stood at the end of the last run
-# (None before the first).
+# of dead message halves.
 
 
 class Source:
@@ -296,13 +299,12 @@ class HadamardUnit:
 class BeamSplitter:
     """Adaptive 50:50 beam splitter.  2 inputs, 2 outputs."""
 
-    __slots__ = ("gamma", "state", "out")
+    __slots__ = ("gamma", "out")
     n_inputs = 2
 
     def __init__(self, gamma: float):
         _check_gamma(gamma)
         self.gamma = gamma
-        self.state = None
         self.out = [None, None]
 
 

@@ -31,9 +31,9 @@ all particles of the run.  ``run`` compiles the graph into flat tables
 and every port a particle can reach is wired.  A compiled C kernel
 (``_kernel.c``) or the Python loop ``_loop`` then routes the particles
 through those same tables, with bit-identical results.  Each run starts
-every adaptive unit from fresh registers and a stream derived from the
-supplied one, so identical seeds reproduce bit-identical counts and
-tables.
+every adaptive unit from fresh registers, its own copy of the plan's, and
+a stream derived from the supplied one, so identical seeds reproduce
+bit-identical counts, tables and final registers.
 """
 from __future__ import annotations
 
@@ -63,6 +63,8 @@ from .core import (
 from .errors import InvalidLevels, QwalkError, UnwiredPort
 
 MAX_LEVELS = 12  # unit count grows as levels^2; desk-scale bound
+#: the most particles one run takes: the C kernel counts them in a long long
+_MAX_PARTICLES = 2 ** 63 - 1
 
 
 class RemovalFilter(NamedTuple):
@@ -82,6 +84,9 @@ class RunResult(NamedTuple):
     #: every detector site for both t2 sites when taps are on, else empty
     t2: dict[int, dict[int, int]]
     removed: int
+    #: the final registers: unit j's w0, w1, then y0h, y0v, y1h, y1v as
+    #: (re, im) pairs at [10*j, 10*j + 10); zeros for a non-adaptive unit
+    registers: array
 
 
 class Wire:
@@ -351,6 +356,10 @@ def _plan(net: Network) -> SimpleNamespace:
       index of its site in ``sites``; detectors at one site share it, and
       any other unit has _NONE) and the ``gamma`` of an adaptive unit (0.0
       for any other);
+    - ``reg``, the template of a run's registers: 10 doubles per unit and
+      the sink, laid out as ``RunResult.registers``, w0 = w1 = 1/2 and
+      y = 0 for an adaptive unit and 0.0 elsewhere.  Each run copies it,
+      and nothing writes to it;
     - per edge: ``dst`` unit, its ``dst_port``, ``tag``, ``xform`` and, for
       a phase edge, the factor's real and imaginary parts in ``factor[2e]``
       and ``factor[2e + 1]``;
@@ -370,13 +379,14 @@ def _plan(net: Network) -> SimpleNamespace:
     sites = net.detector_sites
     t2_sites = sorted(net.cut_points.get("t2", ()))
     case, slot = array("i", [_NONE]) * (n + 1), array("i", [_NONE]) * (n + 1)
-    gamma = array("d", [0.0]) * (n + 1)
+    gamma, reg = array("d", [0.0]) * (n + 1), array("d", [0.0]) * (10 * n + 10)
     for j, unit in enumerate(units):
         if isinstance(unit, Detector):
             case[j], slot[j] = _DETECTOR, sites.index(unit.site)
         elif isinstance(unit, BeamSplitter):
             case[j] = _PBS if isinstance(unit, PolarizingBeamSplitter) else _BS
             gamma[j] = unit.gamma
+            reg[10 * j] = reg[10 * j + 1] = 0.5
     dst, dst_port = array("i", [n]) * (2 * n), array("i", [0]) * (2 * n)
     tag, xform = array("i", [_NONE]) * (2 * n), array("i", [_PASS]) * (2 * n)
     factor = array("d", [0.0]) * (4 * n)
@@ -415,7 +425,7 @@ def _plan(net: Network) -> SimpleNamespace:
     _live_inputs(units, case, dst, dst_port, xform, start)
     h, v = SOURCE_MESSAGE
     net._plan = plan = SimpleNamespace(
-        units=list(units), case=case, slot=slot, gamma=gamma, dst=dst,
+        units=list(units), case=case, slot=slot, gamma=gamma, reg=reg, dst=dst,
         dst_port=dst_port, tag=tag, xform=xform, factor=factor,
         source=array("d", (h.real, h.imag, v.real, v.imag)), start=start,
         edge=edge, sites=sites, t2_sites=t2_sites)
@@ -438,9 +448,10 @@ def _compiled(builder, *args) -> Network:
 
     Sharing is safe for a caller that only passes the network to ``run``
     and reads nothing of it but ``detector_sites``: ``run`` keeps only the
-    plan (``_plan``), whose tables no run changes, and gives every run
-    fresh registers and streams.  A forked process keeps its own copy of
-    the cache; threads share it behind a lock.
+    plan (``_plan``), whose tables no run changes, and writes nothing to the
+    network or its units; each run owns its registers, a copy of the plan's
+    template, and its streams.  A forked process keeps its own copy of the
+    cache; threads share it behind a lock.
     """
     key = (builder, *((type(a), repr(a)) for a in args))
     with _compiled_lock:
@@ -453,28 +464,16 @@ def _compiled(builder, *args) -> Network:
     return net
 
 
-def _registers(plan: SimpleNamespace) -> list:
-    """Fresh registers for one run, per unit of the plan.
-
-    An adaptive unit gets a new ``AdaptiveState``, also assigned to its
-    ``state``; any other unit gets None.
-    """
-    state: list = [None] * len(plan.units)
-    units, gamma = plan.units, plan.gamma
-    for j, c in enumerate(plan.case):
-        if c > _DETECTOR:
-            units[j].state = state[j] = AdaptiveState(gamma[j])
-    return state
-
-
-def _loop(plan: SimpleNamespace, tag: array, state: list, n_particles: int,
+def _loop(plan: SimpleNamespace, tag: array, reg: array, n_particles: int,
           rng: RngStream, counts: array, t2: array) -> int:
     """The event loop in Python: the readable reference for ``_kernel.c``.
 
     Sends the particles through the plan's tables, with the run's edge tags
-    ``tag`` and registers ``state``; adds to the slots of ``counts`` and, if
+    ``tag`` and registers ``reg``; adds to the slots of ``counts`` and, if
     it is not empty, of the t2 table ``t2`` in place, and returns the
-    removed tally.  Adaptive unit j draws from ``rng.derive(j)``.
+    removed tally.  Adaptive unit j draws from ``rng.derive(j)``.  The
+    loop makes an ``AdaptiveState`` of each adaptive unit's registers in
+    ``reg`` and writes the final ones back at its end.
 
     Every adaptive hop is ``adaptive_update`` followed by ``bs_route`` (case
     _BS or _BS1) or ``pbs_route`` (_PBS, _SPLIT or _MERGE), with one number
@@ -485,8 +484,13 @@ def _loop(plan: SimpleNamespace, tag: array, state: list, n_particles: int,
     """
     route = [bs_route if c in (_BS, _BS1) else pbs_route if c > _DETECTOR
              else None for c in plan.case]
-    draw = [None if st is None else rng.derive(j).random
-            for j, st in enumerate(state)]
+    state, draw = [None] * len(route), [None] * len(route)
+    for j, r in enumerate(route):
+        if r is not None:
+            st = state[j] = AdaptiveState(plan.gamma[j])
+            st.w0, st.w1, *y = reg[10 * j:10 * j + 10]
+            st.y0h, st.y0v, st.y1h, st.y1v = map(complex, y[::2], y[1::2])
+            draw[j] = rng.derive(j).random
     tag, dst, dst_port, xform, slot, factor = (
         a.tolist() for a in (tag, plan.dst, plan.dst_port, plan.xform,
                              plan.slot, plan.factor))
@@ -527,6 +531,11 @@ def _loop(plan: SimpleNamespace, tag: array, state: list, n_particles: int,
                         raise _untapped()
                     t2[x2 * n_sites + s] += 1
                 break
+    for j, st in enumerate(state):
+        if st is not None:
+            reg[10 * j:10 * j + 10] = array("d", (
+                st.w0, st.w1, st.y0h.real, st.y0h.imag, st.y0v.real,
+                st.y0v.imag, st.y1h.real, st.y1h.imag, st.y1v.real, st.y1v.imag))
     return removed
 
 
@@ -537,29 +546,33 @@ def run(net: Network, n_particles: int, rng: RngStream,
 
     The network is compiled once, on its first run after an ``add`` or
     ``connect`` (``_plan``), and every later run reuses the tables.  Each
-    run gives every adaptive unit a fresh ``state``, new registers that the
-    loop updates in place, so they persist across all particles of the run
-    and hold their final values at the end; each unit draws from its own
-    stream, derived afresh from ``rng``.  Returns the detector counts, the
-    t2 table (empty unless ``taps_enabled``; a network without a t2 cut
-    point cannot be tapped), and the removed tally.
+    run owns its registers, one array copied from the plan's template
+    (fresh registers for every adaptive unit), which the loop updates in
+    place, so they persist across all particles of the run and hold their
+    final values at the end; each unit draws from its own stream, derived
+    afresh from ``rng``.  The run writes nothing to the network or its
+    units.  Returns the detector counts, the t2 table (empty unless
+    ``taps_enabled``; a network without a t2 cut point cannot be tapped),
+    the removed tally and the final registers (``RunResult.registers``).
+    ``n_particles`` must be in 1..2**63 - 1.
 
     Both event loops read the plan's tables, with bit-identical results:
     the compiled kernel (``_kernel.c``), used when its library loads and
     ``rng`` is a plain ``RngStream``, and the Python loop ``_loop``, used
     otherwise (a subclassed stream, such as one that counts its draws,
     keeps it).  The run gives them what it owns: a copy of the edge tags
-    with the filters' edges set to _ABSORB, its registers (``_registers``),
-    and zeroed counts, one per detector slot, and t2 table, one row of
-    slots per t2 site (empty unless tapped), which they add to and from
-    which the run's dicts are made.
+    with the filters' edges set to _ABSORB, its registers, and zeroed
+    counts, one per detector slot, and t2 table, one row of slots per t2
+    site (empty unless tapped), which they add to and from which the run's
+    dicts are made.
 
     After the loop the run checks particle conservation and, for every
     adaptive unit, the register invariants: |w0 + w1 - 1| <= 1e-12,
     0 <= w <= 1 and |y| <= 1 + 1e-12.  A breach raises ``QwalkError``.
     """
-    if n_particles < 1:
-        raise ValueError(f"n_particles must be >= 1, got {n_particles}")
+    if not 1 <= n_particles <= _MAX_PARTICLES:
+        raise ValueError(f"n_particles must be in 1..{_MAX_PARTICLES}, "
+                         f"got {n_particles}")
     wires = []
     for f in filters:
         sites = net.cut_points.get(f.label)
@@ -574,25 +587,24 @@ def run(net: Network, n_particles: int, rng: RngStream,
     for wire in wires:
         if wire in plan.edge:
             tag[plan.edge[wire]] = _ABSORB
-    state = _registers(plan)
+    reg = plan.reg[:]
     n_sites = len(plan.sites)
     counts = array("q", [0]) * n_sites
     t2 = array("q", [0]) * (len(plan.t2_sites) * n_sites if taps_enabled else 0)
     from . import _kernel  # on first use: import qwalk stays free of ctypes
     fn = _kernel.load() if type(rng) is RngStream else None
     if fn is None:
-        removed = _loop(plan, tag, state, n_particles, rng, counts, t2)
+        removed = _loop(plan, tag, reg, n_particles, rng, counts, t2)
     else:
-        removed, _arrivals = _kernel.run(fn, plan, tag, state, n_particles,
-                                      rng.seed, counts, t2)
+        removed, _arrivals = _kernel.run(fn, plan, tag, reg, n_particles,
+                                         rng.seed, counts, t2)
     if sum(counts) + removed != n_particles:
         raise QwalkError("conservation breach: emitted != detected + removed")
-    for j, st in enumerate(state):
-        if st is None:
+    for j, c in enumerate(plan.case):
+        if c <= _DETECTOR:
             continue
-        w0, w1 = st.w0, st.w1
-        y0 = math.hypot(abs(st.y0h), abs(st.y0v))
-        y1 = math.hypot(abs(st.y1h), abs(st.y1v))
+        w0, w1, *y = reg[10 * j:10 * j + 10]
+        y0, y1 = math.hypot(*y[:4]), math.hypot(*y[4:])
         # written so that a NaN register fails the test too
         if not (abs(w0 + w1 - 1.0) <= 1e-12 and 0.0 <= w0 <= 1.0
                 and 0.0 <= w1 <= 1.0 and y0 <= 1.0 + 1e-12 and y1 <= 1.0 + 1e-12):
@@ -601,4 +613,4 @@ def run(net: Network, n_particles: int, rng: RngStream,
                 f"w0={w0!r}, w1={w1!r}, |y0|={y0!r}, |y1|={y1!r}")
     rows = {x2: dict(zip(plan.sites, t2[r * n_sites:(r + 1) * n_sites]))
             for r, x2 in enumerate(plan.t2_sites) if taps_enabled}
-    return RunResult(dict(zip(plan.sites, counts)), rows, removed)
+    return RunResult(dict(zip(plan.sites, counts)), rows, removed, reg)

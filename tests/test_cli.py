@@ -174,6 +174,18 @@ def test_invalid_config_exits_2(capsys, argv):
     assert code == 2
     assert "configuration error" in err
 
+@pytest.mark.parametrize("argv", [
+    ("jeong", "--steps", "2", "--particles", str(2 ** 64 + 5)),
+    ("robens", "--particles", str(2 ** 63)),
+], ids=["jeong 2**64+5", "robens 2**63"])
+def test_particle_count_above_the_kernel_bound_exits_2(capsys, argv):
+    # more particles than a run counts is one configuration error line,
+    # not a run that miscounts or never ends
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"qwalk: configuration error: particles must be in "
+                   f"1..{2 ** 63 - 1}, got {argv[-1]}\n")
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["jeong", "--bogus"])

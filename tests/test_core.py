@@ -370,13 +370,16 @@ def test_splitters_check_the_learning_rate(gamma):
         assert str(exc.value) == f"learning rate must be in [0, 1), got {gamma}"
 
 def test_splitter_registers_exist_from_the_first_run():
-    # a new splitter holds no registers; run() gives it fresh ones
+    # a splitter holds no registers; run() gives each one fresh ones in the
+    # registers it returns, and the plan holds its gamma
     from qwalk.core import BeamSplitter
-    from qwalk.network import build_jeong, run
+    from qwalk.network import _plan, build_jeong, run
 
     net = build_jeong(2, 0.3, -0.7, 0.9)
-    splitters = [u for u in net.units if isinstance(u, BeamSplitter)]
-    assert splitters and all(u.state is None for u in splitters)
-    run(net, 10, RngStream(3))
-    assert all(type(u.state) is AdaptiveState and u.state.gamma == 0.9
-               for u in splitters)
+    splitters = [j for j, u in enumerate(net.units) if isinstance(u, BeamSplitter)]
+    assert splitters and BeamSplitter.__slots__ == ("gamma", "out")
+    assert all(not hasattr(net.units[j], "state") for j in splitters)
+    reg = run(net, 10, RngStream(3)).registers
+    assert len(reg) == 10 * (len(net.units) + 1)
+    assert all(abs(reg[10 * j] + reg[10 * j + 1] - 1.0) <= 1e-12
+               and _plan(net).gamma[j] == 0.9 for j in splitters)

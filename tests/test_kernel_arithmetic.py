@@ -157,13 +157,13 @@ def test_robens_run_calls_pow_rarely(harness):
     for fn in (harness.qwalk_run, _kernel.load()):
         net = network.build_robens(0.95)
         plan = network._plan(net)
-        state = network._registers(plan)
+        reg = plan.reg[:]
         counts = array("q", [0]) * len(plan.sites)
         calls.value = 0
-        removed, arrivals = _kernel.run(fn, plan, plan.tag, state, n, 2015,
+        removed, arrivals = _kernel.run(fn, plan, plan.tag, reg, n, 2015,
                                         counts, array("q"))
         outcomes.append((dict(zip(plan.sites, counts)), removed, arrivals,
-                         splitter_registers(net)))
+                         splitter_registers(net, reg)))
         if fn is harness.qwalk_run:
             assert calls.value < 2 * n
     assert outcomes[0] == outcomes[1]

@@ -29,7 +29,7 @@ from qwalk.errors import DegenerateAmplitude, InvalidLevels, QwalkError, Unwired
 from qwalk.network import (
     Network,
     RemovalFilter,
-    _registers,
+    _plan,
     build_jeong,
     build_robens,
     run,
@@ -159,12 +159,17 @@ def reference_run(net, n_particles, rng, filters=(), taps_enabled=False):
             wire = unit.out[port]
     return counts, t2, removed, states
 
-def registers(state):
+def state_registers(state):
     return (state.w0, state.w1, state.y0h, state.y0v, state.y1h, state.y1v)
 
-def splitter_registers(net):
+def registers(reg, j):
+    """Unit j's registers in a run's register array, as state_registers has them."""
+    w0, w1, *y = reg[10 * j:10 * j + 10]
+    return (w0, w1, *map(complex, y[::2], y[1::2]))
+
+def splitter_registers(net, reg):
     """repr of every adaptive unit's registers, which tells -0.0 from 0.0."""
-    return {j: repr(registers(unit.state)) for j, unit in enumerate(net.units)
+    return {j: repr(registers(reg, j)) for j, unit in enumerate(net.units)
             if isinstance(unit, BeamSplitter)}
 
 def splice_hadamard(net, unit, port):
@@ -292,20 +297,21 @@ def test_compiled_loop_matches_reference_stepper(shape, gamma, seed, n):
     filters = [] if removed_site is None else [RemovalFilter("t2", removed_site)]
     reference = CountingRng(seed)
     counts, t2, removed, states = reference_run(net, n, reference, filters, taps)
-    expected = {j: registers(state) for j, state in states.items()}
+    expected = {j: state_registers(state) for j, state in states.items()}
 
     result, arrivals = run_on_kernel(net, n, seed, filters, taps)
     assert (result.counts, result.t2, result.removed) == (counts, t2, removed)
     assert arrivals == reference.draws
-    assert {j: registers(net.units[j].state) for j in states} == expected
-    on_kernel = splitter_registers(net)
+    assert {j: registers(result.registers, j) for j in states} == expected
+    on_kernel = splitter_registers(net, result.registers)
 
     counted = CountingRng(seed)
     result = run(net, n, counted, filters=filters, taps_enabled=taps)
     assert (result.counts, result.t2, result.removed) == (counts, t2, removed)
     assert counted.draws == reference.draws
-    assert {j: registers(net.units[j].state) for j in states} == expected
-    assert splitter_registers(net) == on_kernel  # the two loops agree to the bit
+    assert {j: registers(result.registers, j) for j in states} == expected
+    # the two loops agree to the bit
+    assert splitter_registers(net, result.registers) == on_kernel
 
 def test_particle_at_dark_port_raises():
     # an unwired port that does carry amplitude stops the run instead of
@@ -433,10 +439,11 @@ def test_python_loop_gives_identical_run_results(monkeypatch, build, filters, ta
     # and returns the kernel's result and registers
     net = build()
     result, _arrivals = run_on_kernel(net, 3000, 99, filters, taps)
-    on_kernel = splitter_registers(net)
+    on_kernel = splitter_registers(net, result.registers)
     monkeypatch.setattr(_kernel, "load", lambda: None)
-    assert run(net, 3000, RngStream(99), filters=filters, taps_enabled=taps) == result
-    assert splitter_registers(net) == on_kernel
+    on_loop = run(net, 3000, RngStream(99), filters=filters, taps_enabled=taps)
+    assert on_loop == result
+    assert splitter_registers(net, on_loop.registers) == on_kernel
 
 def test_loops_agree_to_the_bit_over_many_short_runs(monkeypatch):
     # libm's pow(x, 2.0), which CPython's float ** 2 calls, differs from
@@ -449,10 +456,11 @@ def test_loops_agree_to_the_bit_over_many_short_runs(monkeypatch):
             yield seed, net, run(net, 20, RngStream(seed))
 
     assert _kernel.load() is not None, "the compiled kernel did not load"
-    on_kernel = [(result, splitter_registers(net)) for _seed, net, result in runs()]
+    on_kernel = [(result, splitter_registers(net, result.registers))
+                 for _seed, net, result in runs()]
     monkeypatch.setattr(_kernel, "load", lambda: None)
     for seed, net, result in runs():
-        assert (result, splitter_registers(net)) == on_kernel[seed]
+        assert (result, splitter_registers(net, result.registers)) == on_kernel[seed]
 
 def vanishing_mesh(monkeypatch):
     # at the largest gamma below 1 the first arrival leaves |y0| = 2**-53
@@ -464,13 +472,10 @@ def live_port_unwired_mesh(monkeypatch):
     return net
 
 def corrupted_mesh(monkeypatch):
-    def corrupted(plan):
-        state = _registers(plan)
-        state[1].w1 = 0.7
-        return state
-
-    monkeypatch.setattr("qwalk.network._registers", corrupted)
-    return build_jeong(1, PHI1, PHI2, 0.9)
+    # the template every run copies its registers from: unit 1's w1
+    net = build_jeong(1, PHI1, PHI2, 0.9)
+    _plan(net).reg[10 * 1 + 1] = 0.7
+    return net
 
 @pytest.mark.parametrize("make,error,message", [
     (vanishing_mesh, DegenerateAmplitude, "routing amplitudes vanished "
@@ -543,17 +548,15 @@ def test_counts_conserved_across_configurations():
 def test_corrupted_registers_stop_the_run(monkeypatch, capsys, register, value,
                                           shown):
     # unit 1 of the one-level mesh is its splitter; one particle enters it on
-    # port 0, which leaves w0 + w1 = 1.18 and |y1| = 3.0
-    def corrupted(plan):
-        state = _registers(plan)
-        setattr(state[1], register, value)
-        return state
-
-    monkeypatch.setattr("qwalk.network._registers", corrupted)
+    # port 0, which leaves w0 + w1 = 1.18 and |y1| = 3.0.  The corruption
+    # goes into the plan's template, which every run copies
+    net = build_jeong(1, PHI1, PHI2, 0.9)
+    _plan(net).reg[10 * 1 + {"w1": 1, "y1h": 6}[register]] = value
     with pytest.raises(QwalkError,
                        match=r"^register invariant breach at BeamSplitter 1: ") as exc:
-        run(build_jeong(1, PHI1, PHI2, 0.9), 1, RngStream(1))
+        run(net, 1, RngStream(1))
     assert shown in str(exc.value)
+    monkeypatch.setattr("qwalk.cli.build_jeong", lambda *args: net)
     assert main(["jeong", "--steps", "1", "--particles", "1"]) == 3
     assert "register invariant breach" in capsys.readouterr().err
 
@@ -589,12 +592,12 @@ def test_registers_reset_between_runs():
     second = run(net, 200, RngStream(3))
     assert first.counts == second.counts
     fresh = build_jeong(3, PHI1, PHI2)
-    run(fresh, 200, RngStream(3))
+    alone = run(fresh, 200, RngStream(3))
     splitters = [j for j, unit in enumerate(net.units)
                  if isinstance(unit, BeamSplitter)]
     assert splitters
     for j in splitters:
-        assert registers(net.units[j].state) == registers(fresh.units[j].state)
+        assert registers(second.registers, j) == registers(alone.registers, j)
 
 @pytest.mark.parametrize("stream", [RngStream, CountingRng],
                          ids=["kernel", "python loop"])
@@ -622,7 +625,8 @@ def test_one_network_runs_like_fresh_networks(stream):
         expected = run(fresh, 400, stream(seed), filters=filters, taps_enabled=taps)
         assert (result.counts, result.t2, result.removed) == (
             expected.counts, expected.t2, expected.removed)
-        assert splitter_registers(net) == splitter_registers(fresh)
+        assert (splitter_registers(net, result.registers)
+                == splitter_registers(fresh, expected.registers))
 
 def test_compiled_networks_are_shared_by_exact_arguments(monkeypatch):
     # one network per builder and argument bits: 0.0 and -0.0 differ, and so
@@ -694,14 +698,59 @@ def test_compiled_networks_hold_under_threads(monkeypatch):
     assert errors == []
     assert len(network._compiled_cache) <= network._COMPILED_MAX
 
+@pytest.mark.parametrize("build,taps", [
+    (lambda: build_robens(0.95), True),
+    (lambda: build_jeong(6, PHI1, PHI2, 0.9), False),
+], ids=["robens taps", "jeong"])
+def test_runs_own_their_registers_under_threads(loop, build, taps):
+    # 8 threads, switching often, run one network whose plan is not
+    # compiled yet, so that _plan can race too, each with its own seed:
+    # every result, final registers included, equals a serial run with
+    # that seed on a network of its own
+    seeds = range(40, 48)
+    reference = build()
+    serial = {seed: run(reference, 300, RngStream(seed), taps_enabled=taps)
+              for seed in seeds}
+    net = build()
+    assert net._plan is None
+    start, results, errors = threading.Barrier(len(seeds)), {}, []
+
+    def work(seed):
+        try:
+            start.wait(timeout=60)
+            results[seed] = [run(net, 300, RngStream(seed), taps_enabled=taps)
+                             for _ in range(3)]
+        except Exception as exc:  # reported below, with the thread's seed
+            errors.append((seed, exc))
+
+    threads = [threading.Thread(target=work, args=(seed,)) for seed in seeds]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for seed in seeds:
+        for result in results[seed]:
+            assert result == serial[seed]
+            assert (splitter_registers(net, result.registers)
+                    == splitter_registers(reference, serial[seed].registers))
+
 def test_add_and_connect_after_a_run_take_effect():
     net = build_jeong(4, PHI1, PHI2)
     run(net, 300, RngStream(6))
     # splice a Hadamard onto the source wire, as build_mixed does
     splice_hadamard(net, net.source, 0)
     fresh = build_mixed(4, PHI1, PHI2)
-    assert run(net, 300, RngStream(6)) == run(fresh, 300, RngStream(6))
-    assert splitter_registers(net) == splitter_registers(fresh)
+    result, expected = run(net, 300, RngStream(6)), run(fresh, 300, RngStream(6))
+    assert result == expected
+    assert (splitter_registers(net, result.registers)
+            == splitter_registers(fresh, expected.registers))
     net.add(Detector(9))
     assert sorted(run(net, 10, RngStream(1)).counts) == [-4, -2, 0, 2, 4, 9]
     # a connect alone: a new t2 cut point on a merge's dead port
@@ -802,6 +851,15 @@ def test_particle_count_validated():
     net = build_jeong(1, PHI1, PHI2)
     with pytest.raises(ValueError):
         run(net, 0, RngStream(1))
+
+@pytest.mark.parametrize("n", [2 ** 63, 2 ** 64 + 5])
+def test_particle_count_above_the_kernel_bound_rejected(n):
+    # the kernel counts particles in a long long, which ctypes would fill
+    # with n modulo 2**64 (5 particles for 2**64 + 5); the Python loop
+    # would not end.  run() rejects n before it picks a loop
+    with pytest.raises(ValueError, match=rf"^n_particles must be in "
+                                         rf"1\.\.{2 ** 63 - 1}, got {n}$"):
+        run(build_jeong(2, PHI1, PHI2), n, RngStream(1))
 
 def test_detector_parity_matches_depth():
     for levels in (3, 4):
