@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, fields, replace
 from .errors import EmptyRun, InsufficientReplicates, QwalkError
 from .core import RngStream, _INV_SQRT2
 from .leggett_garg import (
-    POOL_MIN_PARTICLE_RUNS,
     SINGLE_RUN,
     THREE_RUN,
     run_protocols,
@@ -164,10 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lgi", help="Leggett-Garg K for both protocols")
     p.add_argument("--workers", type=int, default=None,
-                   help="most parallel replicate processes, >= 1; capped "
-                        "at the replicate count, and a job under "
-                        f"{POOL_MIN_PARTICLE_RUNS} particle-runs runs in one "
-                        "process (default: the CPUs this process may run on)")
+                   help="most replicate threads, >= 1; capped at the "
+                        "replicate count and at the CPUs this process may "
+                        "run on (the default); without a C compiler the "
+                        "threads take turns, so more buy nothing")
     add_common(p, replicates_default=10)
 
     p = sub.add_parser("oracle", help="exact theory, no simulation")

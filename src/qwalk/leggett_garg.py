@@ -18,14 +18,13 @@ Two estimation protocols are implemented:
   come from one dataset; <Q(t3)> comes from a separate unconditioned run.
   K stays at 1 up to statistical fluctuations.
 
-Replicate helpers seed each replicate independently and dispatch a large
-job across processes; error bars are standard errors over replicates.
+Replicate helpers seed each replicate independently and run the replicates
+on a pool of threads; error bars are standard errors over replicates.
 """
 from __future__ import annotations
 
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .core import RngStream
@@ -34,16 +33,6 @@ from .network import RemovalFilter, _compiled, build_robens, run
 
 THREE_RUN = "three_run"
 SINGLE_RUN = "single_run"
-#: runs per replicate of each protocol
-_RUNS = {THREE_RUN: 3, SINGLE_RUN: 2}
-#: a job of fewer particle-runs (runs x particles, summed over its
-#: replicates) runs in this process: below it a process pool's start-up
-#: costs more than the pool saves.  Measured with the compiled kernel on 2
-#: vCPUs (CPython 3.11), both protocols at 2 replicates on 2 workers,
-#: medians of 7 to 11 jobs over two sessions: 20 000 particle-runs take
-#: 24-44 ms on the pool and 19-20 ms in process, 50 000 take 39-43 and
-#: 45-51 ms, 100 000 take 57-65 and 77-86 ms.
-POOL_MIN_PARTICLE_RUNS = 50_000
 
 
 @dataclass(frozen=True)
@@ -194,17 +183,22 @@ def run_protocols(protocols: list[tuple[str, RngStream]], *, particles: int = 10
                   workers: int | None = None) -> list[tuple[LgiResult, list[LgiResult]]]:
     """``run_protocol`` for several (protocol, stream) pairs, as one job.
 
-    A job of at least ``POOL_MIN_PARTICLE_RUNS`` particle-runs submits
-    every replicate of every protocol to one pool of at most
-    ``min(workers, len(protocols) * replicates)`` worker processes;
-    ``workers`` defaults to the CPUs this process may run on.  A smaller
-    job, or one worker, runs the replicates in this process.  Each
+    Every replicate of every protocol runs on one pool of
+    ``min(workers, usable CPUs, len(protocols) * replicates)`` threads,
+    where the usable CPUs are those this process may run on and
+    ``workers`` defaults to them.  Threads run in parallel because the
+    compiled kernel releases the GIL; the Python loop, used without a C
+    compiler, holds it, so there more workers buy nothing.  Each
     replicate's stream depends only on its protocol's stream and index, so
-    the results do not depend on the dispatch.  Fewer than 2 replicates
-    raise ``InsufficientReplicates`` before any replicate runs.  An
-    ``EmptyRun`` message starts with the protocol whose replicate had no
+    the results do not depend on the number of threads.  Fewer than 2
+    replicates raise ``InsufficientReplicates`` before any replicate runs.
+    An ``EmptyRun`` message starts with the protocol whose replicate had no
     counts.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import _kernel
+
     for protocol, _rng in protocols:
         if protocol not in (THREE_RUN, SINGLE_RUN):
             raise ValueError(f"unknown protocol {protocol!r}")
@@ -213,24 +207,19 @@ def run_protocols(protocols: list[tuple[str, RngStream]], *, particles: int = 10
             f"need at least 2 replicates, got {replicates}")
     jobs = [(protocol, rng.derive(r).seed, particles, gamma)
             for protocol, rng in protocols for r in range(replicates)]
-    if workers is None:
-        if hasattr(os, "sched_getaffinity"):
-            workers = len(os.sched_getaffinity(0))
-        else:
-            workers = os.cpu_count() or 1
-    # the pool starts all of its worker processes up front: never more
-    # than there are replicates to run
-    workers = min(workers, len(jobs))
-    particle_runs = sum(_RUNS[protocol] for protocol, *_ in jobs) * particles
-    if workers > 1 and particle_runs >= POOL_MIN_PARTICLE_RUNS:
-        # loaded (or reported unavailable) once, here: forked workers
-        # inherit the library
-        from . import _kernel
-        _kernel.load()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_worker, jobs))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
     else:
-        results = [_replicate_worker(job) for job in jobs]
+        cpus = os.cpu_count() or 1
+    # threads beyond the usable CPUs buy nothing, and beyond the
+    # replicates they would run nothing; no protocols, or workers < 1,
+    # still get the one thread a pool needs
+    workers = min(cpus if workers is None else workers, cpus, len(jobs))
+    # loaded (or reported unavailable) once, here: functools.cache is not a
+    # lock, and the threads then share the outcome
+    _kernel.load()
+    with ThreadPoolExecutor(max(workers, 1)) as pool:
+        results = list(pool.map(_replicate_worker, jobs))
     return [_aggregate(protocol, results[i * replicates:(i + 1) * replicates])
             for i, (protocol, _rng) in enumerate(protocols)]
 
@@ -246,10 +235,9 @@ def run_protocol(protocol: str, *, particles: int = 100_000, gamma: float = 0.95
     replicate runs the network 3 times (three-run) or twice (single-run);
     a process builds and compiles the network of one gamma once
     (``network._compiled``) for all its replicates, and every run starts
-    from fresh registers and streams.  Dispatch follows ``run_protocols``: a job
-    of ``POOL_MIN_PARTICLE_RUNS`` particle-runs or more runs on at most
-    ``min(workers, replicates)`` worker processes (``workers`` defaults to
-    the CPUs this process may run on), a smaller one in this process.
+    from fresh registers and streams.  Dispatch follows ``run_protocols``:
+    the replicates run on ``min(workers, usable CPUs, replicates)`` threads
+    (``workers`` defaults to the CPUs this process may run on).
     """
     [result] = run_protocols([(protocol, rng)], particles=particles, gamma=gamma,
                              replicates=replicates, workers=workers)

@@ -217,10 +217,10 @@ def test_failed_compile_leaves_no_file(fresh_loader, monkeypatch, capsys):
 
 
 def test_pool_job_reports_a_missing_compiler_once(tmp_path):
-    # the parent loads the kernel before its pool starts, so the forked
-    # workers inherit the outcome instead of each reporting the fallback
-    code = ("import sys, qwalk.leggett_garg as lg; from qwalk.cli import main; "
-            "lg.POOL_MIN_PARTICLE_RUNS = 0; sys.exit(main(sys.argv[1:]))")
+    # the kernel is loaded before the pool's threads start, so they share
+    # one load() instead of each reporting the fallback
+    code = ("import sys; from qwalk.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
     env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path), "PATH": str(tmp_path)}
     done = subprocess.run([sys.executable, "-c", code, "lgi", "--particles", "300",
                            "--replicates", "2", "--workers", "2"],

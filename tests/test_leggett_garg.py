@@ -1,6 +1,8 @@
 """Correlation estimators for both measurement protocols."""
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -163,27 +165,34 @@ def test_run_protocol_aggregates_and_is_deterministic():
     assert agg_a.k == 1.0 + agg_a.components.q3q2_mean - agg_a.components.q3_mean
 
 def test_run_protocol_parallel_matches_serial(monkeypatch):
-    # a real pool, started whatever the job's size
+    # real threads, switching as often as the interpreter allows
     import qwalk.leggett_garg as lg
 
     pools = []
 
-    class CountingPool(ProcessPoolExecutor):
+    class CountingPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(lg, "POOL_MIN_PARTICLE_RUNS", 0)
-    monkeypatch.setattr(lg, "ProcessPoolExecutor", CountingPool)
-    serial, _ = run_protocol(SINGLE_RUN, particles=1200, gamma=0.9,
-                             replicates=2, rng=RngStream(4), workers=1)
-    parallel, _ = run_protocol(SINGLE_RUN, particles=1200, gamma=0.9,
-                               replicates=2, rng=RngStream(4), workers=2)
-    assert pools == [2]
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(lg.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(lg.os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        serial, _ = run_protocol(SINGLE_RUN, particles=1200, gamma=0.9,
+                                 replicates=2, rng=RngStream(4), workers=1)
+        parallel, _ = run_protocol(SINGLE_RUN, particles=1200, gamma=0.9,
+                                   replicates=2, rng=RngStream(4), workers=2)
+    finally:
+        sys.setswitchinterval(switch)
+    assert pools == [1, 2]
     assert serial == parallel
 
 class RecordingExecutor:
-    """Stands in for ProcessPoolExecutor: records the pool size, runs in process."""
+    """Stands in for ThreadPoolExecutor: records the pool size, starts no thread."""
 
     sizes: list = []
 
@@ -199,12 +208,15 @@ class RecordingExecutor:
     def map(self, fn, jobs):
         return map(fn, jobs)
 
-@pytest.mark.parametrize("workers,pools", [(5000, [3]), (2, [2]), (None, [3]), (1, [])])
+def fixed_replicate(job):
+    """Stands in for a replicate: a constant result, no run."""
+    return LgiResult(1.0, 0.0, job[0], LgiComponents(0.0, 0.0, 0.5, 0.5), 1)
+
+@pytest.mark.parametrize("workers,pools", [(5000, [3]), (2, [2]), (None, [3]), (1, [1])])
 def test_run_protocol_pool_never_exceeds_replicates(monkeypatch, workers, pools):
     import qwalk.leggett_garg as lg
 
-    monkeypatch.setattr(lg, "POOL_MIN_PARTICLE_RUNS", 0)  # any job is large
-    monkeypatch.setattr(lg, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(lg.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(lg.os, "sched_getaffinity", lambda pid: set(range(64)),
                         raising=False)
@@ -213,8 +225,22 @@ def test_run_protocol_pool_never_exceeds_replicates(monkeypatch, workers, pools)
                  rng=RngStream(5), workers=workers)
     assert RecordingExecutor.sizes == pools
 
+def test_pool_never_exceeds_usable_cpus(monkeypatch):
+    # threads beyond the CPUs this process may run on buy nothing
+    import qwalk.leggett_garg as lg
+
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(lg, "_replicate_worker", fixed_replicate)
+    monkeypatch.setattr(lg.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(lg.os, "sched_getaffinity", lambda pid: set(range(4)),
+                        raising=False)
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    both = [(THREE_RUN, RngStream(1)), (SINGLE_RUN, RngStream(2))]
+    lg.run_protocols(both, particles=20, replicates=8, workers=5000)
+    assert RecordingExecutor.sizes == [4]
+
 @pytest.mark.parametrize("workers,pools", [("5000", [4]), ("3", [3]), (None, [4]),
-                                           ("1", [])])
+                                           ("1", [1])])
 def test_lgi_job_starts_one_pool(monkeypatch, capsys, workers, pools):
     # both protocols' replicates share one pool, sized by their total count,
     # and the report does not depend on the dispatch
@@ -224,8 +250,7 @@ def test_lgi_job_starts_one_pool(monkeypatch, capsys, workers, pools):
     argv = ["lgi", "--particles", "300", "--replicates", "2"]
     assert main(argv + ["--workers", "1"]) == 0
     serial = capsys.readouterr().out
-    monkeypatch.setattr(lg, "POOL_MIN_PARTICLE_RUNS", 0)  # any job is large
-    monkeypatch.setattr(lg, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(lg.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(lg.os, "sched_getaffinity", lambda pid: set(range(64)),
                         raising=False)
@@ -234,14 +259,13 @@ def test_lgi_job_starts_one_pool(monkeypatch, capsys, workers, pools):
     assert RecordingExecutor.sizes == pools
     assert capsys.readouterr().out == serial
 
-@pytest.mark.parametrize("usable,pools", [({0}, []), ({0, 1}, [2])])
+@pytest.mark.parametrize("usable,pools", [({0}, [1]), ({0, 1}, [2])])
 def test_default_pool_follows_cpu_affinity(monkeypatch, usable, pools):
     # the default pool counts the CPUs this process may run on, not the
     # CPUs the machine has
     import qwalk.leggett_garg as lg
 
-    monkeypatch.setattr(lg, "POOL_MIN_PARTICLE_RUNS", 0)  # any job is large
-    monkeypatch.setattr(lg, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingExecutor)
     monkeypatch.setattr(lg.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(lg.os, "sched_getaffinity", lambda pid: usable,
                         raising=False)
@@ -250,30 +274,30 @@ def test_default_pool_follows_cpu_affinity(monkeypatch, usable, pools):
                  rng=RngStream(5))
     assert RecordingExecutor.sizes == pools
 
-def test_small_jobs_run_in_process(monkeypatch):
-    # a job below POOL_MIN_PARTICLE_RUNS (runs x particles over all
-    # replicates: 3 runs for three-run, 2 for single-run) starts no pool
-    # whatever --workers says; the default lgi job starts one
+def test_benchmark_sized_job_takes_a_pool(monkeypatch):
+    # a small job runs on as many threads as a large one: the benchmark's
+    # lgi job (2000 particles, 2 replicates per protocol) on 2 workers, and
+    # the default lgi job on every usable CPU up to its 20 replicates
     import qwalk.leggett_garg as lg
 
-    def fixed(job):
-        return LgiResult(1.0, 0.0, job[0], LgiComponents(0.0, 0.0, 0.5, 0.5), 1)
-
-    monkeypatch.setattr(lg, "ProcessPoolExecutor", RecordingExecutor)
-    monkeypatch.setattr(lg, "_replicate_worker", fixed)
+    monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(lg, "_replicate_worker", fixed_replicate)
+    monkeypatch.setattr(lg.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(lg.os, "sched_getaffinity", lambda pid: set(range(64)),
                         raising=False)
     monkeypatch.setattr(RecordingExecutor, "sizes", [])
     both = [(THREE_RUN, RngStream(1)), (SINGLE_RUN, RngStream(2))]
-    # both protocols at 2 replicates: 10 particle-runs per particle
-    smallest = lg.POOL_MIN_PARTICLE_RUNS // 10
-    lg.run_protocols(both, particles=smallest - 1, replicates=2, workers=4)
     lg.run_protocols(both, particles=2000, replicates=2, workers=2)
-    assert RecordingExecutor.sizes == []
-    lg.run_protocols(both, particles=smallest, replicates=2, workers=4)
-    assert RecordingExecutor.sizes == [4]
+    assert RecordingExecutor.sizes == [2]
     lg.run_protocols(both)
-    assert RecordingExecutor.sizes == [4, 20]
+    assert RecordingExecutor.sizes == [2, 20]
+
+def test_import_starts_no_pool_machinery():
+    # the thread pool is imported when an lgi job starts, not with qwalk
+    code = ("import sys, qwalk, qwalk.cli; "
+            "sys.exit(any(m.split('.')[0] in ('concurrent', 'multiprocessing') "
+            "for m in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 def test_single_replicate_is_rejected_before_any_runs(monkeypatch):
     import qwalk.leggett_garg as lg
