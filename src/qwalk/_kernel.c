@@ -17,42 +17,19 @@
  *   MERGE generates no number: its draw decides nothing, and no other
  *   unit reads its stream;
  * - complex arithmetic is spelled out in CPython's order (3.10 to 3.13):
- *   _Py_c_prod for a product, a float operand promoted to complex(x, 0.0),
- *   and float ** 2 as libm's pow(x, 2.0), which CPython calls.
+ *   _Py_c_prod for a product and a float operand promoted to complex(x,
+ *   0.0); a square is x * x, as in the core functions.
  *
- * pow(x, 2.0) is not always x * x: the two differ in about 1 of 1170
- * random doubles.  But pow costs more than the rest of a hop, so sq() calls
- * it only when it must.  It computes p = x * x and the exact residual
- * e = x**2 - p (Veltkamp's split and Dekker's product, Numer. Math. 18,
- * 1971; no fma(), so no libm call or compile flag is added).  When p is no
- * power of two, every other double lies at least ulp(p) from p, so if
- * |e| < 0.45 ulp(p) every other double is more than 0.55 ulp from x**2.
- * A pow whose error stays below 0.54 ulp must then return p.  Only that
- * case, and a zero x, whose square CPython returns as +0.0 without calling
- * pow, return p.  pow is called when p is outside [2**-900, 2**1000) for a
- * nonzero x (underflow, subnormals, overflow, inf and NaN included), when
- * p is a power of two, and when |e| >= 0.45 ulp(p): for 2 % of the squares
- * on the Robens network, whose amplitudes are real or imaginary so that
- * half of its squares are of a zero, and 7 to 10 % on the Jeong mesh.
- *
- * The precondition is the libm's: the kernel and CPython link the same
- * one, and its pow must be accurate to 0.54 ulp.  That is the documented
- * bound of the pow of glibc >= 2.28 and of musl >= 1.1.20, which share
- * one implementation.  tests/test_kernel_arithmetic.py checks sq()
- * against CPython's x ** 2 on over 10**6 doubles.
- *
- * Build with -O2 -ffp-contract=off -fno-builtin-pow -fno-math-errno, so
- * that no product is fused into an FMA (which would break the exact
- * residual and CPython's order), pow is not folded into x * x, and sqrt is
- * one instruction with no errno branch (IEEE sqrt is correctly rounded
- * either way).  The loader in _kernel.py does this once per machine and
- * caches the library.
+ * Build with -O2 -ffp-contract=off -fno-math-errno, so that no product is
+ * fused into an FMA (CPython fuses none, not even in a * a + b * b) and
+ * sqrt is one instruction with no errno branch (IEEE sqrt is correctly
+ * rounded either way).  The loader in _kernel.py does this once per
+ * machine and caches the library.
  */
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 
 /* --- MT19937 as in CPython's _randommodule.c ---------------------------- */
 
@@ -77,11 +54,14 @@ static void init_genrand(mt_state *self, uint32_t s)
     self->mti = mti;
 }
 
-static void init_by_array(mt_state *self, const uint32_t *init_key, size_t key_length)
+/* init_by_array from base, the state that init_genrand(19650218) leaves:
+   qwalk_run computes it once, and each stream starts from a copy */
+static void init_by_array(mt_state *self, const mt_state *base,
+                          const uint32_t *init_key, size_t key_length)
 {
     size_t i, j, k;
     uint32_t *mt = self->mt;
-    init_genrand(self, 19650218U);
+    *self = *base;
     i = 1;
     j = 0;
     k = N > key_length ? N : key_length;
@@ -103,10 +83,10 @@ static void init_by_array(mt_state *self, const uint32_t *init_key, size_t key_l
 
 /* random.Random(seed) for an int 0 <= seed < 2**64: the key is the seed's
    little-endian 32-bit words, at least one */
-static void seed_stream(mt_state *self, uint64_t seed)
+static void seed_stream(mt_state *self, const mt_state *base, uint64_t seed)
 {
     uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
-    init_by_array(self, key, key[1] ? 2 : 1);
+    init_by_array(self, base, key, key[1] ? 2 : 1);
 }
 
 static uint32_t genrand_uint32(mt_state *self)
@@ -164,37 +144,8 @@ static cpx rmul(double x, cpx b) { cpx a = {x, 0.0}; return cmul(a, b); }
 
 static cpx mulr(cpx a, double x) { cpx b = {x, 0.0}; return cmul(a, b); }
 
-/*
- * float ** 2.  float_pow returns +0.0 for a zero operand without calling
- * libm, and x * x is +0.0 for either zero, so neither calls pow.  It hands
- * finite nonzero operands to libm's pow, so this returns pow(x, 2.0) for
- * them; the header comment says when x * x is that.
- */
-static inline double sq(double x)
-{
-    double p = x * x;
-    uint64_t bits;
-    memcpy(&bits, &p, sizeof bits);
-    /* p's biased exponent, 0x7ff for inf and NaN; p >= 0, so no sign bit */
-    uint64_t ex = bits >> 52;
-    /* 2**-900 <= p < 2**1000 (biased 123 .. 2022), and p no power of two */
-    if (ex - 123 < 1900 && (bits & 0xfffffffffffffU) != 0) {
-        /* Veltkamp's split of x into 26-bit halves, then Dekker's exact
-           residual e = x * x - p */
-        double c = 134217729.0 * x;  /* 2**27 + 1 */
-        double hi = c - (c - x), lo = x - hi;
-        double e = ((hi * hi - p) + 2.0 * hi * lo) + lo * lo;
-        /* ulp(p) = 2**(exponent - 52), a normal double in this range */
-        uint64_t ulp_bits = (ex - 52) << 52;
-        double ulp;
-        memcpy(&ulp, &ulp_bits, sizeof ulp);
-        if (fabs(e) < 0.45 * ulp)
-            return p;
-    }
-    if (x == 0.0)
-        return p;
-    return pow(x, 2.0);
-}
+/* a square as the core functions write it: one IEEE product */
+static inline double sq(double x) { return x * x; }
 
 /* core._normalized: (zh, zv) / sqrt(p), where a p below the normal range
    is summed again from (zh, zv) * 2**600 */
@@ -231,7 +182,7 @@ enum { NONE = -1, ABSORB = -2 };
 /* edge transforms */
 enum { PASS = 0, HADAMARD = 1, PHASE = 2 };
 /* return codes */
-enum { OK = 0, VANISHED = 1, UNTAPPED = 2, NO_MEMORY = 3 };
+enum { OK = 0, VANISHED = 1, UNTAPPED = 2, NO_MEMORY = 3, NOT_UNIT = 4 };
 
 /* registers of one adaptive unit, the fields of core.AdaptiveState */
 typedef struct { double w0, w1; cpx y0h, y0v, y1h, y1v; } regs;
@@ -240,13 +191,14 @@ typedef struct { double w0, w1; cpx y0h, y0v, y1h, y1v; } regs;
 typedef struct {
     mt_state *mt;
     const uint64_t *seed;
+    mt_state base;      /* init_genrand(19650218), where every seeding starts */
 } streams_t;
 
 static inline double draw(streams_t *d, int j)
 {
     mt_state *s = &d->mt[j];
     if (s->mti < 0)
-        seed_stream(s, d->seed[j]);
+        seed_stream(s, &d->base, d->seed[j]);
     return genrand_res53(s);
 }
 
@@ -281,7 +233,8 @@ static void update(regs *r, int port, double g, cpx h, cpx v)
  *
  * Adds to counts[slot], t2[row * n_sites + slot] (when taps), removed and
  * arrivals[j], the particles that reached adaptive unit j.  Returns OK or
- * an error code; VANISHED leaves p0, p1 in err.
+ * an error code; VANISHED leaves p0, p1 in err, NOT_UNIT the squared norm
+ * of the message that reached a detector in err[0].
  */
 int qwalk_run(int n, long long n_particles, int start, const double *source,
               const int *kind, const int *slot, const double *gamma,
@@ -304,6 +257,7 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
     for (int j = 0; j < n; j++)
         d.mt[j].mti = -1;
     d.seed = seed;
+    init_genrand(&d.base, 19650218U);
 
     for (i = 0; i < n_particles && status == OK; i++) {
         int e = start, x2 = NONE;
@@ -454,6 +408,13 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
                 continue;
             }
             case DETECTOR:
+                /* network._loop's check: a message arrives with unit norm */
+                p0 = sq(h.re) + sq(h.im) + sq(v.re) + sq(v.im);
+                if (!(fabs(p0 - 1.0) <= 1e-12)) {
+                    err[0] = p0;
+                    status = NOT_UNIT;
+                    break;
+                }
                 counts[slot[j]]++;
                 if (taps) {
                     if (x2 < 0) {

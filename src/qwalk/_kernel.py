@@ -32,17 +32,16 @@ from .network import _DETECTOR, _MERGE
 SOURCE = Path(__file__).with_name("_kernel.c")
 #: the compile command, less its output and input files.  The kernel's
 #: doubles are CPython's only under these flags: -ffp-contract=off fuses no
-#: product into an FMA (CPython's order, and sq()'s exact residual),
-#: -fno-builtin-pow keeps pow(x, 2.0) a libm call instead of x * x, and
+#: product into an FMA (CPython fuses none, not even in a * a + b * b), and
 #: -fno-math-errno lets sqrt compile to one instruction, which returns the
 #: same correctly rounded double without the errno branch.  No flag that
 #: reorders or approximates float arithmetic (-ffast-math and its parts)
 #: may be added.
-COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fno-builtin-pow",
-           "-fno-math-errno", "-shared", "-fPIC")
+COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fno-math-errno", "-shared",
+           "-fPIC")
 
 # the return codes of qwalk_run; the tables' codes are network.py's
-_VANISHED, _UNTAPPED, _NO_MEMORY = 1, 2, 3
+_VANISHED, _UNTAPPED, _NO_MEMORY, _NOT_UNIT = 1, 2, 3, 4
 
 
 def library_path() -> Path:
@@ -119,6 +118,8 @@ def run(fn, plan, tag: array, reg: array, n_particles: int, seed: int,
         raise core._vanished(err[0], err[1])
     if status == _UNTAPPED:
         raise core._untapped()
+    if status == _NOT_UNIT:
+        raise core._not_unit(err[0])
     if status == _NO_MEMORY:
         raise MemoryError("compiled event loop: out of memory")
     return removed[0], arrivals[:n - 1].tolist()

@@ -50,10 +50,9 @@ class Message(NamedTuple):
     c_v: complex
 
     def norm(self) -> float:
-        return math.sqrt(
-            self.c_h.real ** 2 + self.c_h.imag ** 2
-            + self.c_v.real ** 2 + self.c_v.imag ** 2
-        )
+        h, v = self
+        return math.sqrt(h.real * h.real + h.imag * h.imag
+                         + v.real * v.real + v.imag * v.imag)
 
     def normalized(self) -> "Message":
         n = self.norm()
@@ -206,8 +205,14 @@ def pbs_route(state: AdaptiveState, in_port: int, m: Message, u: float) -> tuple
 
 def _pick_port(z0h: complex, z0v: complex, z1h: complex, z1v: complex,
                u: float) -> tuple[int, Message]:
-    p0 = z0h.real ** 2 + z0h.imag ** 2 + z0v.real ** 2 + z0v.imag ** 2
-    p1 = z1h.real ** 2 + z1h.imag ** 2 + z1v.real ** 2 + z1v.imag ** 2
+    # a square is x * x, one IEEE product as in the kernel; x ** 2 would
+    # call libm's pow
+    a, b = z0h.real, z0h.imag
+    c, d = z0v.real, z0v.imag
+    p0 = a * a + b * b + c * c + d * d
+    a, b = z1h.real, z1h.imag
+    c, d = z1v.real, z1v.imag
+    p1 = a * a + b * b + c * c + d * d
     total = p0 + p1
     if not total >= 1e-30:  # also catches a NaN total
         raise _vanished(p0, p1)
@@ -227,7 +232,8 @@ def _normalized(zh: complex, zv: complex, p: float) -> Message:
     """
     if p < _MIN_NORMAL:
         zh, zv = zh * _UPSCALE, zv * _UPSCALE
-        p = zh.real ** 2 + zh.imag ** 2 + zv.real ** 2 + zv.imag ** 2
+        p = (zh.real * zh.real + zh.imag * zh.imag
+             + zv.real * zv.real + zv.imag * zv.imag)
     inv = 1.0 / math.sqrt(p)
     return Message(zh * inv, zv * inv)
 
@@ -235,6 +241,11 @@ def _normalized(zh: complex, zv: complex, p: float) -> Message:
 def _vanished(p0: float, p1: float) -> DegenerateAmplitude:
     return DegenerateAmplitude(
         f"routing amplitudes vanished (p0={p0!r}, p1={p1!r})")
+
+
+def _not_unit(p: float) -> QwalkError:
+    return QwalkError(f"a message of squared norm {p!r} reached a detector; "
+                      "messages have unit norm to 1e-12")
 
 
 def _untapped() -> QwalkError:

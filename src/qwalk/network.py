@@ -54,6 +54,7 @@ from .core import (
     RngStream,
     Source,
     SOURCE_MESSAGE,
+    _not_unit,
     _untapped,
     adaptive_update,
     bs_route,
@@ -524,6 +525,11 @@ def _loop(plan: SimpleNamespace, tag: array, reg: array, n_particles: int,
                 port, m = r(st, port, m, draw[j]())
                 e = 2 * j + port
             else:
+                h, v = m
+                p = (h.real * h.real + h.imag * h.imag
+                     + v.real * v.real + v.imag * v.imag)
+                if not abs(p - 1.0) <= 1e-12:  # also catches a NaN
+                    raise _not_unit(p)
                 s = slot[j]
                 counts[s] += 1
                 if taps_enabled:
@@ -566,9 +572,11 @@ def run(net: Network, n_particles: int, rng: RngStream,
     site (empty unless tapped), which they add to and from which the run's
     dicts are made.
 
-    After the loop the run checks particle conservation and, for every
-    adaptive unit, the register invariants: |w0 + w1 - 1| <= 1e-12,
-    0 <= w <= 1 and |y| <= 1 + 1e-12.  A breach raises ``QwalkError``.
+    Both loops check at every detection that the message has unit norm,
+    | |h|**2 + |v|**2 - 1 | <= 1e-12.  After the loop the run checks
+    particle conservation and, for every adaptive unit, the register
+    invariants: |w0 + w1 - 1| <= 1e-12, 0 <= w <= 1 and
+    |y| <= 1 + 1e-12.  A breach raises ``QwalkError``.
     """
     if not 1 <= n_particles <= _MAX_PARTICLES:
         raise ValueError(f"n_particles must be in 1..{_MAX_PARTICLES}, "

@@ -12,9 +12,9 @@ from qwalk import _kernel, network
 from qwalk.core import _normalized
 from test_network import splitter_registers
 
-# exposes static functions of the kernel over arrays, and counts the kernel's
-# calls of libm's pow in pow_calls; the values and the kernel's own interface
-# stay as they are
+# exposes static functions of the kernel over arrays, and counts any call of
+# libm's pow in pow_calls; the values and the kernel's own interface stay as
+# they are
 HARNESS = """\
 #include <math.h>
 
@@ -91,18 +91,11 @@ def call(fn, xs: list[float], out_per_item: int, in_per_item: int = 1) -> array:
     return out
 
 
-def python_sq(x: float) -> float:
-    try:
-        return x ** 2
-    except OverflowError:  # libm's pow returns inf, float_pow raises
-        return math.inf
-
-
 def square_inputs() -> list[float]:
     rng = random.Random(20201118)
     xs = [rng.uniform(-1.0, 1.0) for _ in range(400_000)]
     xs += [rng.uniform(0.0, 1e-3) for _ in range(400_000)]
-    # both sides of the fast path's guards on x * x, 2**-900 and 2**1000
+    # squares around 2**-900 and 2**1000
     for edge in (2.0 ** -450, 2.0 ** 500):
         xs += [s * edge * rng.uniform(0.5, 2.0) for s in (1, -1)
                for _ in range(50_000)]
@@ -130,46 +123,40 @@ def assert_same_bits(xs: list, expected: list[float], got: array) -> None:
 
 
 def test_kernel_square_is_pythons_float_square(harness):
+    # the core functions square as x * x, one IEEE product
     xs = square_inputs()
-    expected = [python_sq(x) for x in xs]
+    expected = [x * x for x in xs]
     assert len(xs) >= 1_000_000
-    # the set reaches the doubles whose pow(x, 2.0) is not x * x
-    assert sum(e != x * x for x, e in zip(xs, expected)) >= 500
     assert_same_bits([x.hex() for x in xs], expected,
                      call(harness.sq_array, xs, 1))
 
 
-def test_kernel_square_of_zero_calls_no_pow(harness):
-    # float_pow returns +0.0 for either zero without calling libm
-    calls = pow_calls(harness)
-    calls.value = 0
-    got = call(harness.sq_array, [0.0, -0.0], 1)
-    assert got.tobytes() == struct.pack("<2d", 0.0, 0.0)
-    assert calls.value == 0
-
-
-def test_robens_run_calls_pow_rarely(harness):
-    # the Robens network's amplitudes are real or imaginary, so half of its
-    # squares are of an exact zero; the run through the counting harness is
-    # the loaded kernel's run, counts, registers and arrivals alike
+@pytest.mark.parametrize("build,hops", [
+    (lambda: network.build_robens(0.95), 8),
+    (lambda: network.build_jeong(12, math.pi / 2, -math.pi / 2, 0.98), 12),
+], ids=["robens", "mesh12"])
+def test_kernel_runs_call_no_pow(harness, build, hops):
+    # a square is one product, so the source has no pow and a run calls
+    # none; the run through the counting harness is the loaded kernel's
+    # run, counts, registers and arrivals alike
+    assert "pow(" not in _kernel.SOURCE.read_text()
     calls, n = pow_calls(harness), 2000
+    calls.value = 0
     outcomes = []
     for fn in (harness.qwalk_run, _kernel.load()):
-        net = network.build_robens(0.95)
+        net = build()
         plan = network._plan(net)
         reg = plan.reg[:]
         counts = array("q", [0]) * len(plan.sites)
-        calls.value = 0
         removed, arrivals = _kernel.run(fn, plan, plan.tag, reg, n, 2015,
                                         counts, array("q"))
         outcomes.append((dict(zip(plan.sites, counts)), removed, arrivals,
                          splitter_registers(net, reg)))
-        if fn is harness.qwalk_run:
-            assert calls.value < 2 * n
+    assert calls.value == 0
     assert outcomes[0] == outcomes[1]
     counts, removed, arrivals, _ = outcomes[0]
     assert sum(counts.values()) + removed == n
-    assert sum(arrivals) == 8 * n  # every particle passes 8 adaptive units
+    assert sum(arrivals) == hops * n  # every particle passes this many splitters
 
 
 def test_kernel_normalization_is_cores(harness):

@@ -446,10 +446,11 @@ def test_python_loop_gives_identical_run_results(monkeypatch, build, filters, ta
     assert splitter_registers(net, on_loop.registers) == on_kernel
 
 def test_loops_agree_to_the_bit_over_many_short_runs(monkeypatch):
-    # libm's pow(x, 2.0), which CPython's float ** 2 calls, differs from
-    # x * x in the last bit for about 1 double in 1170; such a difference
-    # reaches a final register in a few percent of short runs, so a hundred
-    # of them pin the kernel's squares to CPython's
+    # the loops must agree on every double, not only on the counts: a
+    # last-bit difference in a square or a product (one fused into an FMA,
+    # or terms summed in another order) reaches a final register in some
+    # short runs long before it moves a count, so a hundred of them pin
+    # the kernel's arithmetic to CPython's
     def runs():
         for seed in range(100):
             net = build_jeong(12, 0.3, -1.1, 0.125)
@@ -559,6 +560,26 @@ def test_corrupted_registers_stop_the_run(monkeypatch, capsys, register, value,
     monkeypatch.setattr("qwalk.cli.build_jeong", lambda *args: net)
     assert main(["jeong", "--steps", "1", "--particles", "1"]) == 3
     assert "register invariant breach" in capsys.readouterr().err
+
+def test_message_off_unit_norm_stops_the_run(loop, monkeypatch, capsys):
+    # edge 37 of the four-level mesh runs from the splitter at x = -3
+    # through its phi2 shifter into a detector.  Doubling the factor in the
+    # plan quadruples the squared norm of every message that takes it, and
+    # both loops check that norm at detection
+    net = build_jeong(4, PHI1, PHI2, 0.95)
+    plan = _plan(net)
+    assert plan.xform[37] == network._PHASE
+    assert plan.case[plan.dst[37]] == network._DETECTOR
+    plan.factor[2 * 37] *= 2.0
+    plan.factor[2 * 37 + 1] *= 2.0
+    message = ("a message of squared norm 4.0 reached a detector; "
+               "messages have unit norm to 1e-12")
+    with pytest.raises(QwalkError) as exc:
+        run(net, 2000, RngStream(1))
+    assert str(exc.value) == message
+    monkeypatch.setattr("qwalk.cli.build_jeong", lambda *args: net)
+    assert main(["jeong", "--steps", "4", "--particles", "2000"]) == 3
+    assert capsys.readouterr().err == f"qwalk: internal invariant breach: {message}\n"
 
 @pytest.mark.parametrize("build", [build_robens,
                                    lambda g: build_mixed(4, PHI1, PHI2, g)],
