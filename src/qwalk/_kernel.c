@@ -15,7 +15,8 @@
  *   exactly as CPython's Modules/_randommodule.c does (init_by_array on the
  *   32-bit words of the seed, genrand_res53 for random()), except that a
  *   MERGE generates no number: its draw decides nothing, and no other
- *   unit reads its stream;
+ *   unit reads its stream.  Every other stream is seeded before the first
+ *   particle, L streams at a time in lockstep (seed_lanes);
  * - complex arithmetic is spelled out in CPython's order (3.10 to 3.13):
  *   _Py_c_prod for a product and a float operand promoted to complex(x,
  *   0.0); a square is x * x, as in the core functions.
@@ -39,54 +40,74 @@
 #define UPPER_MASK 0x80000000U
 #define LOWER_MASK 0x7fffffffU
 
+/* the lanes of seed_lanes: streams seeded together, one per lane */
+#define L 8
+
 typedef struct {
     uint32_t mt[N];
-    int mti;            /* -1: not seeded yet */
+    int mti;            /* the next word to read; N: twist first */
 } mt_state;
 
-static void init_genrand(mt_state *self, uint32_t s)
+static void init_genrand(uint32_t *mt, uint32_t s)
 {
-    uint32_t *mt = self->mt;
-    int mti;
     mt[0] = s;
-    for (mti = 1; mti < N; mti++)
-        mt[mti] = 1812433253U * (mt[mti - 1] ^ (mt[mti - 1] >> 30)) + (uint32_t)mti;
-    self->mti = mti;
+    for (int i = 1; i < N; i++)
+        mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + (uint32_t)i;
 }
 
-/* init_by_array from base, the state that init_genrand(19650218) leaves:
-   qwalk_run computes it once, and each stream starts from a copy */
-static void init_by_array(mt_state *self, const mt_state *base,
-                          const uint32_t *init_key, size_t key_length)
+/*
+ * random.Random(seed[l]) into mt[units[l]] for each l < count <= L:
+ * CPython's init_by_array, from base (the state init_genrand(19650218)
+ * leaves), on the seed's little-endian 32-bit words, at least one.  The
+ * recurrence is serial within a stream, so the streams run in lockstep,
+ * one per lane of the interleaved lane[N][L].  Every lane walks the same
+ * i: the key has one or two words, fewer than N, so the first pass takes
+ * N steps whatever the key, and its step k adds key[k % length] + k %
+ * length, which is add[k & 1].  Spare lanes run on a zero key and are
+ * discarded.  The twist is left to the first draw (mti = N).
+ */
+static void seed_lanes(mt_state *mt, const int *units, const uint64_t *seed,
+                       int count, const uint32_t *base)
 {
-    size_t i, j, k;
-    uint32_t *mt = self->mt;
-    *self = *base;
+    uint32_t lane[N][L], add[2][L];
+    int i, k, l;
+    for (l = 0; l < L; l++) {
+        uint64_t s = l < count ? seed[l] : 0;
+        uint32_t lo = (uint32_t)s, hi = (uint32_t)(s >> 32);
+        add[0][l] = lo;
+        add[1][l] = hi ? hi + 1U : lo;
+    }
+    for (i = 0; i < N; i++)
+        for (l = 0; l < L; l++)
+            lane[i][l] = base[i];
     i = 1;
-    j = 0;
-    k = N > key_length ? N : key_length;
-    for (; k; k--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
-                + init_key[j] + (uint32_t)j;
-        i++;
-        j++;
-        if (i >= N) { mt[0] = mt[N - 1]; i = 1; }
-        if (j >= key_length) j = 0;
+    for (k = 0; k < N; k++) {
+        for (l = 0; l < L; l++)
+            lane[i][l] = (lane[i][l] ^ ((lane[i - 1][l] ^ (lane[i - 1][l] >> 30))
+                                        * 1664525U)) + add[k & 1][l];
+        if (++i >= N) {
+            for (l = 0; l < L; l++)
+                lane[0][l] = lane[N - 1][l];
+            i = 1;
+        }
     }
     for (k = N - 1; k; k--) {
-        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) - (uint32_t)i;
-        i++;
-        if (i >= N) { mt[0] = mt[N - 1]; i = 1; }
+        for (l = 0; l < L; l++)
+            lane[i][l] = (lane[i][l] ^ ((lane[i - 1][l] ^ (lane[i - 1][l] >> 30))
+                                        * 1566083941U)) - (uint32_t)i;
+        if (++i >= N) {
+            for (l = 0; l < L; l++)
+                lane[0][l] = lane[N - 1][l];
+            i = 1;
+        }
     }
-    mt[0] = 0x80000000U;
-}
-
-/* random.Random(seed) for an int 0 <= seed < 2**64: the key is the seed's
-   little-endian 32-bit words, at least one */
-static void seed_stream(mt_state *self, const mt_state *base, uint64_t seed)
-{
-    uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
-    init_by_array(self, base, key, key[1] ? 2 : 1);
+    for (l = 0; l < count; l++) {
+        mt_state *s = &mt[units[l]];
+        s->mt[0] = 0x80000000U;
+        for (i = 1; i < N; i++)
+            s->mt[i] = lane[i][l];
+        s->mti = N;
+    }
 }
 
 static uint32_t genrand_uint32(mt_state *self)
@@ -187,19 +208,24 @@ enum { OK = 0, VANISHED = 1, UNTAPPED = 2, NO_MEMORY = 3, NOT_UNIT = 4 };
 /* registers of one adaptive unit, the fields of core.AdaptiveState */
 typedef struct { double w0, w1; cpx y0h, y0v, y1h, y1v; } regs;
 
-/* the MT19937 stream of each adaptive unit, seeded on its first draw */
-typedef struct {
-    mt_state *mt;
-    const uint64_t *seed;
-    mt_state base;      /* init_genrand(19650218), where every seeding starts */
-} streams_t;
-
-static inline double draw(streams_t *d, int j)
+/* seeds the stream mt[j] of every unit j < n that draws, L at a time, the
+   q-th such unit in unit order with seed[q]; a MERGE generates no number,
+   so its stream is left unseeded */
+static void seed_streams(mt_state *mt, const uint64_t *seed, const int *kind,
+                         int n)
 {
-    mt_state *s = &d->mt[j];
-    if (s->mti < 0)
-        seed_stream(s, &d->base, d->seed[j]);
-    return genrand_res53(s);
+    uint32_t base[N];
+    int group[L], count = 0;
+    init_genrand(base, 19650218U);
+    for (int j = 0; j < n; j++) {
+        if (kind[j] == BS || kind[j] == PBS || kind[j] == BS1 || kind[j] == SPLIT)
+            group[count++] = j;
+        if (count == L || (count > 0 && j == n - 1)) {
+            seed_lanes(mt, group, seed, count, base);
+            seed += count;
+            count = 0;
+        }
+    }
 }
 
 /* adaptive_update on both halves */
@@ -222,10 +248,11 @@ static void update(regs *r, int port, double g, cpx h, cpx v)
 /*
  * Sends n_particles through the compiled network.  Per unit j < n, the
  * last one the sink that unwired ports lead to (kind -1): kind[j], the
- * detector's count slot[j], and gamma[j] and seed[j] of an adaptive unit,
- * with its registers reg[10 j .. 10 j + 9] (w0, w1, then y0h, y0v, y1h,
- * y1v as re, im pairs), read at the start and left holding the final
- * values.  reg is the run's own copy of the plan's template
+ * detector's count slot[j], and gamma[j] of an adaptive unit, with its
+ * registers reg[10 j .. 10 j + 9] (w0, w1, then y0h, y0v, y1h, y1v as re,
+ * im pairs), read at the start and left holding the final values.  seed[q]
+ * seeds the stream of the q-th unit, in unit order, that draws: a BS, PBS,
+ * BS1 or SPLIT.  reg is the run's own copy of the plan's template
  * (network._plan's reg), so a run writes to no other run's registers.
  * Per edge e: dst[e], dst_port[e], tag[e],
  * xform[e] and, for a phase edge, factor[2 e], factor[2 e + 1].  source
@@ -247,17 +274,15 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
     const double s = 1.0 / sqrt(2.0);
     const cpx h0 = {source[0], source[1]}, v0 = {source[2], source[3]};
     regs *R = (regs *)reg;
-    streams_t d;
     int status = OK;
     long long i;
 
-    d.mt = malloc((size_t)n * sizeof *d.mt);
-    if (d.mt == NULL)
+    /* the MT19937 stream of each unit that draws, seeded before the first
+       particle */
+    mt_state *mt = malloc((size_t)n * sizeof *mt);
+    if (mt == NULL)
         return NO_MEMORY;
-    for (int j = 0; j < n; j++)
-        d.mt[j].mti = -1;
-    d.seed = seed;
-    init_genrand(&d.base, 19650218U);
+    seed_streams(mt, seed, kind, n);
 
     for (i = 0; i < n_particles && status == OK; i++) {
         int e = start, x2 = NONE;
@@ -299,7 +324,7 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
                     r->y1h = cadd(rmul(g, r->y1h), rmul(c, h));
                 }
                 arrivals[j]++;
-                u = draw(&d, j);
+                u = genrand_res53(&mt[j]);
                 cpx v0h = rmul(sqrt(r->w0), r->y0h), v1h = rmul(sqrt(r->w1), r->y1h);
                 z0h = mulr(cadd(v0h, cmul(I, v1h)), s);
                 z1h = mulr(cadd(cmul(I, v0h), v1h), s);
@@ -325,7 +350,7 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
                 r->y0h = cadd(rmul(g, r->y0h), rmul(c, h));
                 r->y0v = cadd(rmul(g, r->y0v), rmul(c, v));
                 arrivals[j]++;
-                u = draw(&d, j);
+                u = genrand_res53(&mt[j]);
                 double a = sqrt(r->w0);
                 z0h = rmul(a, r->y0h);
                 z1v = cmul(I, rmul(a, r->y0v));
@@ -377,7 +402,7 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
                 /* adaptive_update, then bs_route or pbs_route */
                 update(r, port, g, h, v);
                 arrivals[j]++;
-                u = draw(&d, j);
+                u = genrand_res53(&mt[j]);
                 double a = sqrt(r->w0), b = sqrt(r->w1);
                 if (kind[j] == BS) {
                     cpx v0h = rmul(a, r->y0h), v0v = rmul(a, r->y0v);
@@ -436,6 +461,6 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
             break;
         }
     }
-    free(d.mt);
+    free(mt);
     return status;
 }

@@ -27,7 +27,6 @@ from array import array
 from pathlib import Path
 
 from . import core
-from .network import _DETECTOR, _MERGE
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 #: the compile command, less its output and input files.  The kernel's
@@ -92,21 +91,20 @@ def run(fn, plan, tag: array, reg: array, n_particles: int, seed: int,
 
     The kernel reads the plan's arrays as they are, the run's edge tags
     ``tag`` and its registers ``reg`` (a copy of ``plan.reg``), which it
-    updates in place, so they hold the final registers afterwards; the
-    seeds (of the units that draw: a merge gets none) are made for each
-    run.  Adds to the slots of ``counts`` and, if it is not empty, of the
-    t2 table ``t2`` in place.  Adaptive unit j draws from the stream
-    ``RngStream(seed).derive(j)`` would give (a merge draws nothing).
-    Returns the removed tally and each unit's arrivals, the particles that
-    reached it (the Python loop draws once per arrival), 0 for a stateless
-    unit.
+    updates in place, so they hold the final registers afterwards.  Adds
+    to the slots of ``counts`` and, if it is not empty, of the t2 table
+    ``t2`` in place.  Adaptive unit j draws from the stream
+    ``RngStream(seed).derive(j)`` would give, except a merge, which draws
+    nothing.  Each run derives the seeds of the units that draw
+    (``plan.drawing``) in one ``core._derive_seeds`` call, and the kernel
+    seeds all their streams before the first particle, several in
+    lockstep.  Returns the removed tally and each unit's arrivals, the
+    particles that reached it (the Python loop draws once per arrival), 0
+    for a stateless unit.
     """
     n = len(plan.case)  # the units and the sink that unwired ports lead to
-    # derive_seed is looked up on each run: a wrapper put back is not kept
-    derive_seed, seeds = core.derive_seed, _zeros("Q", n)
-    for j, c in enumerate(plan.case):
-        if c > _DETECTOR and c != _MERGE:  # a merge's stream is never seeded
-            seeds[j] = derive_seed(seed, j)
+    # looked up on each run: a wrapper put back is not kept
+    seeds = array("Q", core._derive_seeds(seed, plan.drawing))
     removed, arrivals, err = _zeros("q", 1), _zeros("q", n), _zeros("d", 2)
     inputs = (plan.source, plan.case, plan.slot, plan.gamma, seeds, reg,
               plan.dst, plan.dst_port, tag, plan.xform, plan.factor)

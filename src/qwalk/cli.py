@@ -33,7 +33,7 @@ from .leggett_garg import (
     run_protocols,
 )
 from .network import (MAX_LEVELS, RemovalFilter, _MAX_PARTICLES, _compiled,
-                      build_jeong, build_robens, run)
+                      _plan, build_jeong, build_robens, run)
 from .theory import (
     DOWN,
     MAX_ORACLE_STEPS,
@@ -246,15 +246,33 @@ def _merge_counts(target: dict[int, int], extra: dict[int, int]) -> None:
         target[site] = target.get(site, 0) + count
 
 
+@functools.lru_cache(maxsize=8)
+def _oracle_row(key: tuple, steps: int, phi1: float, phi2: float) -> dict[int, float]:
+    # key tells apart the arguments that compare equal (0.0 and -0.0)
+    return jeong_evolve(steps, phi1, phi2)[-1]
+
+
+def _jeong_oracle(steps: int, phi1: float, phi2: float) -> dict[int, float]:
+    """``jeong_evolve(steps, phi1, phi2)[-1]``, computed once per process.
+
+    The key holds each argument's type and ``repr``, as ``network._compiled``
+    keys networks, so ``0.0`` and ``-0.0`` never share a row; the 8 most
+    recently used rows are kept.  Every caller gets the same dict and must
+    only read it.
+    """
+    key = tuple((type(a), repr(a)) for a in (steps, phi1, phi2))
+    return _oracle_row(key, steps, phi1, phi2)
+
+
 def cmd_jeong(cfg: RunConfig) -> tuple[dict, str]:
     net = _compiled(build_jeong, cfg.steps, cfg.phi1, cfg.phi2, cfg.gamma)
     rng = RngStream(cfg.seed)
-    counts: dict[int, int] = {s: 0 for s in net.detector_sites}
+    counts: dict[int, int] = {s: 0 for s in _plan(net).sites}
     for r in range(cfg.replicates):
         result = run(net, cfg.particles, rng.derive(r))
         _merge_counts(counts, result.counts)
     emitted = cfg.particles * cfg.replicates
-    oracle = jeong_evolve(cfg.steps, cfg.phi1, cfg.phi2)[-1]
+    oracle = _jeong_oracle(cfg.steps, cfg.phi1, cfg.phi2)
     rows = _site_rows(counts, emitted, oracle)
     report = {
         "config": _config_echo(cfg),
@@ -272,7 +290,7 @@ def cmd_robens(cfg: RunConfig) -> tuple[dict, str]:
         filters = [RemovalFilter("t2", +1)]
     elif cfg.removal == "plus":
         filters = [RemovalFilter("t2", -1)]
-    counts: dict[int, int] = {s: 0 for s in net.detector_sites}
+    counts: dict[int, int] = {s: 0 for s in _plan(net).sites}
     t2: dict[int, dict[int, int]] = {-1: {}, +1: {}}
     removed = 0
     for r in range(cfg.replicates):

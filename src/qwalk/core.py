@@ -49,18 +49,16 @@ class Message(NamedTuple):
     c_h: complex
     c_v: complex
 
-    def norm(self) -> float:
-        h, v = self
-        return math.sqrt(h.real * h.real + h.imag * h.imag
-                         + v.real * v.real + v.imag * v.imag)
-
-    def normalized(self) -> "Message":
-        n = self.norm()
-        return Message(self.c_h / n, self.c_v / n)
-
 
 #: message emitted by every source: h-polarized, no global phase
 SOURCE_MESSAGE = Message(1.0 + 0.0j, 0.0 + 0.0j)
+
+
+def _seed_hash(seed: int):
+    """blake2b fed the parent seed, where the hash of each child seed starts."""
+    h = hashlib.blake2b(digest_size=8)
+    h.update((seed & _MASK64).to_bytes(8, "little"))
+    return h
 
 
 def derive_seed(seed: int, *indices: int) -> int:
@@ -69,11 +67,23 @@ def derive_seed(seed: int, *indices: int) -> int:
     blake2b keyed on the parent seed plus the index path; deterministic and
     platform independent, so replicate and per-unit streams never collide.
     """
-    h = hashlib.blake2b(digest_size=8)
-    h.update((seed & _MASK64).to_bytes(8, "little"))
+    h = _seed_hash(seed)
     for ix in indices:
         h.update(int(ix).to_bytes(8, "little", signed=True))
     return int.from_bytes(h.digest(), "little")
+
+
+def _derive_seeds(seed: int, indices: list[int]) -> list[int]:
+    """``derive_seed(seed, j)`` for each int j of ``indices``, in one pass.
+
+    The parent seed is hashed once, and each child copies that hash.
+    """
+    prefix, seeds = _seed_hash(seed), []
+    for j in indices:
+        h = prefix.copy()
+        h.update(j.to_bytes(8, "little", signed=True))
+        seeds.append(int.from_bytes(h.digest(), "little"))
+    return seeds
 
 
 class RngStream:
@@ -251,12 +261,6 @@ def _not_unit(p: float) -> QwalkError:
 def _untapped() -> QwalkError:
     return QwalkError("taps are on, but a particle reached a detector "
                       "without crossing t2")
-
-
-def phase_shift(phi: float, m: Message) -> Message:
-    """Multiply the whole message by e^{i phi} (shifter sitting on one rail)."""
-    f = complex(math.cos(phi), math.sin(phi))
-    return Message(f * m.c_h, f * m.c_v)
 
 
 def hadamard_apply(m: Message) -> Message:

@@ -368,8 +368,10 @@ def _plan(net: Network) -> SimpleNamespace:
 
     The plan also holds ``start``, the edge leaving the source; ``edge``,
     the edge of every annotated wire; the sorted detector ``sites`` and
-    ``t2_sites``, which key the slots and t2 rows; and ``units``, the units
-    compiled.
+    ``t2_sites``, which key the slots and t2 rows; ``adaptive``, the
+    indices of the adaptive units in order, and ``drawing``, those of them
+    that generate numbers on the C kernel (all but the merges); and
+    ``units``, the units compiled.
     """
     units = net.units
     plan = net._plan
@@ -425,11 +427,13 @@ def _plan(net: Network) -> SimpleNamespace:
     start = 2 * index[id(net.source)]
     _live_inputs(units, case, dst, dst_port, xform, start)
     h, v = SOURCE_MESSAGE
+    adaptive = [j for j, c in enumerate(case) if c > _DETECTOR]
     net._plan = plan = SimpleNamespace(
         units=list(units), case=case, slot=slot, gamma=gamma, reg=reg, dst=dst,
         dst_port=dst_port, tag=tag, xform=xform, factor=factor,
         source=array("d", (h.real, h.imag, v.real, v.imag)), start=start,
-        edge=edge, sites=sites, t2_sites=t2_sites)
+        edge=edge, sites=sites, t2_sites=t2_sites, adaptive=adaptive,
+        drawing=[j for j in adaptive if case[j] != _MERGE])
     return plan
 
 
@@ -448,7 +452,7 @@ def _compiled(builder, *args) -> Network:
     kept, so a sweep over gamma does not hold them all.
 
     Sharing is safe for a caller that only passes the network to ``run``
-    and reads nothing of it but ``detector_sites``: ``run`` keeps only the
+    and reads nothing of it but its plan's ``sites``: ``run`` keeps only the
     plan (``_plan``), whose tables no run changes, and writes nothing to the
     network or its units; each run owns its registers, a copy of the plan's
     template, and its streams.  A forked process keeps its own copy of the
@@ -478,8 +482,8 @@ def _loop(plan: SimpleNamespace, tag: array, reg: array, n_particles: int,
 
     Every adaptive hop is ``adaptive_update`` followed by ``bs_route`` (case
     _BS or _BS1) or ``pbs_route`` (_PBS, _SPLIT or _MERGE), with one number
-    drawn after the update; an edge applies its phase factor, as
-    ``phase_shift`` does, or ``hadamard_apply``.  The loop reads list copies
+    drawn after the update; an edge multiplies both halves by its phase
+    factor, or applies ``hadamard_apply``.  The loop reads list copies
     of the tables: reading an ``array`` makes a new int for every value
     above 256.
     """
@@ -608,11 +612,10 @@ def run(net: Network, n_particles: int, rng: RngStream,
                                          rng.seed, counts, t2)
     if sum(counts) + removed != n_particles:
         raise QwalkError("conservation breach: emitted != detected + removed")
-    for j, c in enumerate(plan.case):
-        if c <= _DETECTOR:
-            continue
-        w0, w1, *y = reg[10 * j:10 * j + 10]
-        y0, y1 = math.hypot(*y[:4]), math.hypot(*y[4:])
+    hypot = math.hypot
+    for j in plan.adaptive:
+        w0, w1, a, b, c, d, e, f, g, h = reg[10 * j:10 * j + 10]
+        y0, y1 = hypot(a, b, c, d), hypot(e, f, g, h)
         # written so that a NaN register fails the test too
         if not (abs(w0 + w1 - 1.0) <= 1e-12 and 0.0 <= w0 <= 1.0
                 and 0.0 <= w1 <= 1.0 and y0 <= 1.0 + 1e-12 and y1 <= 1.0 + 1e-12):

@@ -77,55 +77,58 @@ def test_cases_follow_add_and_connect():
 ], ids=["robens", "mesh12"])
 def test_kernel_seeds_only_the_units_that_draw(monkeypatch, build, seeded):
     # of the Robens network's 24 PBSs the 14 merges generate no number, so
-    # the kernel derives seeds for the 10 splits alone; every splitter of
-    # the mesh draws.  Counts, registers and arrivals stay those of the
-    # Python loop, which derives a stream for every adaptive unit
-    real, calls = core.derive_seed, []
+    # each kernel run derives seeds for the 10 splits alone, in one call;
+    # every splitter of the mesh draws.  Counts, registers and arrivals
+    # stay those of the Python loop, which derives a stream for every
+    # adaptive unit
+    real, calls = core._derive_seeds, []
 
-    def counted(seed, *indices):
-        calls.append(indices)
-        return real(seed, *indices)
+    def counted(seed, indices):
+        calls.append(list(indices))
+        return real(seed, indices)
 
     reference_net, reference = build(), CountingRng(17)
     expected = run(reference_net, 500, reference)
     net = build()
-    monkeypatch.setattr(core, "derive_seed", counted)
+    monkeypatch.setattr(core, "_derive_seeds", counted)
     result, arrivals = run_on_kernel(net, 500, 17)
     case = _plan(net).case
-    assert len(calls) == seeded
-    assert calls == [(j,) for j, c in enumerate(case)
-                     if c not in (-1, 0, _MERGE)]
+    [indices] = calls
+    assert len(indices) == seeded
+    assert indices == [j for j, c in enumerate(case) if c not in (-1, 0, _MERGE)]
     assert result == expected
     assert (splitter_registers(net, result.registers)
             == splitter_registers(reference_net, expected.registers))
     assert arrivals == reference.draws
+    run_on_kernel(net, 1, 18)
+    assert calls == [indices, indices]  # looked up again by the next run
 
 
-def test_a_restored_derive_seed_is_the_one_later_runs_call():
-    # a tracer may wrap core.derive_seed around the run that first imports
-    # _kernel and then put the original back; the kernel looks the function
-    # up on every run, so a later run calls the wrapper no more.  A fresh
-    # interpreter has not imported _kernel yet
+def test_a_restored_derive_seeds_is_the_one_later_runs_call():
+    # a tracer may wrap core._derive_seeds around the run that first
+    # imports _kernel and then put the original back; the kernel looks the
+    # function up on every run, so a later run calls the wrapper no more.
+    # A fresh interpreter has not imported _kernel yet
     code = textwrap.dedent("""
         import sys
         from qwalk import core
         from qwalk.network import build_robens, run
 
         assert "qwalk._kernel" not in sys.modules
-        real, calls = core.derive_seed, []
+        real, seeded = core._derive_seeds, []
 
-        def wrapped(*args):
-            calls.append(args)
-            return real(*args)
+        def wrapped(seed, indices):
+            seeded.extend(indices)
+            return real(seed, indices)
 
-        core.derive_seed = wrapped
+        core._derive_seeds = wrapped
         run(build_robens(0.95), 10, core.RngStream(1))
-        core.derive_seed = real
+        core._derive_seeds = real
         from qwalk import _kernel
         assert _kernel.load() is not None, "the compiled kernel did not load"
-        first = len(calls)
+        first = len(seeded)
         run(build_robens(0.95), 10, core.RngStream(1))
-        print(first, len(calls))
+        print(first, len(seeded))
     """)
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout

@@ -10,6 +10,7 @@ import pytest
 
 from qwalk import _kernel, network
 from qwalk.core import _normalized
+from test_core import norm
 from test_network import splitter_registers
 
 # exposes static functions of the kernel over arrays, and counts any call of
@@ -49,6 +50,30 @@ void normalized_array(const double *in, double *out, long n)
     }}
 }}
 
+/* the streams of k units that all draw, seeded as qwalk_run seeds them,
+   L at a time; out[q * draws + i] is the stream q's (i + 1)-th random() */
+const int lanes = L;
+
+int first_draws(const uint64_t *seed, double *out, long k, long draws)
+{{
+    mt_state *mt = malloc((size_t)k * sizeof *mt);
+    int *kind = malloc((size_t)k * sizeof *kind);
+    if (mt == NULL || kind == NULL) {{
+        free(mt);
+        free(kind);
+        return -1;
+    }}
+    for (long q = 0; q < k; q++)
+        kind[q] = BS;
+    seed_streams(mt, seed, kind, (int)k);
+    for (long q = 0; q < k; q++)
+        for (long i = 0; i < draws; i++)
+            out[q * draws + i] = genrand_res53(&mt[q]);
+    free(mt);
+    free(kind);
+    return 0;
+}}
+
 /* per item: z and p in, the normalized z out */
 void normalized_half_array(const double *in, double *out, long n)
 {{
@@ -74,6 +99,9 @@ def harness(tmp_path_factory):
     for fn in (lib.sq_array, lib.normalized_array, lib.normalized_half_array):
         fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long)
         fn.restype = None
+    lib.first_draws.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long,
+                                ctypes.c_long)
+    lib.first_draws.restype = ctypes.c_int
     kernel = _kernel.load()
     assert kernel is not None, "the compiled kernel did not load"
     lib.qwalk_run.argtypes, lib.qwalk_run.restype = kernel.argtypes, kernel.restype
@@ -173,7 +201,7 @@ def test_kernel_normalization_is_cores(harness):
             if p == 0.0:
                 continue
             m = _normalized(zh, zv, p)
-            assert abs(m.norm() - 1.0) < 1e-12
+            assert abs(norm(m) - 1.0) < 1e-12
             items.append((zh, zv))
             inputs += [zh.real, zh.imag, zv.real, zv.imag, p]
             expected += [m.c_h.real, m.c_h.imag, m.c_v.real, m.c_v.imag]
@@ -200,3 +228,28 @@ def test_kernel_one_half_normalization_is_cores(harness):
     assert sum(p < 2.0 ** -1022 for p in inputs[2::3]) >= 200
     got = call(harness.normalized_half_array, inputs, 2, 3)
     assert_same_bits([z for z in inputs[0::3] for _ in range(2)], expected, got)
+
+
+#: one-word keys (below 2**32) and two-word keys, at their edges
+EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+LANES = 8  # the harness's lanes, checked against the kernel's L below
+#: 640 words: the whole first twisted state and part of the second
+DRAWS = 320
+
+
+@pytest.mark.parametrize("k", [*range(1, LANES + 1), 2 * LANES + 3])
+def test_lockstep_seeding_is_pythons(harness, k):
+    # every edge seed in every lane position a batch of k streams has, so
+    # one-word and two-word keys share the lanes of one group; the last
+    # batch spans three groups, the last one partly filled
+    assert ctypes.c_int.in_dll(harness, "lanes").value == LANES
+    for shift in range(len(EDGE_SEEDS)):
+        seeds = [EDGE_SEEDS[(q + shift) % len(EDGE_SEEDS)] for q in range(k)]
+        keys, got = array("Q", seeds), array("d", [0.0]) * (k * DRAWS)
+        assert harness.first_draws(keys.buffer_info()[0], got.buffer_info()[0],
+                                   k, DRAWS) == 0
+        expected = []
+        for seed in seeds:
+            draw = random.Random(seed).random
+            expected += [draw() for _ in range(DRAWS)]
+        assert_same_bits([s for s in seeds for _ in range(DRAWS)], expected, got)

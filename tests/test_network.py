@@ -21,7 +21,6 @@ from qwalk.core import (
     bs_route,
     hadamard_apply,
     pbs_route,
-    phase_shift,
 )
 from qwalk import _kernel, network
 from qwalk.cli import main
@@ -35,6 +34,7 @@ from qwalk.network import (
     run,
 )
 from qwalk.theory import jeong_evolve, srw_distribution, total_variation
+from test_core import phase_shift
 
 PHI1 = math.pi / 2
 PHI2 = -math.pi / 2
