@@ -203,22 +203,35 @@ enum { NONE = -1, ABSORB = -2 };
 /* edge transforms */
 enum { PASS = 0, HADAMARD = 1, PHASE = 2 };
 /* return codes */
-enum { OK = 0, VANISHED = 1, UNTAPPED = 2, NO_MEMORY = 3, NOT_UNIT = 4 };
+enum { OK = 0, VANISHED = 1, UNTAPPED = 2, NO_MEMORY = 3, NOT_UNIT = 4,
+       SEED_COUNT = 5 };
 
 /* registers of one adaptive unit, the fields of core.AdaptiveState */
 typedef struct { double w0, w1; cpx y0h, y0v, y1h, y1v; } regs;
 
+/* whether a unit of this kind generates numbers: a MERGE's draw decides
+   nothing, so it generates none */
+static int draws(int kind)
+{
+    return kind == BS || kind == PBS || kind == BS1 || kind == SPLIT;
+}
+
 /* seeds the stream mt[j] of every unit j < n that draws, L at a time, the
-   q-th such unit in unit order with seed[q]; a MERGE generates no number,
-   so its stream is left unseeded */
-static void seed_streams(mt_state *mt, const uint64_t *seed, const int *kind,
-                         int n)
+   q-th such unit in unit order with seed[q]; a MERGE's stream is left
+   unseeded.  Returns the number of units that draw; unless it is n_seeds,
+   nothing is read of seed or seeded */
+static int seed_streams(mt_state *mt, const uint64_t *seed, int n_seeds,
+                        const int *kind, int n)
 {
     uint32_t base[N];
-    int group[L], count = 0;
+    int group[L], count = 0, drawing = 0;
+    for (int j = 0; j < n; j++)
+        drawing += draws(kind[j]);
+    if (drawing != n_seeds)
+        return drawing;
     init_genrand(base, 19650218U);
     for (int j = 0; j < n; j++) {
-        if (kind[j] == BS || kind[j] == PBS || kind[j] == BS1 || kind[j] == SPLIT)
+        if (draws(kind[j]))
             group[count++] = j;
         if (count == L || (count > 0 && j == n - 1)) {
             seed_lanes(mt, group, seed, count, base);
@@ -226,6 +239,7 @@ static void seed_streams(mt_state *mt, const uint64_t *seed, const int *kind,
             count = 0;
         }
     }
+    return drawing;
 }
 
 /* adaptive_update on both halves */
@@ -252,24 +266,26 @@ static void update(regs *r, int port, double g, cpx h, cpx v)
  * registers reg[10 j .. 10 j + 9] (w0, w1, then y0h, y0v, y1h, y1v as re,
  * im pairs), read at the start and left holding the final values.  seed[q]
  * seeds the stream of the q-th unit, in unit order, that draws: a BS, PBS,
- * BS1 or SPLIT.  reg is the run's own copy of the plan's template
- * (network._plan's reg), so a run writes to no other run's registers.
- * Per edge e: dst[e], dst_port[e], tag[e],
- * xform[e] and, for a phase edge, factor[2 e], factor[2 e + 1].  source
- * holds the emitted message (h.re, h.im, v.re, v.im).
+ * BS1 or SPLIT, of which there are n_seeds.  reg is the run's own copy of
+ * the plan's template (network._plan's reg), so a run writes to no other
+ * run's registers.  Per edge e: dst[e], dst_port[e], tag[e], xform[e] and,
+ * for a phase edge, factor[2 e], factor[2 e + 1].  source holds the
+ * emitted message (h.re, h.im, v.re, v.im).
  *
  * Adds to counts[slot], t2[row * n_sites + slot] (when taps), removed and
  * arrivals[j], the particles that reached adaptive unit j.  Returns OK or
  * an error code; VANISHED leaves p0, p1 in err, NOT_UNIT the squared norm
- * of the message that reached a detector in err[0].
+ * of the message that reached a detector in err[0], and SEED_COUNT, which
+ * sends no particle, the number of units that draw in err[0].
  */
 int qwalk_run(int n, long long n_particles, int start, const double *source,
               const int *kind, const int *slot, const double *gamma,
               const uint64_t *seed, double *reg,
               const int *dst, const int *dst_port, const int *tag,
               const int *xform, const double *factor,
-              int taps, int n_sites, long long *counts, long long *t2,
-              long long *removed, long long *arrivals, double *err)
+              int taps, int n_sites, int n_seeds, long long *counts,
+              long long *t2, long long *removed, long long *arrivals,
+              double *err)
 {
     const double s = 1.0 / sqrt(2.0);
     const cpx h0 = {source[0], source[1]}, v0 = {source[2], source[3]};
@@ -282,7 +298,12 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
     mt_state *mt = malloc((size_t)n * sizeof *mt);
     if (mt == NULL)
         return NO_MEMORY;
-    seed_streams(mt, seed, kind, n);
+    int drawing = seed_streams(mt, seed, n_seeds, kind, n);
+    if (drawing != n_seeds) {
+        free(mt);
+        err[0] = drawing;
+        return SEED_COUNT;
+    }
 
     for (i = 0; i < n_particles && status == OK; i++) {
         int e = start, x2 = NONE;

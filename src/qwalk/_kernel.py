@@ -40,7 +40,7 @@ COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fno-math-errno", "-shared",
            "-fPIC")
 
 # the return codes of qwalk_run; the tables' codes are network.py's
-_VANISHED, _UNTAPPED, _NO_MEMORY, _NOT_UNIT = 1, 2, 3, 4
+_VANISHED, _UNTAPPED, _NO_MEMORY, _NOT_UNIT, _SEED_COUNT = 1, 2, 3, 4, 5
 
 
 def library_path() -> Path:
@@ -76,7 +76,7 @@ def load():
     # the arrays go in as the addresses of array.array buffers
     fn.argtypes = ((ctypes.c_int, ctypes.c_longlong, ctypes.c_int)
                    + 11 * (ctypes.c_void_p,)
-                   + (ctypes.c_int, ctypes.c_int) + 5 * (ctypes.c_void_p,))
+                   + 3 * (ctypes.c_int,) + 5 * (ctypes.c_void_p,))
     fn.restype = ctypes.c_int
     return fn
 
@@ -96,21 +96,21 @@ def run(fn, plan, tag: array, reg: array, n_particles: int, seed: int,
     ``t2`` in place.  Adaptive unit j draws from the stream
     ``RngStream(seed).derive(j)`` would give, except a merge, which draws
     nothing.  Each run derives the seeds of the units that draw
-    (``plan.drawing``) in one ``core._derive_seeds`` call, and the kernel
-    seeds all their streams before the first particle, several in
-    lockstep.  Returns the removed tally and each unit's arrivals, the
-    particles that reached it (the Python loop draws once per arrival), 0
-    for a stateless unit.
+    (``plan.drawing``) with ``core.derive_seed``, and the kernel seeds all
+    their streams before the first particle, several in lockstep.  Returns
+    the removed tally and each unit's arrivals, the particles that reached
+    it (the Python loop draws once per arrival), 0 for a stateless unit.
     """
     n = len(plan.case)  # the units and the sink that unwired ports lead to
-    # looked up on each run: a wrapper put back is not kept
-    seeds = array("Q", core._derive_seeds(seed, plan.drawing))
+    # derive_seed is looked up on each run: a wrapper put back is not kept
+    derive_seed = core.derive_seed
+    seeds = array("Q", [derive_seed(seed, j) for j in plan.drawing])
     removed, arrivals, err = _zeros("q", 1), _zeros("q", n), _zeros("d", 2)
     inputs = (plan.source, plan.case, plan.slot, plan.gamma, seeds, reg,
               plan.dst, plan.dst_port, tag, plan.xform, plan.factor)
     outputs = (counts, t2, removed, arrivals, err)
     status = fn(n, n_particles, plan.start, *(a.buffer_info()[0] for a in inputs),
-                1 if t2 else 0, len(plan.sites),
+                1 if t2 else 0, len(plan.sites), len(seeds),
                 *(a.buffer_info()[0] for a in outputs))
     if status == _VANISHED:
         raise core._vanished(err[0], err[1])
@@ -118,6 +118,9 @@ def run(fn, plan, tag: array, reg: array, n_particles: int, seed: int,
         raise core._untapped()
     if status == _NOT_UNIT:
         raise core._not_unit(err[0])
+    if status == _SEED_COUNT:
+        raise core.QwalkError(f"compiled event loop: {len(seeds)} seeds for "
+                              f"{int(err[0])} units that draw")
     if status == _NO_MEMORY:
         raise MemoryError("compiled event loop: out of memory")
     return removed[0], arrivals[:n - 1].tolist()

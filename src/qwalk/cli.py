@@ -246,22 +246,13 @@ def _merge_counts(target: dict[int, int], extra: dict[int, int]) -> None:
         target[site] = target.get(site, 0) + count
 
 
-@functools.lru_cache(maxsize=8)
-def _oracle_row(key: tuple, steps: int, phi1: float, phi2: float) -> dict[int, float]:
-    # key tells apart the arguments that compare equal (0.0 and -0.0)
-    return jeong_evolve(steps, phi1, phi2)[-1]
+def _oracle_row(steps: int, phi1: float, phi2: float) -> dict[int, float]:
+    """The exact walk's last row; ``cmd_jeong`` keeps it in ``_compiled``.
 
-
-def _jeong_oracle(steps: int, phi1: float, phi2: float) -> dict[int, float]:
-    """``jeong_evolve(steps, phi1, phi2)[-1]``, computed once per process.
-
-    The key holds each argument's type and ``repr``, as ``network._compiled``
-    keys networks, so ``0.0`` and ``-0.0`` never share a row; the 8 most
-    recently used rows are kept.  Every caller gets the same dict and must
-    only read it.
+    Every job with the same arguments gets the same dict, so no caller may
+    change it.
     """
-    key = tuple((type(a), repr(a)) for a in (steps, phi1, phi2))
-    return _oracle_row(key, steps, phi1, phi2)
+    return jeong_evolve(steps, phi1, phi2)[-1]
 
 
 def cmd_jeong(cfg: RunConfig) -> tuple[dict, str]:
@@ -272,7 +263,7 @@ def cmd_jeong(cfg: RunConfig) -> tuple[dict, str]:
         result = run(net, cfg.particles, rng.derive(r))
         _merge_counts(counts, result.counts)
     emitted = cfg.particles * cfg.replicates
-    oracle = _jeong_oracle(cfg.steps, cfg.phi1, cfg.phi2)
+    oracle = _compiled(_oracle_row, cfg.steps, cfg.phi1, cfg.phi2)
     rows = _site_rows(counts, emitted, oracle)
     report = {
         "config": _config_echo(cfg),

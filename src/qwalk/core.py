@@ -54,11 +54,9 @@ class Message(NamedTuple):
 SOURCE_MESSAGE = Message(1.0 + 0.0j, 0.0 + 0.0j)
 
 
-def _seed_hash(seed: int):
-    """blake2b fed the parent seed, where the hash of each child seed starts."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update((seed & _MASK64).to_bytes(8, "little"))
-    return h
+#: the state every child seed's hash starts from: a copy is cheaper than a
+#: new blake2b
+_BLAKE2B_8 = hashlib.blake2b(digest_size=8)
 
 
 def derive_seed(seed: int, *indices: int) -> int:
@@ -67,23 +65,11 @@ def derive_seed(seed: int, *indices: int) -> int:
     blake2b keyed on the parent seed plus the index path; deterministic and
     platform independent, so replicate and per-unit streams never collide.
     """
-    h = _seed_hash(seed)
+    h = _BLAKE2B_8.copy()
+    h.update((seed & _MASK64).to_bytes(8, "little"))
     for ix in indices:
         h.update(int(ix).to_bytes(8, "little", signed=True))
     return int.from_bytes(h.digest(), "little")
-
-
-def _derive_seeds(seed: int, indices: list[int]) -> list[int]:
-    """``derive_seed(seed, j)`` for each int j of ``indices``, in one pass.
-
-    The parent seed is hashed once, and each child copies that hash.
-    """
-    prefix, seeds = _seed_hash(seed), []
-    for j in indices:
-        h = prefix.copy()
-        h.update(j.to_bytes(8, "little", signed=True))
-        seeds.append(int.from_bytes(h.digest(), "little"))
-    return seeds
 
 
 class RngStream:

@@ -437,21 +437,23 @@ def _plan(net: Network) -> SimpleNamespace:
     return plan
 
 
-#: networks ``_compiled`` keeps, the least recently used dropped first
+#: values ``_compiled`` keeps, the least recently used dropped first
 _COMPILED_MAX = 8
 _compiled_cache: dict = {}
 _compiled_lock = threading.Lock()
 
 
-def _compiled(builder, *args) -> Network:
-    """The network ``builder(*args)`` returns, built once per process.
+def _compiled(builder, *args):
+    """The value ``builder(*args)`` returns, made once per process.
 
     The key is the builder itself and each argument's type and ``repr``,
     which tells apart every pair of doubles (``0.0`` and ``-0.0`` too) and
-    ``1``, ``1.0`` and ``True``.  At most ``_COMPILED_MAX`` networks are
-    kept, so a sweep over gamma does not hold them all.
+    ``1``, ``1.0`` and ``True``.  At most ``_COMPILED_MAX`` values are
+    kept, so a sweep over gamma does not hold them all.  Every caller gets
+    the same object, which none may change: the networks, and the exact
+    walk's rows that ``cli.cmd_jeong`` keeps here.
 
-    Sharing is safe for a caller that only passes the network to ``run``
+    Sharing a network is safe for a caller that only passes it to ``run``
     and reads nothing of it but its plan's ``sites``: ``run`` keeps only the
     plan (``_plan``), whose tables no run changes, and writes nothing to the
     network or its units; each run owns its registers, a copy of the plan's
@@ -460,13 +462,13 @@ def _compiled(builder, *args) -> Network:
     """
     key = (builder, *((type(a), repr(a)) for a in args))
     with _compiled_lock:
-        net = _compiled_cache.pop(key, None)
-        if net is None:
-            net = builder(*args)
-        _compiled_cache[key] = net  # now the most recently used
+        value = _compiled_cache.pop(key, None)
+        if value is None:
+            value = builder(*args)
+        _compiled_cache[key] = value  # now the most recently used
         if len(_compiled_cache) > _COMPILED_MAX:
             del _compiled_cache[next(iter(_compiled_cache))]
-    return net
+    return value
 
 
 def _loop(plan: SimpleNamespace, tag: array, reg: array, n_particles: int,

@@ -12,6 +12,7 @@ import pytest
 from qwalk import cli
 from qwalk.cli import CSV_HEADER, DEFAULT_SEED, LGI_CSV_HEADER, main
 from qwalk.leggett_garg import LgiComponents, LgiResult
+from qwalk.network import _compiled
 from qwalk.theory import jeong_evolve
 
 
@@ -206,20 +207,24 @@ def test_main_shares_one_parser():
     assert cli.build_parser() is cli.build_parser()
 
 def test_jeong_oracle_is_computed_once_per_exact_argument(capsys):
-    # the row is jeong_evolve's last, shared by every call with the same
-    # arguments; 0.0 and -0.0 (and 1 and 1.0) key different rows
-    row = cli._jeong_oracle(5, math.pi / 2, 0.0)
+    # the row is jeong_evolve's last, kept with the compiled networks and
+    # shared by every call with the same arguments; 0.0 and -0.0 (and 1
+    # and 1.0) key different rows
+    def oracle(*args):
+        return _compiled(cli._oracle_row, *args)
+
+    row = oracle(5, math.pi / 2, 0.0)
     assert row == jeong_evolve(5, math.pi / 2, 0.0)[-1]
-    assert cli._jeong_oracle(5, math.pi / 2, 0.0) is row
-    assert cli._jeong_oracle(5, math.pi / 2, -0.0) is not row
-    assert cli._jeong_oracle(5, math.pi / 2, 0) is not row
-    # a report leaves the shared row as it was
+    assert oracle(5, math.pi / 2, 0.0) is row
+    assert oracle(5, math.pi / 2, -0.0) is not row
+    assert oracle(5, math.pi / 2, 0) is not row
+    # a report uses the shared row and leaves it as it was
     before = dict(row)
     for mode in ("jeong", "compare"):
         code, _, _ = run_cli(capsys, mode, "--steps", "5", "--phi2", "0.0",
                              "--particles", "200", "--format", "json")
         assert code == 0
-    assert cli._jeong_oracle(5, math.pi / 2, 0.0) is row and row == before
+    assert oracle(5, math.pi / 2, 0.0) is row and row == before
 
 #: a valid command, and the bytes a fresh interpreter writes for it
 VALID = ["robens", "--taps", "--format", "json", "--particles", "500", "--seed", "8"]

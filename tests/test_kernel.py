@@ -6,12 +6,14 @@ import random
 import subprocess
 import sys
 import textwrap
+from array import array
 
 import pytest
 
 from qwalk import _kernel, core
 from qwalk.cli import main
 from qwalk.core import BeamSplitter, PolarizingBeamSplitter, RngStream
+from qwalk.errors import QwalkError
 from qwalk.network import (_BS, _BS1, _MERGE, _PBS, _SPLIT, _plan, build_jeong,
                            build_robens, run)
 from test_network import (CountingRng, build_mixed, build_rejoined, run_on_kernel,
@@ -77,64 +79,80 @@ def test_cases_follow_add_and_connect():
 ], ids=["robens", "mesh12"])
 def test_kernel_seeds_only_the_units_that_draw(monkeypatch, build, seeded):
     # of the Robens network's 24 PBSs the 14 merges generate no number, so
-    # each kernel run derives seeds for the 10 splits alone, in one call;
-    # every splitter of the mesh draws.  Counts, registers and arrivals
-    # stay those of the Python loop, which derives a stream for every
-    # adaptive unit
-    real, calls = core._derive_seeds, []
+    # the kernel derives seeds for the 10 splits alone; every splitter of
+    # the mesh draws.  Counts, registers and arrivals stay those of the
+    # Python loop, which derives a stream for every adaptive unit
+    real, calls = core.derive_seed, []
 
-    def counted(seed, indices):
-        calls.append(list(indices))
-        return real(seed, indices)
+    def counted(seed, *indices):
+        calls.append(indices)
+        return real(seed, *indices)
 
     reference_net, reference = build(), CountingRng(17)
     expected = run(reference_net, 500, reference)
     net = build()
-    monkeypatch.setattr(core, "_derive_seeds", counted)
+    monkeypatch.setattr(core, "derive_seed", counted)
     result, arrivals = run_on_kernel(net, 500, 17)
     case = _plan(net).case
-    [indices] = calls
-    assert len(indices) == seeded
-    assert indices == [j for j, c in enumerate(case) if c not in (-1, 0, _MERGE)]
+    assert len(calls) == seeded
+    assert calls == [(j,) for j, c in enumerate(case)
+                     if c not in (-1, 0, _MERGE)]
     assert result == expected
     assert (splitter_registers(net, result.registers)
             == splitter_registers(reference_net, expected.registers))
     assert arrivals == reference.draws
     run_on_kernel(net, 1, 18)
-    assert calls == [indices, indices]  # looked up again by the next run
+    assert calls == 2 * calls[:seeded]  # looked up again by the next run
 
 
-def test_a_restored_derive_seeds_is_the_one_later_runs_call():
-    # a tracer may wrap core._derive_seeds around the run that first
-    # imports _kernel and then put the original back; the kernel looks the
-    # function up on every run, so a later run calls the wrapper no more.
-    # A fresh interpreter has not imported _kernel yet
+def test_a_restored_derive_seed_is_the_one_later_runs_call():
+    # a tracer may wrap core.derive_seed around the run that first imports
+    # _kernel and then put the original back; the kernel looks the function
+    # up on every run, so a later run calls the wrapper no more.  A fresh
+    # interpreter has not imported _kernel yet
     code = textwrap.dedent("""
         import sys
         from qwalk import core
         from qwalk.network import build_robens, run
 
         assert "qwalk._kernel" not in sys.modules
-        real, seeded = core._derive_seeds, []
+        real, calls = core.derive_seed, []
 
-        def wrapped(seed, indices):
-            seeded.extend(indices)
-            return real(seed, indices)
+        def wrapped(*args):
+            calls.append(args)
+            return real(*args)
 
-        core._derive_seeds = wrapped
+        core.derive_seed = wrapped
         run(build_robens(0.95), 10, core.RngStream(1))
-        core._derive_seeds = real
+        core.derive_seed = real
         from qwalk import _kernel
         assert _kernel.load() is not None, "the compiled kernel did not load"
-        first = len(seeded)
+        first = len(calls)
         run(build_robens(0.95), 10, core.RngStream(1))
-        print(first, len(seeded))
+        print(first, len(calls))
     """)
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     first, total = map(int, out.split())
     assert first == 10  # the Robens network's splits, seeded by the wrapper
     assert total == first
+
+
+@pytest.mark.parametrize("change", [lambda drawing: drawing[:-1],
+                                    lambda drawing: drawing + drawing[-1:]],
+                         ids=["one short", "one over"])
+def test_kernel_refuses_a_seed_count_other_than_its_drawing_units(change):
+    # the kernel counts the units that draw itself, so seeds made for a
+    # different list stop the run before it reads them or sends a particle
+    net = build_jeong(4, PHI1, PHI2, 0.98)
+    plan = _plan(net)
+    plan.drawing = change(plan.drawing)
+    counts = array("q", [0]) * len(plan.sites)
+    with pytest.raises(QwalkError, match=rf"^compiled event loop: "
+                       rf"{len(plan.drawing)} seeds for 10 units that draw$"):
+        _kernel.run(_kernel.load(), plan, plan.tag, plan.reg[:], 100, 3,
+                    counts, array("q"))
+    assert not any(counts)
 
 
 @pytest.fixture

@@ -65,7 +65,7 @@ int first_draws(const uint64_t *seed, double *out, long k, long draws)
     }}
     for (long q = 0; q < k; q++)
         kind[q] = BS;
-    seed_streams(mt, seed, kind, (int)k);
+    seed_streams(mt, seed, (int)k, kind, (int)k);
     for (long q = 0; q < k; q++)
         for (long i = 0; i < draws; i++)
             out[q * draws + i] = genrand_res53(&mt[q]);
