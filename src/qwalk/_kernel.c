@@ -2,11 +2,18 @@
  * Compiled event loop of qwalk.network.run.
  *
  * It walks the flat tables of a compiled network, the arrays that
- * network._plan builds and _kernel.py passes as they are, one particle at
- * a time, and reproduces the Python loop in network._loop, which runs
- * core.adaptive_update and then core.bs_route or core.pbs_route at every
- * splitter, bit for bit:
+ * network._plan builds and _kernel.py passes as they are, and reproduces
+ * the Python loop in network._loop, which sends one particle at a time and
+ * runs core.adaptive_update and then core.bs_route or core.pbs_route at
+ * every splitter, bit for bit:
  *
+ * - up to K particles are in flight, each moved by one hop per round.  A
+ *   hop reads and writes only the unit it enters, and a particle may enter
+ *   a unit only once every older particle in flight has passed the unit's
+ *   rank (network._live_inputs), so every unit sees its particles in the
+ *   order they were emitted (qwalk_run).  The hops of different particles
+ *   then overlap in the processor, and the port a draw picks selects its
+ *   doubles instead of taking a branch, which would stall them;
  * - a splitter whose messages have dead halves (network._live_inputs
  *   picks them) runs the case BS1, SPLIT or MERGE, which skips terms that
  *   are +0.0 squares or +-0 registers and so computes the same doubles as
@@ -28,6 +35,7 @@
  * machine and caches the library.
  */
 #include <float.h>
+#include <limits.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -205,9 +213,17 @@ enum { PASS = 0, HADAMARD = 1, PHASE = 2 };
 /* return codes */
 enum { OK = 0, VANISHED = 1, UNTAPPED = 2, NO_MEMORY = 3, NOT_UNIT = 4,
        SEED_COUNT = 5 };
+/* what a hop leaves of a particle besides OK (it has left the network) and
+   an error code: it moved on, or it waits for an older particle */
+enum { FLYING = -1, HELD = -2 };
 
-/* registers of one adaptive unit, the fields of core.AdaptiveState */
-typedef struct { double w0, w1; cpx y0h, y0v, y1h, y1v; } regs;
+/* the particles in flight at most */
+#define K 4
+
+/* registers of one adaptive unit, the fields of core.AdaptiveState: w0, w1
+   and y0h, y0v, y1h, y1v, so that port q's weight is w[q] and its halves
+   are y[2 q] and y[2 q + 1] */
+typedef struct { double w[2]; cpx y[4]; } regs;
 
 /* whether a unit of this kind generates numbers: a MERGE's draw decides
    nothing, so it generates none */
@@ -242,35 +258,229 @@ static int seed_streams(mt_state *mt, const uint64_t *seed, int n_seeds,
     return drawing;
 }
 
-/* adaptive_update on both halves */
-static void update(regs *r, int port, double g, cpx h, cpx v)
+/* adaptive_update's weights for an arrival on port; the port indexes the
+   registers, so that no branch waits for the port a draw picked */
+static inline void weigh(regs *r, int port, double g, double c)
 {
-    double c = 1.0 - g;
-    if (port == 0) {
-        r->w0 = g * r->w0 + c;
-        r->w1 = g * r->w1;
-        r->y0h = cadd(rmul(g, r->y0h), rmul(c, h));
-        r->y0v = cadd(rmul(g, r->y0v), rmul(c, v));
-    } else {
-        r->w1 = g * r->w1 + c;
-        r->w0 = g * r->w0;
-        r->y1h = cadd(rmul(g, r->y1h), rmul(c, h));
-        r->y1v = cadd(rmul(g, r->y1v), rmul(c, v));
+    double a = r->w[port], b = r->w[port ^ 1];
+    r->w[port] = g * a + c;
+    r->w[port ^ 1] = g * b;
+}
+
+/* adaptive_update of the register y[i] with the arriving half z */
+static inline void learn(regs *r, int i, double g, double c, cpx z)
+{
+    r->y[i] = cadd(rmul(g, r->y[i]), rmul(c, z));
+}
+
+/* adaptive_update on both halves */
+static inline void update(regs *r, int port, double g, double c, cpx h, cpx v)
+{
+    weigh(r, port, g, c);
+    learn(r, 2 * port, g, c, h);
+    learn(r, 2 * port + 1, g, c, v);
+}
+
+/* one particle in flight */
+typedef struct {
+    cpx h, v;           /* its message */
+    int e;              /* the edge it takes next */
+    int x2;             /* the t2 row it crossed, or NONE */
+    int rank;           /* the rank of the last unit it entered */
+} particle;
+
+/* a run's tables, as qwalk_run takes them */
+typedef struct {
+    const int *kind, *slot, *rank, *dst, *dst_port, *tag, *xform;
+    const double *gamma, *factor;
+    regs *reg;
+    mt_state *mt;
+    int taps, n_sites;
+    long long *counts, *t2, *removed, *arrivals;
+    double *err;
+} tables;
+
+/*
+ * Moves particle q along its edge into the next unit and through it, the
+ * body of network._loop's inner loop, unless that unit's rank is above
+ * limit: then the particle is HELD where it is.  Returns FLYING when it
+ * leaves the unit on an edge, OK when it is absorbed or detected, or an
+ * error code, with its values in err.  The port a draw picks selects the
+ * doubles of that port (k below), so no branch waits for the draw; the
+ * values are those of the branches of core._pick_port.
+ */
+static inline int hop(const tables *T, particle *q, int limit)
+{
+    const double s = 1.0 / sqrt(2.0);
+    int e = q->e, t = T->tag[e], j = T->dst[e];
+    if (t == ABSORB) {
+        ++*T->removed;
+        return OK;
     }
+    if (T->rank[j] > limit)
+        return HELD;
+    q->rank = T->rank[j];
+    if (t != NONE)
+        q->x2 = t;
+    cpx h = q->h, v = q->v;
+    if (T->xform[e] == HADAMARD) {
+        cpx a = mulr(cadd(h, v), s), b = mulr(csub(h, v), s);
+        h = a;
+        v = b;
+    } else if (T->xform[e] == PHASE) {
+        cpx f = {T->factor[2 * e], T->factor[2 * e + 1]};
+        h = cmul(f, h);
+        v = cmul(f, v);
+    }
+    int port = T->dst_port[e], k;
+    regs *r = &T->reg[j];
+    double g = T->gamma[j], c = 1.0 - g, p[2], total;
+    cpx z[2][2];
+    switch (T->kind[j]) {
+    case BS1: {
+        /* adaptive_update and bs_route on the h half alone; v is left as
+           it is */
+        weigh(r, port, g, c);
+        learn(r, 2 * port, g, c, h);
+        T->arrivals[j]++;
+        double u = genrand_res53(&T->mt[j]);
+        cpx v0h = rmul(sqrt(r->w[0]), r->y[0]), v1h = rmul(sqrt(r->w[1]), r->y[2]);
+        z[0][0] = mulr(cadd(v0h, cmul(I, v1h)), s);
+        z[1][0] = mulr(cadd(cmul(I, v0h), v1h), s);
+        p[0] = sq(z[0][0].re) + sq(z[0][0].im);
+        p[1] = sq(z[1][0].re) + sq(z[1][0].im);
+        total = p[0] + p[1];
+        if (!(total >= 1e-30))
+            break;
+        k = !(u < p[0] / total);
+        q->h = normalized_half(z[k][0], p[k]);
+        q->v = v;
+        q->e = 2 * j + k;
+        return FLYING;
+    }
+    case SPLIT: {
+        /* pbs_route fed on port 0 only: y1h and y1v stay zero */
+        update(r, port, g, c, h, v);
+        T->arrivals[j]++;
+        double u = genrand_res53(&T->mt[j]), a = sqrt(r->w[0]);
+        z[0][0] = rmul(a, r->y[0]);
+        z[1][1] = cmul(I, rmul(a, r->y[1]));
+        p[0] = sq(z[0][0].re) + sq(z[0][0].im);
+        p[1] = sq(z[1][1].re) + sq(z[1][1].im);
+        total = p[0] + p[1];
+        if (!(total >= 1e-30))
+            break;
+        /* port 0 leaves (z0h, 0), port 1 (0, z1v): half k lives */
+        k = !(u < p[0] / total);
+        cpx m[2], zero = {0.0, 0.0};
+        m[k] = normalized_half(z[k][k], p[k]);
+        m[k ^ 1] = zero;
+        q->h = m[0];
+        q->v = m[1];
+        q->e = 2 * j + k;
+        return FLYING;
+    }
+    case MERGE: {
+        /* pbs_route with h only on port 0 and v only on port 1: port 0
+           wins whatever the draw, so the merge counts the hop but
+           generates no number.  No other unit reads its stream, which is
+           therefore never seeded.  The update learns the dead half too,
+           as adaptive_update does: that is cheaper than picking the live
+           half by the port, which stalls the load of the picked half */
+        update(r, port, g, c, h, v);
+        T->arrivals[j]++;
+        z[0][0] = rmul(sqrt(r->w[0]), r->y[0]);
+        z[0][1] = cmul(I, rmul(sqrt(r->w[1]), r->y[3]));
+        p[0] = sq(z[0][0].re) + sq(z[0][0].im) + sq(z[0][1].re) + sq(z[0][1].im);
+        p[1] = 0.0;
+        if (!(p[0] >= 1e-30))
+            break;
+        normalized(z[0][0], z[0][1], p[0], &q->h, &q->v);
+        q->e = 2 * j;
+        return FLYING;
+    }
+    case BS:
+    case PBS: {
+        /* adaptive_update, then bs_route or pbs_route */
+        update(r, port, g, c, h, v);
+        T->arrivals[j]++;
+        double u = genrand_res53(&T->mt[j]), a = sqrt(r->w[0]), b = sqrt(r->w[1]);
+        if (T->kind[j] == BS) {
+            cpx v0h = rmul(a, r->y[0]), v0v = rmul(a, r->y[1]);
+            cpx v1h = rmul(b, r->y[2]), v1v = rmul(b, r->y[3]);
+            z[0][0] = mulr(cadd(v0h, cmul(I, v1h)), s);
+            z[0][1] = mulr(cadd(v0v, cmul(I, v1v)), s);
+            z[1][0] = mulr(cadd(cmul(I, v0h), v1h), s);
+            z[1][1] = mulr(cadd(cmul(I, v0v), v1v), s);
+        } else {
+            z[0][0] = rmul(a, r->y[0]);
+            z[0][1] = cmul(I, rmul(b, r->y[3]));
+            z[1][0] = rmul(b, r->y[2]);
+            z[1][1] = cmul(I, rmul(a, r->y[1]));
+        }
+        /* core._pick_port */
+        p[0] = sq(z[0][0].re) + sq(z[0][0].im) + sq(z[0][1].re) + sq(z[0][1].im);
+        p[1] = sq(z[1][0].re) + sq(z[1][0].im) + sq(z[1][1].re) + sq(z[1][1].im);
+        total = p[0] + p[1];
+        if (!(total >= 1e-30))
+            break;
+        k = !(u < p[0] / total);
+        normalized(z[k][0], z[k][1], p[k], &q->h, &q->v);
+        q->e = 2 * j + k;
+        return FLYING;
+    }
+    case DETECTOR: {
+        /* network._loop's check: a message arrives with unit norm */
+        double p0 = sq(h.re) + sq(h.im) + sq(v.re) + sq(v.im);
+        if (!(fabs(p0 - 1.0) <= 1e-12)) {
+            T->err[0] = p0;
+            return NOT_UNIT;
+        }
+        T->counts[T->slot[j]]++;
+        if (T->taps) {
+            if (q->x2 < 0)
+                return UNTAPPED;
+            T->t2[(long long)q->x2 * T->n_sites + T->slot[j]]++;
+        }
+        return OK;
+    }
+    default:
+        /* the sink, which network._plan proves no particle reaches (one
+           that did would be lost, and run()'s conservation check would
+           report it) */
+        return OK;
+    }
+    /* a splitter whose routing amplitudes vanished */
+    T->err[0] = p[0];
+    T->err[1] = p[1];
+    return VANISHED;
 }
 
 /*
  * Sends n_particles through the compiled network.  Per unit j < n, the
  * last one the sink that unwired ports lead to (kind -1): kind[j], the
- * detector's count slot[j], and gamma[j] of an adaptive unit, with its
- * registers reg[10 j .. 10 j + 9] (w0, w1, then y0h, y0v, y1h, y1v as re,
- * im pairs), read at the start and left holding the final values.  seed[q]
- * seeds the stream of the q-th unit, in unit order, that draws: a BS, PBS,
- * BS1 or SPLIT, of which there are n_seeds.  reg is the run's own copy of
- * the plan's template (network._plan's reg), so a run writes to no other
- * run's registers.  Per edge e: dst[e], dst_port[e], tag[e], xform[e] and,
- * for a phase edge, factor[2 e], factor[2 e + 1].  source holds the
- * emitted message (h.re, h.im, v.re, v.im).
+ * detector's count slot[j], rank[j], and gamma[j] of an adaptive unit,
+ * with its registers reg[10 j .. 10 j + 9] (w0, w1, then y0h, y0v, y1h,
+ * y1v as re, im pairs), read at the start and left holding the final
+ * values.  seed[q] seeds the stream of the q-th unit, in unit order, that
+ * draws: a BS, PBS, BS1 or SPLIT, of which there are n_seeds.  reg is the
+ * run's own copy of the plan's template (network._plan's reg), so a run
+ * writes to no other run's registers.  Per edge e: dst[e], dst_port[e],
+ * tag[e], xform[e] and, for a phase edge, factor[2 e], factor[2 e + 1].
+ * source holds the emitted message (h.re, h.im, v.re, v.im).
+ *
+ * Up to K particles are in flight, in the order they were emitted, and
+ * each round moves each of them, oldest first, by one hop.  A hop reads
+ * and writes only the unit it enters (its registers and stream), and rank
+ * grows strictly along every edge, so a particle never enters a unit of
+ * lower or equal rank again.  Hence the rank rule: a particle may enter
+ * unit j only if rank[j] is at most the rank of the last unit entered by
+ * every older particle in flight.  Every unit then sees its particles, and
+ * reads its stream, in the order they were emitted, and the run computes
+ * the doubles of one that sends a particle only when the last has left.
+ * A particle that stops on an error drops every younger one and ends the
+ * emission; the older ones fly on, and the error returned is that of the
+ * oldest particle that stopped, as in a run of one particle at a time.
  *
  * Adds to counts[slot], t2[row * n_sites + slot] (when taps), removed and
  * arrivals[j], the particles that reached adaptive unit j.  Returns OK or
@@ -279,19 +489,18 @@ static void update(regs *r, int port, double g, cpx h, cpx v)
  * sends no particle, the number of units that draw in err[0].
  */
 int qwalk_run(int n, long long n_particles, int start, const double *source,
-              const int *kind, const int *slot, const double *gamma,
-              const uint64_t *seed, double *reg,
+              const int *kind, const int *slot, const int *rank,
+              const double *gamma, const uint64_t *seed, double *reg,
               const int *dst, const int *dst_port, const int *tag,
               const int *xform, const double *factor,
               int taps, int n_sites, int n_seeds, long long *counts,
               long long *t2, long long *removed, long long *arrivals,
               double *err)
 {
-    const double s = 1.0 / sqrt(2.0);
     const cpx h0 = {source[0], source[1]}, v0 = {source[2], source[3]};
-    regs *R = (regs *)reg;
-    int status = OK;
-    long long i;
+    int status = OK, flying = 0;
+    long long emitted = 0;
+    particle fly[K];
 
     /* the MT19937 stream of each unit that draws, seeded before the first
        particle */
@@ -304,183 +513,39 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
         err[0] = drawing;
         return SEED_COUNT;
     }
+    const tables T = {kind, slot, rank, dst, dst_port, tag, xform, gamma,
+                      factor, (regs *)reg, mt, taps, n_sites, counts, t2,
+                      removed, arrivals, err};
 
-    for (i = 0; i < n_particles && status == OK; i++) {
-        int e = start, x2 = NONE;
-        cpx h = h0, v = v0;
-        for (;;) {
-            int t = tag[e];
-            if (t != NONE) {
-                if (t == ABSORB) {
-                    ++*removed;
-                    break;
-                }
-                x2 = t;
-            }
-            if (xform[e] == HADAMARD) {
-                cpx a = mulr(cadd(h, v), s), b = mulr(csub(h, v), s);
-                h = a;
-                v = b;
-            } else if (xform[e] == PHASE) {
-                cpx f = {factor[2 * e], factor[2 * e + 1]};
-                h = cmul(f, h);
-                v = cmul(f, v);
-            }
-            int j = dst[e], port = dst_port[e];
-            regs *r = &R[j];
-            double g = gamma[j], u, p0, p1, total;
-            cpx z0h, z0v, z1h, z1v;
-            switch (kind[j]) {
-            case BS1: {
-                /* adaptive_update and bs_route on the h half alone; v is
-                   left as it is */
-                double c = 1.0 - g;
-                if (port == 0) {
-                    r->w0 = g * r->w0 + c;
-                    r->w1 = g * r->w1;
-                    r->y0h = cadd(rmul(g, r->y0h), rmul(c, h));
-                } else {
-                    r->w1 = g * r->w1 + c;
-                    r->w0 = g * r->w0;
-                    r->y1h = cadd(rmul(g, r->y1h), rmul(c, h));
-                }
-                arrivals[j]++;
-                u = genrand_res53(&mt[j]);
-                cpx v0h = rmul(sqrt(r->w0), r->y0h), v1h = rmul(sqrt(r->w1), r->y1h);
-                z0h = mulr(cadd(v0h, cmul(I, v1h)), s);
-                z1h = mulr(cadd(cmul(I, v0h), v1h), s);
-                p0 = sq(z0h.re) + sq(z0h.im);
-                p1 = sq(z1h.re) + sq(z1h.im);
-                total = p0 + p1;
-                if (!(total >= 1e-30))
-                    goto vanished;
-                if (u < p0 / total) {
-                    h = normalized_half(z0h, p0);
-                    e = 2 * j;
-                } else {
-                    h = normalized_half(z1h, p1);
-                    e = 2 * j + 1;
-                }
-                continue;
-            }
-            case SPLIT: {
-                /* pbs_route fed on port 0 only: y1h and y1v stay zero */
-                double c = 1.0 - g;
-                r->w0 = g * r->w0 + c;
-                r->w1 = g * r->w1;
-                r->y0h = cadd(rmul(g, r->y0h), rmul(c, h));
-                r->y0v = cadd(rmul(g, r->y0v), rmul(c, v));
-                arrivals[j]++;
-                u = genrand_res53(&mt[j]);
-                double a = sqrt(r->w0);
-                z0h = rmul(a, r->y0h);
-                z1v = cmul(I, rmul(a, r->y0v));
-                p0 = sq(z0h.re) + sq(z0h.im);
-                p1 = sq(z1v.re) + sq(z1v.im);
-                total = p0 + p1;
-                if (!(total >= 1e-30))
-                    goto vanished;
-                if (u < p0 / total) {
-                    h = normalized_half(z0h, p0);
-                    v.re = v.im = 0.0;
-                    e = 2 * j;
-                } else {
-                    h.re = h.im = 0.0;
-                    v = normalized_half(z1v, p1);
-                    e = 2 * j + 1;
-                }
-                continue;
-            }
-            case MERGE: {
-                /* pbs_route with h only on port 0 and v only on port 1:
-                   port 0 wins whatever the draw, so the merge counts the
-                   hop but generates no number.  No other unit reads its
-                   stream, which is therefore never seeded */
-                double c = 1.0 - g;
-                if (port == 0) {
-                    r->w0 = g * r->w0 + c;
-                    r->w1 = g * r->w1;
-                    r->y0h = cadd(rmul(g, r->y0h), rmul(c, h));
-                } else {
-                    r->w1 = g * r->w1 + c;
-                    r->w0 = g * r->w0;
-                    r->y1v = cadd(rmul(g, r->y1v), rmul(c, v));
-                }
-                arrivals[j]++;
-                z0h = rmul(sqrt(r->w0), r->y0h);
-                z0v = cmul(I, rmul(sqrt(r->w1), r->y1v));
-                p0 = sq(z0h.re) + sq(z0h.im) + sq(z0v.re) + sq(z0v.im);
-                if (!(p0 >= 1e-30)) {
-                    p1 = 0.0;
-                    goto vanished;
-                }
-                normalized(z0h, z0v, p0, &h, &v);
-                e = 2 * j;
-                continue;
-            }
-            case BS:
-            case PBS: {
-                /* adaptive_update, then bs_route or pbs_route */
-                update(r, port, g, h, v);
-                arrivals[j]++;
-                u = genrand_res53(&mt[j]);
-                double a = sqrt(r->w0), b = sqrt(r->w1);
-                if (kind[j] == BS) {
-                    cpx v0h = rmul(a, r->y0h), v0v = rmul(a, r->y0v);
-                    cpx v1h = rmul(b, r->y1h), v1v = rmul(b, r->y1v);
-                    z0h = mulr(cadd(v0h, cmul(I, v1h)), s);
-                    z0v = mulr(cadd(v0v, cmul(I, v1v)), s);
-                    z1h = mulr(cadd(cmul(I, v0h), v1h), s);
-                    z1v = mulr(cadd(cmul(I, v0v), v1v), s);
-                } else {
-                    z0h = rmul(a, r->y0h);
-                    z0v = cmul(I, rmul(b, r->y1v));
-                    z1h = rmul(b, r->y1h);
-                    z1v = cmul(I, rmul(a, r->y0v));
-                }
-                /* core._pick_port */
-                p0 = sq(z0h.re) + sq(z0h.im) + sq(z0v.re) + sq(z0v.im);
-                p1 = sq(z1h.re) + sq(z1h.im) + sq(z1v.re) + sq(z1v.im);
-                total = p0 + p1;
-                if (!(total >= 1e-30))
-                    goto vanished;
-                if (u < p0 / total) {
-                    normalized(z0h, z0v, p0, &h, &v);
-                    e = 2 * j;
-                } else {
-                    normalized(z1h, z1v, p1, &h, &v);
-                    e = 2 * j + 1;
-                }
-                continue;
-            }
-            case DETECTOR:
-                /* network._loop's check: a message arrives with unit norm */
-                p0 = sq(h.re) + sq(h.im) + sq(v.re) + sq(v.im);
-                if (!(fabs(p0 - 1.0) <= 1e-12)) {
-                    err[0] = p0;
-                    status = NOT_UNIT;
-                    break;
-                }
-                counts[slot[j]]++;
-                if (taps) {
-                    if (x2 < 0) {
-                        status = UNTAPPED;
-                        break;
-                    }
-                    t2[(long long)x2 * n_sites + slot[j]]++;
-                }
+    for (;;) {
+        for (; flying < K && emitted < n_particles && status == OK; emitted++) {
+            particle *q = &fly[flying++];
+            q->h = h0;
+            q->v = v0;
+            q->e = start;
+            q->x2 = NONE;
+            q->rank = rank[start / 2];
+        }
+        if (flying == 0)
+            break;
+        /* limit: the least rank the older particles have reached */
+        int limit = INT_MAX, kept = 0;
+        for (int f = 0; f < flying; f++) {
+            int r = hop(&T, &fly[f], limit);
+            if (r > OK) {
+                /* older than any particle that stopped before it */
+                status = r;
                 break;
             }
-            /* a detector, or the sink, which network._plan proves no
-               particle reaches (one that did would be lost, and run()'s
-               conservation check would report it) */
-            break;
-        vanished:
-            err[0] = p0;
-            err[1] = p1;
-            status = VANISHED;
-            break;
+            if (r == OK)
+                continue;
+            if (fly[f].rank < limit)
+                limit = fly[f].rank;
+            if (kept != f)
+                fly[kept] = fly[f];
+            kept++;
         }
+        flying = kept;
     }
     free(mt);
     return status;

@@ -75,7 +75,7 @@ def load():
         return None
     # the arrays go in as the addresses of array.array buffers
     fn.argtypes = ((ctypes.c_int, ctypes.c_longlong, ctypes.c_int)
-                   + 11 * (ctypes.c_void_p,)
+                   + 12 * (ctypes.c_void_p,)
                    + 3 * (ctypes.c_int,) + 5 * (ctypes.c_void_p,))
     fn.restype = ctypes.c_int
     return fn
@@ -97,7 +97,9 @@ def run(fn, plan, tag: array, reg: array, n_particles: int, seed: int,
     ``RngStream(seed).derive(j)`` would give, except a merge, which draws
     nothing.  Each run derives the seeds of the units that draw
     (``plan.drawing``) with ``core.derive_seed``, and the kernel seeds all
-    their streams before the first particle, several in lockstep.  Returns
+    their streams before the first particle, several in lockstep.  It keeps
+    up to four particles in flight, in the order the units' ranks
+    (``plan.rank``) allow, with the results of one at a time.  Returns
     the removed tally and each unit's arrivals, the particles that reached
     it (the Python loop draws once per arrival), 0 for a stateless unit.
     """
@@ -106,8 +108,8 @@ def run(fn, plan, tag: array, reg: array, n_particles: int, seed: int,
     derive_seed = core.derive_seed
     seeds = array("Q", [derive_seed(seed, j) for j in plan.drawing])
     removed, arrivals, err = _zeros("q", 1), _zeros("q", n), _zeros("d", 2)
-    inputs = (plan.source, plan.case, plan.slot, plan.gamma, seeds, reg,
-              plan.dst, plan.dst_port, tag, plan.xform, plan.factor)
+    inputs = (plan.source, plan.case, plan.slot, plan.rank, plan.gamma, seeds,
+              reg, plan.dst, plan.dst_port, tag, plan.xform, plan.factor)
     outputs = (counts, t2, removed, arrivals, err)
     status = fn(n, n_particles, plan.start, *(a.buffer_info()[0] for a in inputs),
                 1 if t2 else 0, len(plan.sites), len(seeds),

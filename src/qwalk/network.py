@@ -1,4 +1,4 @@
-"""Network topologies and the one-particle-at-a-time event loop.
+"""Network topologies and the event loop, one particle at a time.
 
 Two builders are provided.  ``build_jeong`` wires the triangular mesh of
 50:50 beam splitters and phase shifters in which the walk position is path
@@ -24,16 +24,21 @@ nothing else.  A removal filter absorbs every particle crossing one
 annotated wire, which is the ideal negative measurement used by the
 Leggett-Garg analysis.
 
-A run is strictly sequential: a particle finishes (detector or filter)
-before the next one is emitted, and the adaptive registers persist across
-all particles of the run.  ``run`` compiles the graph into flat tables
-(``_plan``) once per network, which also checks it: one source, no cycle,
-and every port a particle can reach is wired.  A compiled C kernel
-(``_kernel.c``) or the Python loop ``_loop`` then routes the particles
-through those same tables, with bit-identical results.  Each run starts
-every adaptive unit from fresh registers, its own copy of the plan's, and
-a stream derived from the supplied one, so identical seeds reproduce
-bit-identical counts, tables and final registers.
+A run's results are those of a strictly sequential run: a particle
+finishes (detector or filter) before the next one is emitted, and the
+adaptive registers persist across all particles of the run.  ``run``
+compiles the graph into flat tables (``_plan``) once per network, which
+also checks it: one source, no cycle, and every port a particle can reach
+is wired.  A compiled C kernel (``_kernel.c``) or the Python loop ``_loop``
+then routes the particles through those same tables, with bit-identical
+results.  The Python loop sends one particle at a time.  The kernel keeps a
+few in flight but overlaps only hops that commute: a hop touches only the
+unit it enters, and a particle enters a unit only after every older one has
+passed the unit's rank (``_live_inputs``), so each unit sees its particles
+in the order they were emitted.  Each run starts every adaptive unit from
+fresh registers, its own copy of the plan's, and a stream derived from the
+supplied one, so identical seeds reproduce bit-identical counts, tables and
+final registers.
 """
 from __future__ import annotations
 
@@ -256,8 +261,8 @@ _PASS, _HADAMARD, _PHASE = 0, 1, 2
 _H, _V = 1, 2
 
 
-def _live_inputs(units: list, case: array, dst: array, dst_port: array,
-                 xform: array, start: int) -> None:
+def _live_inputs(units: list, case: array, rank: array, dst: array,
+                 dst_port: array, xform: array, start: int) -> None:
     """Picks each splitter's ``case`` from the message halves live at its in-ports.
 
     The halves of a message that can be nonzero at a unit's in-ports 0 and
@@ -268,18 +273,22 @@ def _live_inputs(units: list, case: array, dst: array, dst_port: array,
     is never taken: a particle only leaves on a port with nonzero amplitude,
     so such a port may stay unwired.  One topological pass (Kahn's
     algorithm) visits each unit once, after every unit wired into it, so
-    the cases do not depend on the order of ``units``.
+    the cases do not depend on the order of ``units``.  The same pass sets
+    ``rank[j]``, the length of the longest path from the source to unit j,
+    so that rank grows strictly along every wired edge; the C kernel orders
+    the particles it has in flight by it.
 
-    The C kernel skips every term of a dead half, each a +0.0 square or a
-    ±0 register, so it computes the same doubles as ``adaptive_update`` and
+    The C kernel skips terms of a dead half, each a +0.0 square or a ±0
+    register, so it computes the same doubles as ``adaptive_update`` and
     ``bs_route``/``pbs_route``, which the Python loop runs for every case:
 
     - ``_BS1``: a beam splitter that no v half reaches; it updates and
       routes the h half alone.
     - ``_MERGE``: a PBS whose out-port 1 is dead (h only on in-port 0, v
       only on in-port 1).  Its p1 is +0.0, so p0/total is exactly 1.0 and
-      port 0 always wins.  The kernel counts the hop but draws no number
-      (the Python loop draws one and discards it); no other unit reads its
+      port 0 always wins.  The kernel updates both halves, as
+      ``adaptive_update`` does, and counts the hop but draws no number (the
+      Python loop draws one and discards it); no other unit reads its
       stream.
     - ``_SPLIT``: a PBS that nothing reaches on in-port 1.  z0 is (z0h, 0)
       and z1 is (0, z1v).
@@ -325,6 +334,8 @@ def _live_inputs(units: list, case: array, dst: array, dst_port: array,
                 continue
             if halves and xform[e] == _HADAMARD:
                 halves = _H | _V
+            if rank[target] <= rank[j]:
+                rank[target] = rank[j] + 1
             live[target][dst_port[e]] |= halves
             waiting[target] -= 1
             if not waiting[target]:
@@ -355,8 +366,9 @@ def _plan(net: Network) -> SimpleNamespace:
 
     - per unit and the sink: ``case``, the detector's count ``slot`` (the
       index of its site in ``sites``; detectors at one site share it, and
-      any other unit has _NONE) and the ``gamma`` of an adaptive unit (0.0
-      for any other);
+      any other unit has _NONE), its ``rank`` (see ``_live_inputs``; 0 for
+      the source, a stateless unit and the sink) and the ``gamma`` of an
+      adaptive unit (0.0 for any other);
     - ``reg``, the template of a run's registers: 10 doubles per unit and
       the sink, laid out as ``RunResult.registers``, w0 = w1 = 1/2 and
       y = 0 for an adaptive unit and 0.0 elsewhere.  Each run copies it,
@@ -425,12 +437,13 @@ def _plan(net: Network) -> SimpleNamespace:
     if net.source is None:
         raise QwalkError("network has no source")
     start = 2 * index[id(net.source)]
-    _live_inputs(units, case, dst, dst_port, xform, start)
+    rank = array("i", [0]) * (n + 1)
+    _live_inputs(units, case, rank, dst, dst_port, xform, start)
     h, v = SOURCE_MESSAGE
     adaptive = [j for j, c in enumerate(case) if c > _DETECTOR]
     net._plan = plan = SimpleNamespace(
-        units=list(units), case=case, slot=slot, gamma=gamma, reg=reg, dst=dst,
-        dst_port=dst_port, tag=tag, xform=xform, factor=factor,
+        units=list(units), case=case, slot=slot, rank=rank, gamma=gamma,
+        reg=reg, dst=dst, dst_port=dst_port, tag=tag, xform=xform, factor=factor,
         source=array("d", (h.real, h.imag, v.real, v.imag)), start=start,
         edge=edge, sites=sites, t2_sites=t2_sites, adaptive=adaptive,
         drawing=[j for j in adaptive if case[j] != _MERGE])
@@ -554,7 +567,7 @@ def _loop(plan: SimpleNamespace, tag: array, reg: array, n_particles: int,
 def run(net: Network, n_particles: int, rng: RngStream,
         filters: Iterable[RemovalFilter] = (),
         taps_enabled: bool = False) -> RunResult:
-    """Send ``n_particles`` through the network one at a time.
+    """Send ``n_particles`` through the network, as if one at a time.
 
     The network is compiled once, on its first run after an ``add`` or
     ``connect`` (``_plan``), and every later run reuses the tables.  Each
@@ -566,7 +579,7 @@ def run(net: Network, n_particles: int, rng: RngStream,
     units.  Returns the detector counts, the t2 table (empty unless
     ``taps_enabled``; a network without a t2 cut point cannot be tapped),
     the removed tally and the final registers (``RunResult.registers``).
-    ``n_particles`` must be in 1..2**63 - 1.
+    ``n_particles`` must be an ``int`` (not a ``bool``) in 1..2**63 - 1.
 
     Both event loops read the plan's tables, with bit-identical results:
     the compiled kernel (``_kernel.c``), used when its library loads and
@@ -584,6 +597,9 @@ def run(net: Network, n_particles: int, rng: RngStream,
     invariants: |w0 + w1 - 1| <= 1e-12, 0 <= w <= 1 and
     |y| <= 1 + 1e-12.  A breach raises ``QwalkError``.
     """
+    if type(n_particles) is not int:  # a bool too
+        raise TypeError(f"n_particles must be an int, got "
+                        f"{type(n_particles).__name__}")
     if not 1 <= n_particles <= _MAX_PARTICLES:
         raise ValueError(f"n_particles must be in 1..{_MAX_PARTICLES}, "
                          f"got {n_particles}")

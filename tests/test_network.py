@@ -1,5 +1,6 @@
 """Topology builders, the sequential event loop, taps, and removal filters."""
 import math
+import re
 import sys
 import threading
 
@@ -463,6 +464,139 @@ def test_loops_agree_to_the_bit_over_many_short_runs(monkeypatch):
     for seed, net, result in runs():
         assert (result, splitter_registers(net, result.registers)) == on_kernel[seed]
 
+def build_uneven(gamma=0.9):
+    """Three beam splitters; the last is reached on paths of two lengths.
+
+    The first splitter feeds the last one straight from out-port 0 and
+    through the middle one from out-port 1, so a particle enters the last
+    splitter on its second or on its third hop, and the last splitter's
+    rank is 3.
+    """
+    net = Network()
+    source = net.add(Source())
+    first, middle, last = (net.add(BeamSplitter(gamma)) for _ in range(3))
+    net.connect(source, 0, first, 0)
+    net.connect(first, 0, last, 0)
+    net.connect(first, 1, middle, 0)
+    net.connect(middle, 0, last, 1)
+    net.connect(middle, 1, net.add(Detector(3)), 0)
+    net.connect(last, 0, net.add(Detector(-1)), 0)
+    net.connect(last, 1, net.add(Detector(1)), 0)
+    return net
+
+@pytest.mark.parametrize("build", [
+    lambda: build_jeong(1, PHI1, PHI2), lambda: build_jeong(7, PHI1, PHI2),
+    lambda: build_mixed(4, PHI1, PHI2), lambda: build_revived(4, PHI1, PHI2),
+    build_robens, build_rejoined, build_uneven,
+], ids=["mesh1", "mesh7", "mixed", "revived", "robens", "rejoined", "uneven"])
+def test_rank_grows_along_every_wired_edge(build):
+    # the kernel lets a particle into a unit only once every older particle
+    # in flight has passed the unit's rank, which is sound only if a
+    # particle never enters a unit of its last unit's rank or below again
+    net = build()
+    plan = _plan(net)
+    n = len(net.units)
+    wired = [(e, target) for e, target in enumerate(plan.dst) if target < n]
+    assert wired
+    for e, target in wired:
+        assert plan.rank[target] > plan.rank[e // 2]
+    assert plan.rank[plan.start // 2] == 0
+
+def test_kernel_orders_particles_by_rank_not_by_hop_count(monkeypatch):
+    # in build_uneven a particle that leaves the first splitter on port 0
+    # reaches the last one (rank 3) on its second hop, while an older one
+    # that left on port 1 enters the middle one (rank 2) then, and the last
+    # one only on its third hop.  The kernel holds the younger particle
+    # until the older one has passed rank 3, so the last splitter sees its
+    # particles in the order they were emitted.  A kernel that compared
+    # hop counts instead of ranks lets the younger one in first, and was
+    # checked to fail here, on the registers and on the counts
+    net = build_uneven()
+    plan = _plan(net)
+    last = 3
+    assert plan.dst[2 * 1] == last and plan.rank[last] == 3
+    seeds = range(20)
+    on_kernel = []
+    for seed in seeds:
+        result, _arrivals = run_on_kernel(net, 2000, seed)
+        on_kernel.append((result.counts, splitter_registers(net, result.registers)))
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    for seed, expected in zip(seeds, on_kernel):
+        result = run(net, 2000, RngStream(seed))
+        assert (result.counts, splitter_registers(net, result.registers)) == expected
+
+def build_forked(gamma=0.9):
+    """A splitter whose out-port 0 leads to a detector, and port 1 to another splitter.
+
+    Out-port 0 of each splitter passes a phase shifter; detector -1 ends
+    the short path (two hops), detectors 0 and 1 the long ones (three
+    hops).
+    """
+    net = Network()
+    source = net.add(Source())
+    first, second = net.add(BeamSplitter(gamma)), net.add(BeamSplitter(gamma))
+    short, long = net.add(PhaseShifter(0.0)), net.add(PhaseShifter(0.0))
+    net.connect(source, 0, first, 0)
+    net.connect(first, 0, short, 0)
+    net.connect(short, 0, net.add(Detector(-1)), 0)
+    net.connect(first, 1, second, 0)
+    net.connect(second, 0, long, 0)
+    net.connect(long, 0, net.add(Detector(0)), 0)
+    net.connect(second, 1, net.add(Detector(1)), 0)
+    return net
+
+def test_an_error_behind_older_particles_is_the_sequential_runs(monkeypatch):
+    # with the phase factor of the short path doubled and that of the long
+    # one tripled, a particle detected at -1 stops the run with squared
+    # norm 4 on its second hop and one detected at 0 with norm 9 on its
+    # third.  The run's error is that of the first particle, in emission
+    # order, to stop.  Among the seeds below, that particle is sometimes
+    # not the first emitted, behind one that takes the long, healthy path
+    # and so is still in flight when it stops, and sometimes it takes the
+    # long failing path just ahead of one that would stop on the short
+    # path a hop sooner: the kernel must report the older one (a kernel
+    # that returned at the first error in time was checked to fail here).
+    # Both loops raise the same error on every seed
+    def path(seed, n=8):
+        # the detectors the first n particles reach on the healthy network
+        net, sites, before = build_forked(), [], {}
+        for k in range(1, n + 1):
+            counts = run(net, k, RngStream(seed)).counts
+            sites += [site for site in counts if counts[site] != before.get(site, 0)]
+            before = counts
+        return sites
+
+    def faulty():
+        net = build_forked()
+        plan = _plan(net)
+        for unit, scale in ((1, 2.0), (2, 3.0)):  # out-port 0 of each splitter
+            e = 2 * unit
+            assert plan.xform[e] == network._PHASE
+            plan.factor[2 * e] *= scale
+            plan.factor[2 * e + 1] *= scale
+        return net
+
+    def errors():
+        for seed in seeds:
+            with pytest.raises(QwalkError) as exc:
+                run(faulty(), 2000, RngStream(seed))
+            yield str(exc.value)
+
+    seeds = range(30)
+    assert _kernel.load() is not None, "the compiled kernel did not load"
+    on_kernel = list(errors())
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    assert list(errors()) == on_kernel
+    behind_healthy = behind_failing = 0
+    for seed, message in zip(seeds, on_kernel):
+        sites = path(seed)
+        m = next(i for i, site in enumerate(sites) if site != 1)
+        norm = float(re.search(r"squared norm (\S+) reached", message)[1])
+        assert round(norm) == (9 if sites[m] == 0 else 4)
+        behind_healthy += m > 0 and sites[m] == -1
+        behind_failing += sites[m:m + 2] == [0, -1]
+    assert behind_healthy and behind_failing
+
 def vanishing_mesh(monkeypatch):
     # at the largest gamma below 1 the first arrival leaves |y0| = 2**-53
     return build_jeong(1, PHI1, PHI2, 1 - 2 ** -53)
@@ -880,6 +1014,14 @@ def test_particle_count_above_the_kernel_bound_rejected(n):
     # would not end.  run() rejects n before it picks a loop
     with pytest.raises(ValueError, match=rf"^n_particles must be in "
                                          rf"1\.\.{2 ** 63 - 1}, got {n}$"):
+        run(build_jeong(2, PHI1, PHI2), n, RngStream(1))
+
+@pytest.mark.parametrize("n", [1.5, 2.0, True, "3", None])
+def test_particle_count_must_be_an_int(loop, n):
+    # a bool or a float of integral value too, and with the same error on
+    # both loops
+    with pytest.raises(TypeError, match=f"^n_particles must be an int, "
+                                        f"got {type(n).__name__}$"):
         run(build_jeong(2, PHI1, PHI2), n, RngStream(1))
 
 def test_detector_parity_matches_depth():
