@@ -22,17 +22,24 @@
  *   exactly as CPython's Modules/_randommodule.c does (init_by_array on the
  *   32-bit words of the seed, genrand_res53 for random()), except that a
  *   MERGE generates no number: its draw decides nothing, and no other
- *   unit reads its stream.  Every other stream is seeded before the first
- *   particle, L streams at a time in lockstep (seed_lanes);
+ *   unit reads its stream, so it has none.  Only the units that draw have
+ *   a stream (mt[stream[j]]), seeded before the first particle, L = 16
+ *   streams at a time in lockstep (seed_lanes).  A stream twists its whole
+ *   state and tempers all 624 words into a block at once (refill), in
+ *   loops that the compiler vectorizes, and each draw reads two words of
+ *   that block: the same words CPython's genrand_uint32 returns one at a
+ *   time;
  * - complex arithmetic is spelled out in CPython's order (3.10 to 3.13):
  *   _Py_c_prod for a product and a float operand promoted to complex(x,
  *   0.0); a square is x * x, as in the core functions.
  *
- * Build with -O2 -ffp-contract=off -fno-math-errno, so that no product is
+ * Build with -O3 -ffp-contract=off -fno-math-errno, so that no product is
  * fused into an FMA (CPython fuses none, not even in a * a + b * b) and
  * sqrt is one instruction with no errno branch (IEEE sqrt is correctly
- * rounded either way).  The loader in _kernel.py does this once per
- * machine and caches the library.
+ * rounded either way).  -O3 adds vectorization and more inlining and
+ * unrolling, none of which reorders float arithmetic: that would take
+ * -ffast-math or -fassociative-math.  The loader in _kernel.py does this
+ * once per machine and caches the library.
  */
 #include <float.h>
 #include <limits.h>
@@ -49,11 +56,18 @@
 #define LOWER_MASK 0x7fffffffU
 
 /* the lanes of seed_lanes: streams seeded together, one per lane */
-#define L 8
+#define L 16
 
+/*
+ * One stream: the raw state mt, the block out of its 624 tempered words,
+ * which one twist and tempering pass fills at a time (refill), and the
+ * number of doubles read from out, two words each.  A double never spans
+ * two blocks, since random() reads words two at a time and N is even.
+ */
 typedef struct {
     uint32_t mt[N];
-    int mti;            /* the next word to read; N: twist first */
+    uint32_t out[N];
+    int read;           /* doubles read of N / 2; N / 2: refill first */
 } mt_state;
 
 static void init_genrand(uint32_t *mt, uint32_t s)
@@ -64,18 +78,18 @@ static void init_genrand(uint32_t *mt, uint32_t s)
 }
 
 /*
- * random.Random(seed[l]) into mt[units[l]] for each l < count <= L:
- * CPython's init_by_array, from base (the state init_genrand(19650218)
- * leaves), on the seed's little-endian 32-bit words, at least one.  The
- * recurrence is serial within a stream, so the streams run in lockstep,
- * one per lane of the interleaved lane[N][L].  Every lane walks the same
- * i: the key has one or two words, fewer than N, so the first pass takes
- * N steps whatever the key, and its step k adds key[k % length] + k %
- * length, which is add[k & 1].  Spare lanes run on a zero key and are
- * discarded.  The twist is left to the first draw (mti = N).
+ * random.Random(seed[l]) into mt[l] for each l < count <= L: CPython's
+ * init_by_array, from base (the state init_genrand(19650218) leaves), on
+ * the seed's little-endian 32-bit words, at least one.  The recurrence is
+ * serial within a stream, so the streams run in lockstep, one per lane of
+ * the interleaved lane[N][L].  Every lane walks the same i: the key has
+ * one or two words, fewer than N, so the first pass takes N steps
+ * whatever the key, and its step k adds key[k % length] + k % length,
+ * which is add[k & 1].  Spare lanes run on a zero key and are discarded.
+ * The twist is left to the first draw (read = N / 2).
  */
-static void seed_lanes(mt_state *mt, const int *units, const uint64_t *seed,
-                       int count, const uint32_t *base)
+static void seed_lanes(mt_state *mt, const uint64_t *seed, int count,
+                       const uint32_t *base)
 {
     uint32_t lane[N][L], add[2][L];
     int i, k, l;
@@ -110,44 +124,52 @@ static void seed_lanes(mt_state *mt, const int *units, const uint64_t *seed,
         }
     }
     for (l = 0; l < count; l++) {
-        mt_state *s = &mt[units[l]];
+        mt_state *s = &mt[l];
         s->mt[0] = 0x80000000U;
         for (i = 1; i < N; i++)
             s->mt[i] = lane[i][l];
-        s->mti = N;
+        s->read = N / 2;
     }
 }
 
-static uint32_t genrand_uint32(mt_state *self)
+/*
+ * CPython's twist of the whole state, with -(y & 1) & MATRIX_A for its
+ * mag01[y & 1], then its tempering of every word into out.  These are
+ * plain loops over the words, which GCC vectorizes; the second twist loop
+ * reads the words the first wrote, N - M behind it.
+ */
+static void refill(mt_state *self)
 {
-    static const uint32_t mag01[2] = {0x0U, MATRIX_A};
-    uint32_t *mt = self->mt;
-    uint32_t y;
-    if (self->mti >= N) {
-        int kk;
-        for (kk = 0; kk < N - M; kk++) {
-            y = (mt[kk] & UPPER_MASK) | (mt[kk + 1] & LOWER_MASK);
-            mt[kk] = mt[kk + M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < N - 1; kk++) {
-            y = (mt[kk] & UPPER_MASK) | (mt[kk + 1] & LOWER_MASK);
-            mt[kk] = mt[kk + (M - N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[N - 1] & UPPER_MASK) | (mt[0] & LOWER_MASK);
-        mt[N - 1] = mt[M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        self->mti = 0;
+    uint32_t *mt = self->mt, *out = self->out, y;
+    int kk;
+    for (kk = 0; kk < N - M; kk++) {
+        y = (mt[kk] & UPPER_MASK) | (mt[kk + 1] & LOWER_MASK);
+        mt[kk] = mt[kk + M] ^ (y >> 1) ^ (-(y & 1U) & MATRIX_A);
     }
-    y = mt[self->mti++];
-    y ^= (y >> 11);
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    y ^= (y >> 18);
-    return y;
+    for (; kk < N - 1; kk++) {
+        y = (mt[kk] & UPPER_MASK) | (mt[kk + 1] & LOWER_MASK);
+        mt[kk] = mt[kk + (M - N)] ^ (y >> 1) ^ (-(y & 1U) & MATRIX_A);
+    }
+    y = (mt[N - 1] & UPPER_MASK) | (mt[0] & LOWER_MASK);
+    mt[N - 1] = mt[M - 1] ^ (y >> 1) ^ (-(y & 1U) & MATRIX_A);
+    for (kk = 0; kk < N; kk++) {
+        y = mt[kk];
+        y ^= (y >> 11);
+        y ^= (y << 7) & 0x9d2c5680U;
+        y ^= (y << 15) & 0xefc60000U;
+        y ^= (y >> 18);
+        out[kk] = y;
+    }
+    self->read = 0;
 }
 
-static double genrand_res53(mt_state *self)
+/* random(): 53 bits from the next two tempered words */
+static inline double genrand_res53(mt_state *self)
 {
-    uint32_t a = genrand_uint32(self) >> 5, b = genrand_uint32(self) >> 6;
+    if (self->read >= N / 2)
+        refill(self);
+    const uint32_t *w = self->out + 2 * self->read++;
+    uint32_t a = w[0] >> 5, b = w[1] >> 6;
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
@@ -192,7 +214,7 @@ static inline void normalized(cpx zh, cpx zv, double p, cpx *h, cpx *v)
 
 /* normalized() for a message whose other half is dead: z / sqrt(p), p the
    sum of z's squares; the caller sets the dead half.  inline, because GCC
-   -O2 otherwise calls it, which costs the mesh's scalar hop about 5 % */
+   -O2 called it otherwise, which cost the mesh's scalar hop about 5 % */
 static inline cpx normalized_half(cpx z, double p)
 {
     if (p < DBL_MIN) {
@@ -232,29 +254,22 @@ static int draws(int kind)
     return kind == BS || kind == PBS || kind == BS1 || kind == SPLIT;
 }
 
-/* seeds the stream mt[j] of every unit j < n that draws, L at a time, the
-   q-th such unit in unit order with seed[q]; a MERGE's stream is left
-   unseeded.  Returns the number of units that draw; unless it is n_seeds,
-   nothing is read of seed or seeded */
-static int seed_streams(mt_state *mt, const uint64_t *seed, int n_seeds,
-                        const int *kind, int n)
+/* sets stream[j] of every unit j < n that draws to q, if it is the q-th
+   such unit in unit order, and seeds the stream mt[q] with seed[q], L at a
+   time; a MERGE gets no stream (-1).  Returns the number of units that
+   draw; unless it is n_seeds, nothing is read of seed or seeded */
+static int seed_streams(mt_state *mt, int *stream, const uint64_t *seed,
+                        int n_seeds, const int *kind, int n)
 {
     uint32_t base[N];
-    int group[L], count = 0, drawing = 0;
+    int drawing = 0;
     for (int j = 0; j < n; j++)
-        drawing += draws(kind[j]);
+        stream[j] = draws(kind[j]) ? drawing++ : -1;
     if (drawing != n_seeds)
         return drawing;
     init_genrand(base, 19650218U);
-    for (int j = 0; j < n; j++) {
-        if (draws(kind[j]))
-            group[count++] = j;
-        if (count == L || (count > 0 && j == n - 1)) {
-            seed_lanes(mt, group, seed, count, base);
-            seed += count;
-            count = 0;
-        }
-    }
+    for (int q = 0; q < drawing; q += L)
+        seed_lanes(mt + q, seed + q, drawing - q < L ? drawing - q : L, base);
     return drawing;
 }
 
@@ -295,6 +310,7 @@ typedef struct {
     const double *gamma, *factor;
     regs *reg;
     mt_state *mt;
+    const int *stream;
     int taps, n_sites;
     long long *counts, *t2, *removed, *arrivals;
     double *err;
@@ -343,7 +359,7 @@ static inline int hop(const tables *T, particle *q, int limit)
         weigh(r, port, g, c);
         learn(r, 2 * port, g, c, h);
         T->arrivals[j]++;
-        double u = genrand_res53(&T->mt[j]);
+        double u = genrand_res53(&T->mt[T->stream[j]]);
         cpx v0h = rmul(sqrt(r->w[0]), r->y[0]), v1h = rmul(sqrt(r->w[1]), r->y[2]);
         z[0][0] = mulr(cadd(v0h, cmul(I, v1h)), s);
         z[1][0] = mulr(cadd(cmul(I, v0h), v1h), s);
@@ -362,7 +378,7 @@ static inline int hop(const tables *T, particle *q, int limit)
         /* pbs_route fed on port 0 only: y1h and y1v stay zero */
         update(r, port, g, c, h, v);
         T->arrivals[j]++;
-        double u = genrand_res53(&T->mt[j]), a = sqrt(r->w[0]);
+        double u = genrand_res53(&T->mt[T->stream[j]]), a = sqrt(r->w[0]);
         z[0][0] = rmul(a, r->y[0]);
         z[1][1] = cmul(I, rmul(a, r->y[1]));
         p[0] = sq(z[0][0].re) + sq(z[0][0].im);
@@ -404,7 +420,8 @@ static inline int hop(const tables *T, particle *q, int limit)
         /* adaptive_update, then bs_route or pbs_route */
         update(r, port, g, c, h, v);
         T->arrivals[j]++;
-        double u = genrand_res53(&T->mt[j]), a = sqrt(r->w[0]), b = sqrt(r->w[1]);
+        double u = genrand_res53(&T->mt[T->stream[j]]);
+        double a = sqrt(r->w[0]), b = sqrt(r->w[1]);
         if (T->kind[j] == BS) {
             cpx v0h = rmul(a, r->y[0]), v0v = rmul(a, r->y[1]);
             cpx v1h = rmul(b, r->y[2]), v1v = rmul(b, r->y[3]);
@@ -463,11 +480,14 @@ static inline int hop(const tables *T, particle *q, int limit)
  * with its registers reg[10 j .. 10 j + 9] (w0, w1, then y0h, y0v, y1h,
  * y1v as re, im pairs), read at the start and left holding the final
  * values.  seed[q] seeds the stream of the q-th unit, in unit order, that
- * draws: a BS, PBS, BS1 or SPLIT, of which there are n_seeds.  reg is the
- * run's own copy of the plan's template (network._plan's reg), so a run
- * writes to no other run's registers.  Per edge e: dst[e], dst_port[e],
- * tag[e], xform[e] and, for a phase edge, factor[2 e], factor[2 e + 1].
- * source holds the emitted message (h.re, h.im, v.re, v.im).
+ * draws: a BS, PBS, BS1 or SPLIT, of which there are n_seeds; the run
+ * holds a stream (raw state and tempered block) for each of these units
+ * and for no other, and seeds them all, L at a time, before the first
+ * particle.  reg is the run's own copy of the plan's template
+ * (network._plan's reg), so a run writes to no other run's registers.
+ * Per edge e: dst[e], dst_port[e], tag[e], xform[e] and, for a phase
+ * edge, factor[2 e], factor[2 e + 1].  source holds the emitted message
+ * (h.re, h.im, v.re, v.im).
  *
  * Up to K particles are in flight, in the order they were emitted, and
  * each round moves each of them, oldest first, by one hop.  A hop reads
@@ -502,20 +522,25 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
     long long emitted = 0;
     particle fly[K];
 
-    /* the MT19937 stream of each unit that draws, seeded before the first
-       particle */
-    mt_state *mt = malloc((size_t)n * sizeof *mt);
-    if (mt == NULL)
+    /* the MT19937 stream of each unit that draws, mt[stream[j]] that of
+       unit j, seeded before the first particle */
+    int *stream = malloc((size_t)n * sizeof *stream);
+    mt_state *mt = malloc((size_t)n_seeds * sizeof *mt);
+    if (stream == NULL || (mt == NULL && n_seeds > 0)) {
+        free(stream);
+        free(mt);
         return NO_MEMORY;
-    int drawing = seed_streams(mt, seed, n_seeds, kind, n);
+    }
+    int drawing = seed_streams(mt, stream, seed, n_seeds, kind, n);
     if (drawing != n_seeds) {
+        free(stream);
         free(mt);
         err[0] = drawing;
         return SEED_COUNT;
     }
     const tables T = {kind, slot, rank, dst, dst_port, tag, xform, gamma,
-                      factor, (regs *)reg, mt, taps, n_sites, counts, t2,
-                      removed, arrivals, err};
+                      factor, (regs *)reg, mt, stream, taps, n_sites, counts,
+                      t2, removed, arrivals, err};
 
     for (;;) {
         for (; flying < K && emitted < n_particles && status == OK; emitted++) {
@@ -547,6 +572,7 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
         }
         flying = kept;
     }
+    free(stream);
     free(mt);
     return status;
 }

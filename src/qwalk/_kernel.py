@@ -33,10 +33,13 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 #: doubles are CPython's only under these flags: -ffp-contract=off fuses no
 #: product into an FMA (CPython fuses none, not even in a * a + b * b), and
 #: -fno-math-errno lets sqrt compile to one instruction, which returns the
-#: same correctly rounded double without the errno branch.  No flag that
-#: reorders or approximates float arithmetic (-ffast-math and its parts)
-#: may be added.
-COMPILE = ("cc", "-O2", "-ffp-contract=off", "-fno-math-errno", "-shared",
+#: same correctly rounded double without the errno branch.  -O3 only adds
+#: vectorization, inlining and unrolling, which keep the order of every
+#: float operation (GCC reassociates floats only under -ffast-math or
+#: -fassociative-math); it vectorizes the kernel's twist and tempering
+#: loops.  No flag that reorders or approximates float arithmetic
+#: (-ffast-math and its parts) may be added.
+COMPILE = ("cc", "-O3", "-ffp-contract=off", "-fno-math-errno", "-shared",
            "-fPIC")
 
 # the return codes of qwalk_run; the tables' codes are network.py's
@@ -96,8 +99,11 @@ def run(fn, plan, tag: array, reg: array, n_particles: int, seed: int,
     ``t2`` in place.  Adaptive unit j draws from the stream
     ``RngStream(seed).derive(j)`` would give, except a merge, which draws
     nothing.  Each run derives the seeds of the units that draw
-    (``plan.drawing``) with ``core.derive_seed``, and the kernel seeds all
-    their streams before the first particle, several in lockstep.  It keeps
+    (``plan.drawing``) with ``core.derive_seed``.  The kernel holds a
+    stream for each of these units and no other, seeds them all before the
+    first particle, 16 at a time in lockstep, and makes each stream's
+    numbers a block of 624 tempered words at a time, with the values of
+    CPython's ``random.Random`` word for word.  It keeps
     up to four particles in flight, in the order the units' ranks
     (``plan.rank``) allow, with the results of one at a time.  Returns
     the removed tally and each unit's arrivals, the particles that reached

@@ -85,6 +85,7 @@ class RngStream:
     __slots__ = ("seed", "_gen", "random")
 
     def __init__(self, seed: int):
+        _check_int("seed", seed)
         self.seed = seed & _MASK64
 
     def __getattr__(self, name: str):
@@ -100,6 +101,19 @@ class RngStream:
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed})"
+
+
+def _check_int(name: str, value) -> None:
+    """Raise TypeError unless ``value`` is an ``int``; a ``bool`` is not."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
+def _check_phases(**phases: float) -> None:
+    """Raise ValueError unless every phase is finite."""
+    if not all(math.isfinite(phi) for phi in phases.values()):
+        got = ", ".join(f"{name}={phi}" for name, phi in phases.items())
+        raise ValueError(f"phases must be finite, got {got}")
 
 
 def _check_gamma(gamma: float) -> None:

@@ -59,6 +59,8 @@ from .core import (
     RngStream,
     Source,
     SOURCE_MESSAGE,
+    _check_int,
+    _check_phases,
     _not_unit,
     _untapped,
     adaptive_update,
@@ -164,8 +166,7 @@ def build_jeong(levels: int, phi1: float, phi2: float, gamma: float = 0.95) -> N
     """
     if not 1 <= levels <= MAX_LEVELS:
         raise InvalidLevels(f"levels must be in 1..{MAX_LEVELS}, got {levels}")
-    if not (math.isfinite(phi1) and math.isfinite(phi2)):
-        raise ValueError(f"phases must be finite, got phi1={phi1}, phi2={phi2}")
+    _check_phases(phi1=phi1, phi2=phi2)
     net = Network()
     source = net.add(Source())
     top = net.add(BeamSplitter(gamma))
@@ -597,9 +598,7 @@ def run(net: Network, n_particles: int, rng: RngStream,
     invariants: |w0 + w1 - 1| <= 1e-12, 0 <= w <= 1 and
     |y| <= 1 + 1e-12.  A breach raises ``QwalkError``.
     """
-    if type(n_particles) is not int:  # a bool too
-        raise TypeError(f"n_particles must be an int, got "
-                        f"{type(n_particles).__name__}")
+    _check_int("n_particles", n_particles)
     if not 1 <= n_particles <= _MAX_PARTICLES:
         raise ValueError(f"n_particles must be in 1..{_MAX_PARTICLES}, "
                          f"got {n_particles}")

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .core import _INV_SQRT2
+from .core import _INV_SQRT2, _check_int, _check_phases
 from .errors import UnsupportedStep
 
 UP = 0    # moves to x-1 under the shift; maps to h polarization
@@ -91,8 +91,9 @@ def hadamard_walk(steps: int, initial: StateVector) -> tuple[StateVector, dict[i
     Returns the final state and the per-site probabilities summed over spin.
     The probabilities sum to the squared norm of the initial state; fractional
     initial states (e.g. a conditioned branch with norm 1/2) are reported
-    without renormalization.
+    without renormalization.  ``steps`` must be an ``int`` (not a ``bool``).
     """
+    _check_int("steps", steps)
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     amps = dict(initial.amplitudes)
@@ -118,10 +119,13 @@ def jeong_evolve(levels: int, phi1: float, phi2: float) -> list[dict[int, float]
     the up component before B, phase phi2 on the down component after B) at
     each occupied site.  Each coin is followed by the shift.  Returns one
     site->probability map per step l = 1..levels; the probabilities depend on
-    phi2 only, never on phi1.
+    phi2 only, never on phi1.  ``levels`` must be an ``int`` (not a
+    ``bool``), and both phases finite.
     """
+    _check_int("levels", levels)
     if not 1 <= levels <= MAX_ORACLE_STEPS:
         raise ValueError(f"levels must be in 1..{MAX_ORACLE_STEPS}, got {levels}")
+    _check_phases(phi1=phi1, phi2=phi2)
     e1 = complex(math.cos(phi1), math.sin(phi1))
     e2 = complex(math.cos(phi2), math.sin(phi2))
 
@@ -139,10 +143,12 @@ def table1_closed_form(l: int, phi2: float) -> dict[int, float]:
 
     The first two steps coincide with the classical binomial values; from
     step three on, interference adds cos(phi2) terms around the center and
-    the distributions pick up a phi2 -> phi2 + pi mirror symmetry.
+    the distributions pick up a phi2 -> phi2 + pi mirror symmetry.  ``phi2``
+    must be finite.
     """
     if not 1 <= l <= 5:
         raise UnsupportedStep(f"closed form tabulated for steps 1..5, got {l}")
+    _check_phases(phi2=phi2)
     c = math.cos(phi2)
     if l == 1:
         return {-1: 1 / 2, 1: 1 / 2}

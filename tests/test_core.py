@@ -325,6 +325,14 @@ def test_same_seed_same_sequence():
     b = RngStream(999)
     assert [a.random() for _ in range(50)] == [b.random() for _ in range(50)]
 
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "7", None])
+def test_stream_seed_must_be_an_int(seed):
+    # a float gave "unsupported operand type(s) for &", and a bool seeded
+    # the stream of 1
+    with pytest.raises(TypeError, match=f"^seed must be an int, "
+                                        f"got {type(seed).__name__}$"):
+        RngStream(seed)
+
 def test_derived_streams_differ():
     base = RngStream(999)
     seqs = [[base.derive(i).random() for _ in range(10)] for i in range(4)]

@@ -58,19 +58,22 @@ int first_draws(const uint64_t *seed, double *out, long k, long draws)
 {{
     mt_state *mt = malloc((size_t)k * sizeof *mt);
     int *kind = malloc((size_t)k * sizeof *kind);
-    if (mt == NULL || kind == NULL) {{
+    int *stream = malloc((size_t)k * sizeof *stream);
+    if (mt == NULL || kind == NULL || stream == NULL) {{
         free(mt);
         free(kind);
+        free(stream);
         return -1;
     }}
     for (long q = 0; q < k; q++)
         kind[q] = BS;
-    seed_streams(mt, seed, (int)k, kind, (int)k);
+    seed_streams(mt, stream, seed, (int)k, kind, (int)k);
     for (long q = 0; q < k; q++)
         for (long i = 0; i < draws; i++)
-            out[q * draws + i] = genrand_res53(&mt[q]);
+            out[q * draws + i] = genrand_res53(&mt[stream[q]]);
     free(mt);
     free(kind);
+    free(stream);
     return 0;
 }}
 
@@ -232,16 +235,17 @@ def test_kernel_one_half_normalization_is_cores(harness):
 
 #: one-word keys (below 2**32) and two-word keys, at their edges
 EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
-LANES = 8  # the harness's lanes, checked against the kernel's L below
-#: 640 words: the whole first twisted state and part of the second
-DRAWS = 320
+LANES = 16  # the harness's lanes, checked against the kernel's L below
+#: 2 100 words: three whole tempered blocks of 624 words and part of a fourth
+DRAWS = 1050
 
 
-@pytest.mark.parametrize("k", [*range(1, LANES + 1), 2 * LANES + 3])
+@pytest.mark.parametrize("k", [*range(1, LANES + 1), LANES + 3, 2 * LANES + 3])
 def test_lockstep_seeding_is_pythons(harness, k):
     # every edge seed in every lane position a batch of k streams has, so
-    # one-word and two-word keys share the lanes of one group; the last
-    # batch spans three groups, the last one partly filled
+    # one-word and two-word keys share the lanes of one group; the last two
+    # batches span two and three groups, the last one partly filled.  Each
+    # stream's draws refill its block four times
     assert ctypes.c_int.in_dll(harness, "lanes").value == LANES
     for shift in range(len(EDGE_SEEDS)):
         seeds = [EDGE_SEEDS[(q + shift) % len(EDGE_SEEDS)] for q in range(k)]

@@ -404,6 +404,16 @@ def loop(request, monkeypatch):
         assert _kernel.load() is not None, "the compiled kernel did not load"
     return request.param
 
+def test_a_network_with_no_unit_that_draws_runs(loop):
+    # the kernel then holds no stream at all, and an allocation of none is
+    # no lack of memory
+    net = Network()
+    source, shift = net.add(Source()), net.add(PhaseShifter(0.3))
+    net.connect(source, 0, shift, 0)
+    net.connect(shift, 0, net.add(Detector(0)), 0)
+    result = run(net, 5, RngStream(1))
+    assert (result.counts, result.removed) == ({0: 5}, 0)
+
 #: network, filters and taps of a run; the shapes reach every splitter case
 #: of the kernel
 RUN_SHAPES = pytest.mark.parametrize("build,filters,taps", [

@@ -250,6 +250,34 @@ def test_closed_form_outside_tabulated_range(l):
         table1_closed_form(l, 0.0)
 
 
+# --- input checks ------------------------------------------------------------
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("oracle,shown", [
+    (lambda phi: jeong_evolve(3, phi, 0.0), "phi1={}, phi2=0.0"),
+    (lambda phi: jeong_evolve(3, 0.0, phi), "phi1=0.0, phi2={}"),
+    (lambda phi: table1_closed_form(3, phi), "phi2={}"),
+], ids=["jeong_evolve-phi1", "jeong_evolve-phi2", "table1_closed_form"])
+def test_oracles_reject_a_non_finite_phase(oracle, shown, phi):
+    # a NaN phase gave NaN probabilities, an infinite one "math domain
+    # error"; the message is build_jeong's
+    with pytest.raises(ValueError) as exc:
+        oracle(phi)
+    assert str(exc.value) == f"phases must be finite, got {shown.format(phi)}"
+
+@pytest.mark.parametrize("count", [2.5, 3.0, True, "3", None])
+@pytest.mark.parametrize("oracle,name", [
+    (lambda n: jeong_evolve(n, 0.0, 0.0), "levels"),
+    (lambda n: hadamard_walk(n, StateVector.basis(0, UP)), "steps"),
+], ids=["jeong_evolve", "hadamard_walk"])
+def test_oracles_reject_a_count_that_is_not_an_int(oracle, name, count):
+    # 2.5 gave "can't multiply sequence by non-int", and True ran one step
+    with pytest.raises(TypeError) as exc:
+        oracle(count)
+    assert str(exc.value) == f"{name} must be an int, got {type(count).__name__}"
+
+
 # --- distance helper ---------------------------------------------------------
 
 def test_total_variation_basics():
