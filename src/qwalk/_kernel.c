@@ -7,17 +7,31 @@
  * runs core.adaptive_update and then core.bs_route or core.pbs_route at
  * every splitter, bit for bit:
  *
- * - up to K particles are in flight, each moved by one hop per round.  A
- *   hop reads and writes only the unit it enters, and a particle may enter
- *   a unit only once every older particle in flight has passed the unit's
- *   rank (network._live_inputs), so every unit sees its particles in the
- *   order they were emitted (qwalk_run).  The hops of different particles
- *   then overlap in the processor, and the port a draw picks selects its
- *   doubles instead of taking a branch, which would stall them;
+ * - up to K particles are in flight, in the order they were emitted, and
+ *   each round moves each of them, oldest first, by one hop.  A hop reads
+ *   and writes only the unit it enters (its registers and stream), and
+ *   rank (network._live_inputs) grows strictly along every edge.  So a
+ *   particle may enter unit j only if rank[j] is at most the rank of the
+ *   last unit every older particle in flight entered: every unit then sees
+ *   its particles in the order they were emitted.  A particle that stops
+ *   on an error drops every younger one and ends the emission; the older
+ *   ones fly on, and the error returned is that of the oldest particle
+ *   that stopped, as in a run of one particle at a time.  The hops of
+ *   different particles overlap in the processor, and the port a draw
+ *   picks selects its doubles instead of taking a branch, which would
+ *   stall them;
  * - a splitter whose messages have dead halves (network._live_inputs
  *   picks them) runs the case BS1, SPLIT or MERGE, which skips terms that
  *   are +0.0 squares or +-0 registers and so computes the same doubles as
  *   the core functions;
+ * - a dead in-port, one no particle reaches, keeps y = +-0, and its weight
+ *   w is multiplied by gamma at every arrival on the other port until it
+ *   reaches a subnormal fixed point, where g * w == w: 9 * 2**-1074 after
+ *   14 453 arrivals at gamma 0.95.  Every product or sqrt of a subnormal
+ *   is slow, so at or below that point (network._plan's fixed) the kernel
+ *   skips g * w, which would return w, and takes sqrt(w) as 0.0, whose
+ *   product with y is the same +-0.  Both are branches, which skip the
+ *   work; a select would still do it;
  * - every adaptive unit draws from its own MT19937 stream, seeded and read
  *   exactly as CPython's Modules/_randommodule.c does (init_by_array on the
  *   32-bit words of the seed, genrand_res53 for random()), except that a
@@ -29,9 +43,12 @@
  *   loops that the compiler vectorizes, and each draw reads two words of
  *   that block: the same words CPython's genrand_uint32 returns one at a
  *   time;
- * - complex arithmetic is spelled out in CPython's order (3.10 to 3.13):
- *   _Py_c_prod for a product and a float operand promoted to complex(x,
- *   0.0); a square is x * x, as in the core functions.
+ * - complex arithmetic is spelled out as the core functions spell it: a
+ *   real times a complex is two products, i * z is (-z.im, z.re), a phase
+ *   edge's complex * complex is CPython's _Py_c_prod, and a square is
+ *   x * x.  The core functions write out the parts themselves, so their
+ *   doubles do not depend on how a CPython multiplies a float by a complex
+ *   (3.10 to 3.13 promote the float to complex(x, 0.0), 3.14 does not).
  *
  * Build with -O3 -ffp-contract=off -fno-math-errno, so that no product is
  * fused into an FMA (CPython fuses none, not even in a * a + b * b) and
@@ -173,27 +190,28 @@ static inline double genrand_res53(mt_state *self)
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
-/* --- CPython's complex arithmetic ------------------------------------------ */
+/* --- complex arithmetic as the core functions spell it --------------------- */
 
 typedef struct { double re, im; } cpx;
-
-static const cpx I = {0.0, 1.0};
 
 static cpx cadd(cpx a, cpx b) { cpx r = {a.re + b.re, a.im + b.im}; return r; }
 
 static cpx csub(cpx a, cpx b) { cpx r = {a.re - b.re, a.im - b.im}; return r; }
 
-/* _Py_c_prod */
+/* _Py_c_prod, a phase edge's complex * complex */
 static cpx cmul(cpx a, cpx b)
 {
     cpx r = {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
     return r;
 }
 
-/* float * complex and complex * float: the float becomes complex(x, 0.0) */
-static cpx rmul(double x, cpx b) { cpx a = {x, 0.0}; return cmul(a, b); }
+/* a real times a complex, either way round: two products */
+static cpx rmul(double x, cpx b) { cpx r = {x * b.re, x * b.im}; return r; }
 
-static cpx mulr(cpx a, double x) { cpx b = {x, 0.0}; return cmul(a, b); }
+static cpx mulr(cpx a, double x) { cpx r = {a.re * x, a.im * x}; return r; }
+
+/* i * z: a swap and a sign */
+static cpx muli(cpx z) { cpx r = {-z.im, z.re}; return r; }
 
 /* a square as the core functions write it: one IEEE product */
 static inline double sq(double x) { return x * x; }
@@ -274,12 +292,26 @@ static int seed_streams(mt_state *mt, int *stream, const uint64_t *seed,
 }
 
 /* adaptive_update's weights for an arrival on port; the port indexes the
-   registers, so that no branch waits for the port a draw picked */
-static inline void weigh(regs *r, int port, double g, double c)
+   registers, so that no branch waits for the port a draw picked.  The
+   other port's weight is left as it is at or below its fixed point fix,
+   where g * w == w, so a dead port's weight costs no subnormal product */
+static inline void weigh(regs *r, int port, double g, double c, const double *fix)
 {
     double a = r->w[port], b = r->w[port ^ 1];
     r->w[port] = g * a + c;
-    r->w[port ^ 1] = g * b;
+    if (__builtin_expect(b > fix[port ^ 1], 1))
+        r->w[port ^ 1] = g * b;
+}
+
+/* sqrt(w), or 0.0 for a weight at or below fix, which only a dead port's
+   can be: its registers y are +-0, so 0.0 * y is sqrt(w) * y, and the
+   subnormal sqrt is skipped.  A branch, not a select, which would take
+   the sqrt anyway */
+static inline double root(double w, double fix)
+{
+    if (__builtin_expect(w <= fix, 0))
+        return 0.0;
+    return sqrt(w);
 }
 
 /* adaptive_update of the register y[i] with the arriving half z */
@@ -289,9 +321,10 @@ static inline void learn(regs *r, int i, double g, double c, cpx z)
 }
 
 /* adaptive_update on both halves */
-static inline void update(regs *r, int port, double g, double c, cpx h, cpx v)
+static inline void update(regs *r, int port, double g, double c,
+                          const double *fix, cpx h, cpx v)
 {
-    weigh(r, port, g, c);
+    weigh(r, port, g, c, fix);
     learn(r, 2 * port, g, c, h);
     learn(r, 2 * port + 1, g, c, v);
 }
@@ -307,12 +340,12 @@ typedef struct {
 /* a run's tables, as qwalk_run takes them */
 typedef struct {
     const int *kind, *slot, *rank, *dst, *dst_port, *tag, *xform;
-    const double *gamma, *factor;
+    const double *gamma, *fixed, *factor;
     regs *reg;
     mt_state *mt;
     const int *stream;
     int taps, n_sites;
-    long long *counts, *t2, *removed, *arrivals;
+    long long *counts, *t2, *removed, *arrivals, *where;
     double *err;
 } tables;
 
@@ -351,18 +384,20 @@ static inline int hop(const tables *T, particle *q, int limit)
     int port = T->dst_port[e], k;
     regs *r = &T->reg[j];
     double g = T->gamma[j], c = 1.0 - g, p[2], total;
+    const double *fix = T->fixed + 2 * j;
     cpx z[2][2];
     switch (T->kind[j]) {
     case BS1: {
         /* adaptive_update and bs_route on the h half alone; v is left as
            it is */
-        weigh(r, port, g, c);
+        weigh(r, port, g, c, fix);
         learn(r, 2 * port, g, c, h);
         T->arrivals[j]++;
         double u = genrand_res53(&T->mt[T->stream[j]]);
-        cpx v0h = rmul(sqrt(r->w[0]), r->y[0]), v1h = rmul(sqrt(r->w[1]), r->y[2]);
-        z[0][0] = mulr(cadd(v0h, cmul(I, v1h)), s);
-        z[1][0] = mulr(cadd(cmul(I, v0h), v1h), s);
+        cpx v0h = rmul(root(r->w[0], fix[0]), r->y[0]);
+        cpx v1h = rmul(root(r->w[1], fix[1]), r->y[2]);
+        z[0][0] = mulr(cadd(v0h, muli(v1h)), s);
+        z[1][0] = mulr(cadd(muli(v0h), v1h), s);
         p[0] = sq(z[0][0].re) + sq(z[0][0].im);
         p[1] = sq(z[1][0].re) + sq(z[1][0].im);
         total = p[0] + p[1];
@@ -376,21 +411,24 @@ static inline int hop(const tables *T, particle *q, int limit)
     }
     case SPLIT: {
         /* pbs_route fed on port 0 only: y1h and y1v stay zero */
-        update(r, port, g, c, h, v);
+        update(r, port, g, c, fix, h, v);
         T->arrivals[j]++;
         double u = genrand_res53(&T->mt[T->stream[j]]), a = sqrt(r->w[0]);
         z[0][0] = rmul(a, r->y[0]);
-        z[1][1] = cmul(I, rmul(a, r->y[1]));
+        z[1][1] = muli(rmul(a, r->y[1]));
         p[0] = sq(z[0][0].re) + sq(z[0][0].im);
         p[1] = sq(z[1][1].re) + sq(z[1][1].im);
         total = p[0] + p[1];
         if (!(total >= 1e-30))
             break;
-        /* port 0 leaves (z0h, 0), port 1 (0, z1v): half k lives */
+        /* port 0 leaves (z0h, z0v), port 1 (z1h, z1v), with the dead
+           halves z0v = i * (b * y1v) = (-0.0, 0.0) and z1h = b * y1h =
+           (0.0, 0.0) of pbs_route: half k lives */
+        static const cpx dead[2] = {{-0.0, 0.0}, {0.0, 0.0}};
         k = !(u < p[0] / total);
-        cpx m[2], zero = {0.0, 0.0};
+        cpx m[2];
         m[k] = normalized_half(z[k][k], p[k]);
-        m[k ^ 1] = zero;
+        m[k ^ 1] = dead[k];
         q->h = m[0];
         q->v = m[1];
         q->e = 2 * j + k;
@@ -403,10 +441,10 @@ static inline int hop(const tables *T, particle *q, int limit)
            therefore never seeded.  The update learns the dead half too,
            as adaptive_update does: that is cheaper than picking the live
            half by the port, which stalls the load of the picked half */
-        update(r, port, g, c, h, v);
+        update(r, port, g, c, fix, h, v);
         T->arrivals[j]++;
-        z[0][0] = rmul(sqrt(r->w[0]), r->y[0]);
-        z[0][1] = cmul(I, rmul(sqrt(r->w[1]), r->y[3]));
+        z[0][0] = rmul(root(r->w[0], fix[0]), r->y[0]);
+        z[0][1] = muli(rmul(root(r->w[1], fix[1]), r->y[3]));
         p[0] = sq(z[0][0].re) + sq(z[0][0].im) + sq(z[0][1].re) + sq(z[0][1].im);
         p[1] = 0.0;
         if (!(p[0] >= 1e-30))
@@ -418,22 +456,22 @@ static inline int hop(const tables *T, particle *q, int limit)
     case BS:
     case PBS: {
         /* adaptive_update, then bs_route or pbs_route */
-        update(r, port, g, c, h, v);
+        update(r, port, g, c, fix, h, v);
         T->arrivals[j]++;
         double u = genrand_res53(&T->mt[T->stream[j]]);
-        double a = sqrt(r->w[0]), b = sqrt(r->w[1]);
+        double a = root(r->w[0], fix[0]), b = root(r->w[1], fix[1]);
         if (T->kind[j] == BS) {
             cpx v0h = rmul(a, r->y[0]), v0v = rmul(a, r->y[1]);
             cpx v1h = rmul(b, r->y[2]), v1v = rmul(b, r->y[3]);
-            z[0][0] = mulr(cadd(v0h, cmul(I, v1h)), s);
-            z[0][1] = mulr(cadd(v0v, cmul(I, v1v)), s);
-            z[1][0] = mulr(cadd(cmul(I, v0h), v1h), s);
-            z[1][1] = mulr(cadd(cmul(I, v0v), v1v), s);
+            z[0][0] = mulr(cadd(v0h, muli(v1h)), s);
+            z[0][1] = mulr(cadd(v0v, muli(v1v)), s);
+            z[1][0] = mulr(cadd(muli(v0h), v1h), s);
+            z[1][1] = mulr(cadd(muli(v0v), v1v), s);
         } else {
             z[0][0] = rmul(a, r->y[0]);
-            z[0][1] = cmul(I, rmul(b, r->y[3]));
+            z[0][1] = muli(rmul(b, r->y[3]));
             z[1][0] = rmul(b, r->y[2]);
-            z[1][1] = cmul(I, rmul(a, r->y[1]));
+            z[1][1] = muli(rmul(a, r->y[1]));
         }
         /* core._pick_port */
         p[0] = sq(z[0][0].re) + sq(z[0][0].im) + sq(z[0][1].re) + sq(z[0][1].im);
@@ -470,52 +508,38 @@ static inline int hop(const tables *T, particle *q, int limit)
     /* a splitter whose routing amplitudes vanished */
     T->err[0] = p[0];
     T->err[1] = p[1];
+    T->where[0] = j;
     return VANISHED;
 }
 
 /*
- * Sends n_particles through the compiled network.  Per unit j < n, the
- * last one the sink that unwired ports lead to (kind -1): kind[j], the
- * detector's count slot[j], rank[j], and gamma[j] of an adaptive unit,
- * with its registers reg[10 j .. 10 j + 9] (w0, w1, then y0h, y0v, y1h,
- * y1v as re, im pairs), read at the start and left holding the final
- * values.  seed[q] seeds the stream of the q-th unit, in unit order, that
- * draws: a BS, PBS, BS1 or SPLIT, of which there are n_seeds; the run
- * holds a stream (raw state and tempered block) for each of these units
- * and for no other, and seeds them all, L at a time, before the first
- * particle.  reg is the run's own copy of the plan's template
- * (network._plan's reg), so a run writes to no other run's registers.
- * Per edge e: dst[e], dst_port[e], tag[e], xform[e] and, for a phase
- * edge, factor[2 e], factor[2 e + 1].  source holds the emitted message
- * (h.re, h.im, v.re, v.im).
- *
- * Up to K particles are in flight, in the order they were emitted, and
- * each round moves each of them, oldest first, by one hop.  A hop reads
- * and writes only the unit it enters (its registers and stream), and rank
- * grows strictly along every edge, so a particle never enters a unit of
- * lower or equal rank again.  Hence the rank rule: a particle may enter
- * unit j only if rank[j] is at most the rank of the last unit entered by
- * every older particle in flight.  Every unit then sees its particles, and
- * reads its stream, in the order they were emitted, and the run computes
- * the doubles of one that sends a particle only when the last has left.
- * A particle that stops on an error drops every younger one and ends the
- * emission; the older ones fly on, and the error returned is that of the
- * oldest particle that stopped, as in a run of one particle at a time.
+ * Sends n_particles through the compiled network, as the header says.
+ * Per unit j < n, the last one the sink that unwired ports lead to (kind
+ * -1): kind[j], the detector's count slot[j], rank[j], and of an adaptive
+ * unit gamma[j], the fixed point fixed[2 j + k] of in-port k's weight (-1
+ * for a live port) and its registers reg[10 j .. 10 j + 9] (w0, w1, then
+ * y0h, y0v, y1h, y1v as re, im pairs), read at the start and left holding
+ * the final values.  seed[q] seeds the stream of the q-th unit, in unit
+ * order, that draws, of which there are n_seeds.  Per edge e: dst[e],
+ * dst_port[e], tag[e], xform[e] and, for a phase edge, factor[2 e],
+ * factor[2 e + 1].  source holds the emitted message (h.re, h.im, v.re,
+ * v.im).
  *
  * Adds to counts[slot], t2[row * n_sites + slot] (when taps), removed and
  * arrivals[j], the particles that reached adaptive unit j.  Returns OK or
- * an error code; VANISHED leaves p0, p1 in err, NOT_UNIT the squared norm
- * of the message that reached a detector in err[0], and SEED_COUNT, which
- * sends no particle, the number of units that draw in err[0].
+ * an error code: VANISHED leaves p0, p1 in err and the unit and the
+ * particle (counted from 0) in where, NOT_UNIT the squared norm of the
+ * message that reached a detector in err[0], and SEED_COUNT, which sends
+ * no particle, the number of units that draw in err[0].
  */
 int qwalk_run(int n, long long n_particles, int start, const double *source,
               const int *kind, const int *slot, const int *rank,
-              const double *gamma, const uint64_t *seed, double *reg,
-              const int *dst, const int *dst_port, const int *tag,
+              const double *gamma, const double *fixed, const uint64_t *seed,
+              double *reg, const int *dst, const int *dst_port, const int *tag,
               const int *xform, const double *factor,
               int taps, int n_sites, int n_seeds, long long *counts,
               long long *t2, long long *removed, long long *arrivals,
-              double *err)
+              long long *where, double *err)
 {
     const cpx h0 = {source[0], source[1]}, v0 = {source[2], source[3]};
     int status = OK, flying = 0;
@@ -539,8 +563,8 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
         return SEED_COUNT;
     }
     const tables T = {kind, slot, rank, dst, dst_port, tag, xform, gamma,
-                      factor, (regs *)reg, mt, stream, taps, n_sites, counts,
-                      t2, removed, arrivals, err};
+                      fixed, factor, (regs *)reg, mt, stream, taps, n_sites,
+                      counts, t2, removed, arrivals, where, err};
 
     for (;;) {
         for (; flying < K && emitted < n_particles && status == OK; emitted++) {
@@ -560,6 +584,7 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
             if (r > OK) {
                 /* older than any particle that stopped before it */
                 status = r;
+                where[1] = emitted - flying + f;
                 break;
             }
             if (r == OK)

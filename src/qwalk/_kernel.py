@@ -78,8 +78,8 @@ def load():
         return None
     # the arrays go in as the addresses of array.array buffers
     fn.argtypes = ((ctypes.c_int, ctypes.c_longlong, ctypes.c_int)
-                   + 12 * (ctypes.c_void_p,)
-                   + 3 * (ctypes.c_int,) + 5 * (ctypes.c_void_p,))
+                   + 13 * (ctypes.c_void_p,)
+                   + 3 * (ctypes.c_int,) + 6 * (ctypes.c_void_p,))
     fn.restype = ctypes.c_int
     return fn
 
@@ -96,32 +96,30 @@ def run(fn, plan, tag: array, reg: array, n_particles: int, seed: int,
     ``tag`` and its registers ``reg`` (a copy of ``plan.reg``), which it
     updates in place, so they hold the final registers afterwards.  Adds
     to the slots of ``counts`` and, if it is not empty, of the t2 table
-    ``t2`` in place.  Adaptive unit j draws from the stream
+    ``t2`` in place.  Adaptive unit j draws the numbers
     ``RngStream(seed).derive(j)`` would give, except a merge, which draws
-    nothing.  Each run derives the seeds of the units that draw
-    (``plan.drawing``) with ``core.derive_seed``.  The kernel holds a
-    stream for each of these units and no other, seeds them all before the
-    first particle, 16 at a time in lockstep, and makes each stream's
-    numbers a block of 624 tempered words at a time, with the values of
-    CPython's ``random.Random`` word for word.  It keeps
-    up to four particles in flight, in the order the units' ranks
-    (``plan.rank``) allow, with the results of one at a time.  Returns
-    the removed tally and each unit's arrivals, the particles that reached
-    it (the Python loop draws once per arrival), 0 for a stateless unit.
+    none; the seeds of the units that draw (``plan.drawing``) come from
+    ``core.derive_seed``.  Returns the removed tally and each unit's
+    arrivals, the particles that reached it (the Python loop draws once
+    per arrival), 0 for a stateless unit.
     """
     n = len(plan.case)  # the units and the sink that unwired ports lead to
     # derive_seed is looked up on each run: a wrapper put back is not kept
     derive_seed = core.derive_seed
     seeds = array("Q", [derive_seed(seed, j) for j in plan.drawing])
     removed, arrivals, err = _zeros("q", 1), _zeros("q", n), _zeros("d", 2)
-    inputs = (plan.source, plan.case, plan.slot, plan.rank, plan.gamma, seeds,
-              reg, plan.dst, plan.dst_port, tag, plan.xform, plan.factor)
-    outputs = (counts, t2, removed, arrivals, err)
+    where = _zeros("q", 2)
+    inputs = (plan.source, plan.case, plan.slot, plan.rank, plan.gamma,
+              plan.fixed, seeds, reg, plan.dst, plan.dst_port, tag, plan.xform,
+              plan.factor)
+    outputs = (counts, t2, removed, arrivals, where, err)
     status = fn(n, n_particles, plan.start, *(a.buffer_info()[0] for a in inputs),
                 1 if t2 else 0, len(plan.sites), len(seeds),
                 *(a.buffer_info()[0] for a in outputs))
     if status == _VANISHED:
-        raise core._vanished(err[0], err[1])
+        j, particle = where
+        raise core._vanished_at(plan.units[j], j, particle, n_particles,
+                                err[0], err[1])
     if status == _UNTAPPED:
         raise core._untapped()
     if status == _NOT_UNIT:

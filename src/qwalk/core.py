@@ -64,11 +64,15 @@ def derive_seed(seed: int, *indices: int) -> int:
 
     blake2b keyed on the parent seed plus the index path; deterministic and
     platform independent, so replicate and per-unit streams never collide.
+    The seed and every index must be an ``int`` (not a ``bool``), and an
+    index must fit in 64 signed bits.
     """
+    _check_int("seed", seed)
     h = _BLAKE2B_8.copy()
     h.update((seed & _MASK64).to_bytes(8, "little"))
     for ix in indices:
-        h.update(int(ix).to_bytes(8, "little", signed=True))
+        _check_int("index", ix)
+        h.update(ix.to_bytes(8, "little", signed=True))
     return int.from_bytes(h.digest(), "little")
 
 
@@ -161,16 +165,21 @@ def adaptive_update(state: AdaptiveState, port: int, m: Message) -> AdaptiveStat
     """
     g = state.gamma
     c = 1.0 - g
+    h, v = m
     if port == 0:
         state.w0 = g * state.w0 + c
         state.w1 = g * state.w1
-        state.y0h = g * state.y0h + c * m.c_h
-        state.y0v = g * state.y0v + c * m.c_v
+        y = state.y0h
+        state.y0h = complex(g * y.real + c * h.real, g * y.imag + c * h.imag)
+        y = state.y0v
+        state.y0v = complex(g * y.real + c * v.real, g * y.imag + c * v.imag)
     elif port == 1:
         state.w1 = g * state.w1 + c
         state.w0 = g * state.w0
-        state.y1h = g * state.y1h + c * m.c_h
-        state.y1v = g * state.y1v + c * m.c_v
+        y = state.y1h
+        state.y1h = complex(g * y.real + c * h.real, g * y.imag + c * h.imag)
+        y = state.y1v
+        state.y1v = complex(g * y.real + c * v.real, g * y.imag + c * v.imag)
     else:
         raise ValueError(f"port must be 0 or 1, got {port}")
     return state
@@ -187,15 +196,19 @@ def bs_route(state: AdaptiveState, in_port: int, m: Message, u: float) -> tuple[
     """
     a = math.sqrt(state.w0)
     b = math.sqrt(state.w1)
-    v0h = a * state.y0h
-    v0v = a * state.y0v
-    v1h = b * state.y1h
-    v1v = b * state.y1v
-    z0h = (v0h + 1j * v1h) * _INV_SQRT2
-    z0v = (v0v + 1j * v1v) * _INV_SQRT2
-    z1h = (1j * v0h + v1h) * _INV_SQRT2
-    z1v = (1j * v0v + v1v) * _INV_SQRT2
-    return _pick_port(z0h, z0v, z1h, z1v, u)
+    s = _INV_SQRT2
+    y = state.y0h
+    h0r, h0i = a * y.real, a * y.imag  # v0h
+    y = state.y0v
+    v0r, v0i = a * y.real, a * y.imag  # v0v
+    y = state.y1h
+    h1r, h1i = b * y.real, b * y.imag  # v1h
+    y = state.y1v
+    v1r, v1i = b * y.real, b * y.imag  # v1v
+    # z0 = v0 + i*v1 and z1 = i*v0 + v1, times s; i*z is (-z.imag, z.real)
+    return _pick_port((h0r - h1i) * s, (h0i + h1r) * s, (v0r - v1i) * s, (v0i + v1r) * s,
+                      (h1r - h0i) * s, (h1i + h0r) * s, (v1r - v0i) * s, (v1i + v0r) * s,
+                      u)
 
 
 def pbs_route(state: AdaptiveState, in_port: int, m: Message, u: float) -> tuple[int, Message]:
@@ -206,51 +219,65 @@ def pbs_route(state: AdaptiveState, in_port: int, m: Message, u: float) -> tuple
     """
     a = math.sqrt(state.w0)
     b = math.sqrt(state.w1)
-    z0h = a * state.y0h
-    z0v = 1j * (b * state.y1v)
-    z1h = b * state.y1h
-    z1v = 1j * (a * state.y0v)
-    return _pick_port(z0h, z0v, z1h, z1v, u)
+    y0h, y1v, y1h, y0v = state.y0h, state.y1v, state.y1h, state.y0v
+    return _pick_port(a * y0h.real, a * y0h.imag, -(b * y1v.imag), b * y1v.real,
+                      b * y1h.real, b * y1h.imag, -(a * y0v.imag), a * y0v.real, u)
 
 
-def _pick_port(z0h: complex, z0v: complex, z1h: complex, z1v: complex,
-               u: float) -> tuple[int, Message]:
-    # a square is x * x, one IEEE product as in the kernel; x ** 2 would
-    # call libm's pow
-    a, b = z0h.real, z0h.imag
-    c, d = z0v.real, z0v.imag
-    p0 = a * a + b * b + c * c + d * d
-    a, b = z1h.real, z1h.imag
-    c, d = z1v.real, z1v.imag
-    p1 = a * a + b * b + c * c + d * d
+def _pick_port(h0r: float, h0i: float, v0r: float, v0i: float, h1r: float,
+               h1i: float, v1r: float, v1i: float, u: float) -> tuple[int, Message]:
+    """Port and message for the amplitudes z0 = (h0, v0) and z1 = (h1, v1).
+
+    Each half comes as its real and imaginary parts.  A square is x * x,
+    one IEEE product as in the kernel; x ** 2 would call libm's pow.
+    """
+    p0 = h0r * h0r + h0i * h0i + v0r * v0r + v0i * v0i
+    p1 = h1r * h1r + h1i * h1i + v1r * v1r + v1i * v1i
     total = p0 + p1
     if not total >= 1e-30:  # also catches a NaN total
         raise _vanished(p0, p1)
     if u < p0 / total:
-        return 0, _normalized(z0h, z0v, p0)
-    return 1, _normalized(z1h, z1v, p1)
+        return 0, _normalized(h0r, h0i, v0r, v0i, p0)
+    return 1, _normalized(h1r, h1i, v1r, v1i, p1)
 
 
-def _normalized(zh: complex, zv: complex, p: float) -> Message:
-    """(zh, zv) / sqrt(p), p the sum of their squares as ``_pick_port`` has it.
+def _normalized(hr: float, hi: float, vr: float, vi: float, p: float) -> Message:
+    """(h, v) / sqrt(p), h and v in parts, p their sum of squares from ``_pick_port``.
 
     A port is taken when u < p / total, so a small enough u (of
     ``random()``'s values, only 0.0) can take one whose p fell below the
     normal range (``_MIN_NORMAL``), where its squares lost bits.  Then p
-    is summed again from (zh, zv) * 2**600, a scaling that is exact here
+    is summed again from (h, v) * 2**600, a scaling that is exact here
     and cancels in the quotient.
     """
     if p < _MIN_NORMAL:
-        zh, zv = zh * _UPSCALE, zv * _UPSCALE
-        p = (zh.real * zh.real + zh.imag * zh.imag
-             + zv.real * zv.real + zv.imag * zv.imag)
+        hr, hi, vr, vi = hr * _UPSCALE, hi * _UPSCALE, vr * _UPSCALE, vi * _UPSCALE
+        p = hr * hr + hi * hi + vr * vr + vi * vi
     inv = 1.0 / math.sqrt(p)
-    return Message(zh * inv, zv * inv)
+    return Message(complex(hr * inv, hi * inv), complex(vr * inv, vi * inv))
 
 
 def _vanished(p0: float, p1: float) -> DegenerateAmplitude:
-    return DegenerateAmplitude(
+    exc = DegenerateAmplitude(
         f"routing amplitudes vanished (p0={p0!r}, p1={p1!r})")
+    exc.p0, exc.p1 = p0, p1
+    return exc
+
+
+def _vanished_at(unit, j: int, particle: int, n_particles: int, p0: float,
+                 p1: float) -> DegenerateAmplitude:
+    """The error of a run whose unit j, ``unit``, met ``_vanished`` on a particle.
+
+    ``particle`` counts from 0.  Both amplitudes exactly 0.0 mean that the
+    registers cancelled exactly, which some learning rates and phases allow
+    (a gamma of 0.5 with real phases on the mesh); the model does not
+    define a port for that case.
+    """
+    text = (f"routing amplitudes vanished at {type(unit).__name__} {j} on particle "
+            f"{particle + 1} of {n_particles} (p0={p0!r}, p1={p1!r})")
+    if p0 == 0.0 and p1 == 0.0:
+        text += "; these parameters allow the splitter's registers to cancel exactly"
+    return DegenerateAmplitude(text)
 
 
 def _not_unit(p: float) -> QwalkError:
@@ -265,7 +292,10 @@ def _untapped() -> QwalkError:
 
 def hadamard_apply(m: Message) -> Message:
     """Apply the polarization Hadamard: (h, v) -> ((h+v), (h-v))/sqrt(2)."""
-    return Message((m.c_h + m.c_v) * _INV_SQRT2, (m.c_h - m.c_v) * _INV_SQRT2)
+    h, v = m
+    a, b = h + v, h - v  # complex + and - act on the parts, as in the kernel
+    s = _INV_SQRT2
+    return Message(complex(a.real * s, a.imag * s), complex(b.real * s, b.imag * s))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ class QwalkError(Exception):
 
 
 class DegenerateAmplitude(QwalkError):
-    """Routing amplitudes of an adaptive unit vanished (p0 + p1 < 1e-30) or are NaN."""
+    """Routing amplitudes of an adaptive unit vanished (p0 + p1 < 1e-30) or are NaN.
+
+    Raised by ``bs_route``/``pbs_route``, it holds the two in ``p0`` and ``p1``.
+    """
 
 
 class InvalidLevels(QwalkError):

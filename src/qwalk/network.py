@@ -63,12 +63,13 @@ from .core import (
     _check_phases,
     _not_unit,
     _untapped,
+    _vanished_at,
     adaptive_update,
     bs_route,
     hadamard_apply,
     pbs_route,
 )
-from .errors import InvalidLevels, QwalkError, UnwiredPort
+from .errors import DegenerateAmplitude, InvalidLevels, QwalkError, UnwiredPort
 
 MAX_LEVELS = 12  # unit count grows as levels^2; desk-scale bound
 #: the most particles one run takes: the C kernel counts them in a long long
@@ -263,7 +264,7 @@ _H, _V = 1, 2
 
 
 def _live_inputs(units: list, case: array, rank: array, dst: array,
-                 dst_port: array, xform: array, start: int) -> None:
+                 dst_port: array, xform: array, start: int) -> list:
     """Picks each splitter's ``case`` from the message halves live at its in-ports.
 
     The halves of a message that can be nonzero at a unit's in-ports 0 and
@@ -294,9 +295,11 @@ def _live_inputs(units: list, case: array, rank: array, dst: array,
     - ``_SPLIT``: a PBS that nothing reaches on in-port 1.  z0 is (z0h, 0)
       and z1 is (0, z1v).
 
-    Any other splitter keeps its case, ``_BS`` or ``_PBS``.  Raises
-    ``UnwiredPort`` for an unwired port that can emit a half, and
-    ``QwalkError`` if a unit is never visited, which puts it on a cycle.
+    Any other splitter keeps its case, ``_BS`` or ``_PBS``.  Returns the
+    sets, ``live[j][k]`` for in-port k of unit j; 0 marks a dead port, one
+    no particle reaches.  Raises ``UnwiredPort`` for an unwired port that
+    can emit a half, and ``QwalkError`` if a unit is never visited, which
+    puts it on a cycle.
     """
     n = len(units)
     live = [[0, 0] for _ in range(n)]
@@ -343,6 +346,30 @@ def _live_inputs(units: list, case: array, rank: array, dst: array,
                 ready.append(target)
     if visited < n:
         raise QwalkError("wiring graph contains a cycle")
+    return live
+
+
+def _fixed_point(gamma: float) -> float:
+    """T(gamma), the largest double at or below which every w has gamma * w == w.
+
+    The doubles up to 2**-1022 are k * 2**-1074, and gamma * w is the
+    exact k - (1 - gamma) * k rounded to an integer, ties to even, times
+    2**-1074.  So w is fixed for every k up to K, the largest k with
+    (1 - gamma) * k < 1/2, or == 1/2 for an even k; 1 - gamma >= 2**-53
+    keeps K * 2**-1074 at or below 2**-1022.  K comes from that bound, in
+    integers (gamma = a / b, so K is about b / (2 (b - a))), not from a
+    scan, which would take about 0.5 / (1 - gamma) steps, and IEEE
+    products at K and K + 1 confirm it.
+    """
+    tiny = math.ulp(0.0)
+    a, b = gamma.as_integer_ratio()
+    k, rest = divmod(b, 2 * (b - a))
+    if rest == 0 and k % 2:
+        k -= 1
+    t = k * tiny
+    if not (gamma * t == t and gamma * (t + tiny) != t + tiny):
+        raise QwalkError(f"no fixed point of gamma * w found at gamma={gamma!r}")
+    return t
 
 
 def _plan(net: Network) -> SimpleNamespace:
@@ -370,6 +397,11 @@ def _plan(net: Network) -> SimpleNamespace:
       any other unit has _NONE), its ``rank`` (see ``_live_inputs``; 0 for
       the source, a stateless unit and the sink) and the ``gamma`` of an
       adaptive unit (0.0 for any other);
+    - ``fixed``, two per unit and the sink: ``fixed[2j + k]`` is
+      ``_fixed_point(gamma)`` if in-port k of adaptive unit j is dead
+      (``_live_inputs``), and -1.0, below every weight, otherwise.  The C
+      kernel does no subnormal arithmetic on a dead port's weight at or
+      below it;
     - ``reg``, the template of a run's registers: 10 doubles per unit and
       the sink, laid out as ``RunResult.registers``, w0 = w1 = 1/2 and
       y = 0 for an adaptive unit and 0.0 elsewhere.  Each run copies it,
@@ -439,12 +471,21 @@ def _plan(net: Network) -> SimpleNamespace:
         raise QwalkError("network has no source")
     start = 2 * index[id(net.source)]
     rank = array("i", [0]) * (n + 1)
-    _live_inputs(units, case, rank, dst, dst_port, xform, start)
+    live = _live_inputs(units, case, rank, dst, dst_port, xform, start)
     h, v = SOURCE_MESSAGE
     adaptive = [j for j, c in enumerate(case) if c > _DETECTOR]
+    fixed, fixed_points = array("d", [-1.0]) * (2 * n + 2), {}
+    for j in adaptive:
+        for k in (0, 1):
+            if not live[j][k]:
+                g = gamma[j]
+                if g not in fixed_points:
+                    fixed_points[g] = _fixed_point(g)
+                fixed[2 * j + k] = fixed_points[g]
     net._plan = plan = SimpleNamespace(
         units=list(units), case=case, slot=slot, rank=rank, gamma=gamma,
-        reg=reg, dst=dst, dst_port=dst_port, tag=tag, xform=xform, factor=factor,
+        fixed=fixed, reg=reg, dst=dst, dst_port=dst_port, tag=tag, xform=xform,
+        factor=factor,
         source=array("d", (h.real, h.imag, v.real, v.imag)), start=start,
         edge=edge, sites=sites, t2_sites=t2_sites, adaptive=adaptive,
         drawing=[j for j in adaptive if case[j] != _MERGE])
@@ -519,7 +560,7 @@ def _loop(plan: SimpleNamespace, tag: array, reg: array, n_particles: int,
     n_sites = len(plan.sites)
     taps_enabled = bool(t2)
     removed = 0
-    for _ in range(n_particles):
+    for i in range(n_particles):
         e = plan.start
         m = SOURCE_MESSAGE
         x2 = _NONE
@@ -542,7 +583,11 @@ def _loop(plan: SimpleNamespace, tag: array, reg: array, n_particles: int,
                 st = state[j]
                 port = dst_port[e]
                 adaptive_update(st, port, m)
-                port, m = r(st, port, m, draw[j]())
+                try:
+                    port, m = r(st, port, m, draw[j]())
+                except DegenerateAmplitude as exc:
+                    raise _vanished_at(plan.units[j], j, i, n_particles,
+                                       exc.p0, exc.p1) from None
                 e = 2 * j + port
             else:
                 h, v = m
@@ -580,7 +625,9 @@ def run(net: Network, n_particles: int, rng: RngStream,
     units.  Returns the detector counts, the t2 table (empty unless
     ``taps_enabled``; a network without a t2 cut point cannot be tapped),
     the removed tally and the final registers (``RunResult.registers``).
-    ``n_particles`` must be an ``int`` (not a ``bool``) in 1..2**63 - 1.
+    ``n_particles`` must be an ``int`` (not a ``bool``) in 1..2**63 - 1,
+    ``rng`` an ``RngStream`` and every filter a ``RemovalFilter``
+    (``TypeError`` otherwise).
 
     Both event loops read the plan's tables, with bit-identical results:
     the compiled kernel (``_kernel.c``), used when its library loads and
@@ -602,8 +649,13 @@ def run(net: Network, n_particles: int, rng: RngStream,
     if not 1 <= n_particles <= _MAX_PARTICLES:
         raise ValueError(f"n_particles must be in 1..{_MAX_PARTICLES}, "
                          f"got {n_particles}")
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"rng must be an RngStream, got {type(rng).__name__}")
     wires = []
     for f in filters:
+        if not isinstance(f, RemovalFilter):
+            raise TypeError("filters must hold RemovalFilter values, got "
+                            f"{type(f).__name__}")
         sites = net.cut_points.get(f.label)
         if sites is None or f.site not in sites:
             raise ValueError(f"no cut point {f.label!r} at site {f.site}")

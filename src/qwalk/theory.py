@@ -104,7 +104,11 @@ def hadamard_walk(steps: int, initial: StateVector) -> tuple[StateVector, dict[i
 
 
 def srw_distribution(l: int) -> dict[int, float]:
-    """Binomial site distribution of the classical walk: 2^-l * C(l, (x+l)/2)."""
+    """Binomial site distribution of the classical walk: 2^-l * C(l, (x+l)/2).
+
+    ``l``, the number of steps, must be an ``int`` (not a ``bool``) >= 1.
+    """
+    _check_int("steps", l)
     if l < 1:
         raise ValueError(f"steps must be >= 1, got {l}")
     scale = 2 ** l

@@ -366,6 +366,18 @@ def test_stream_makes_its_generator_on_first_use(monkeypatch):
     rng.random()
     assert made == [rng.seed]
 
+@pytest.mark.parametrize("args,name,got", [
+    ((1.5, 0), "seed", "float"),
+    ((True, 0), "seed", "bool"),
+    ((7, 1.5), "index", "float"),
+    ((7, 0, "2"), "index", "str"),
+], ids=["float seed", "bool seed", "float index", "str index"])
+def test_seed_derivation_takes_ints(args, name, got):
+    # a float seed gave "unsupported operand type(s) for &", and a float
+    # index was truncated
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got {got}$"):
+        derive_seed(*args)
+
 def test_seed_derivation_is_stable():
     # frozen so a refactor cannot silently change every seeded result
     assert derive_seed(123456789, 0) == 11816457411822998322
@@ -407,3 +419,98 @@ def test_splitter_registers_exist_from_the_first_run():
     assert len(reg) == 10 * (len(net.units) + 1)
     assert all(abs(reg[10 * j] + reg[10 * j + 1] - 1.0) <= 1e-12
                and _plan(net).gamma[j] == 0.9 for j in splitters)
+
+
+# --- the arithmetic both event loops share -------------------------------------
+#
+# A real times a complex is two products and i * z is (-z.imag, z.real), as
+# the compiled kernel computes them; the expected doubles below are built
+# from float products alone, so they do not depend on how the interpreter
+# multiplies a float by a complex (CPython 3.10 to 3.13 promote the float to
+# complex(x, 0.0), which can flip the sign of a zero part).
+
+PARTS = [-0.0, 0.0, 0.6, -0.8]
+
+
+def promoted(x, z):
+    """x * z with x promoted to complex(x, 0.0), written out."""
+    return complex(x * z.real - 0.0 * z.imag, x * z.imag + 0.0 * z.real)
+
+
+def parts(*values):
+    """repr of the real and imaginary parts, which tells -0.0 from 0.0."""
+    return repr([(v.real, v.imag) if isinstance(v, complex) else v for v in values])
+
+
+def signed_zero_messages():
+    return [Message(complex(a, b), complex(c, d))
+            for a in PARTS for b in PARTS for c in PARTS[:2] for d in PARTS[:2]]
+
+
+def test_update_is_two_products_per_part():
+    differs = False
+    for m in signed_zero_messages():
+        for y in (complex(-0.0, -0.0), complex(0.0, -0.0), complex(-0.3, 0.0)):
+            for port in (0, 1):
+                state = make_state(0.5, (0.5, 0.5), (y, y), (y, y))
+                adaptive_update(state, port, m)
+                expected = [complex(0.5 * y.real + 0.5 * z.real,
+                                    0.5 * y.imag + 0.5 * z.imag) for z in m]
+                got = [state.y0h, state.y0v] if port == 0 else [state.y1h, state.y1v]
+                assert parts(*got) == parts(*expected)
+                differs |= parts(*got) != parts(*(promoted(0.5, y) + promoted(0.5, z)
+                                                  for z in m))
+    assert differs  # the inputs tell the two rules apart
+
+
+def promoted_i(z):
+    """1j * z as complex * complex, written out."""
+    return complex(0.0 * z.real - 1.0 * z.imag, 0.0 * z.imag + 1.0 * z.real)
+
+
+def amplitudes(route, a, b, y0h, y0v, y1h, y1v, mul, muli):
+    """z0h, z0v, z1h, z1v of ``route`` for the products ``mul`` and ``muli``."""
+    s = INV_SQRT2
+    v0h, v0v, v1h, v1v = mul(a, y0h), mul(a, y0v), mul(b, y1h), mul(b, y1v)
+    if route is bs_route:
+        return (mul(s, v0h + muli(v1h)), mul(s, v0v + muli(v1v)),
+                mul(s, muli(v0h) + v1h), mul(s, muli(v0v) + v1v))
+    return v0h, muli(v1v), v1h, muli(v0v)
+
+
+@pytest.mark.parametrize("route", [bs_route, pbs_route])
+def test_routing_is_two_products_and_a_swap(route):
+    # w1 = 0.0 makes b = 0.0, so b * y1 has zero parts of y1's signs
+    def mul(x, z):
+        return complex(x * z.real, x * z.imag)
+
+    def muli(z):
+        return complex(-z.imag, z.real)
+
+    differs = False
+    for m in signed_zero_messages():
+        for y1 in (complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+            state = make_state(0.9, (1.0, 0.0), m, (y1, y1))
+            z = amplitudes(route, 1.0, 0.0, *m, y1, y1, mul, muli)
+            p = [sum(x.real * x.real + x.imag * x.imag for x in z[2 * k:2 * k + 2])
+                 for k in (0, 1)]
+            if p[0] + p[1] < 1e-30:
+                continue
+            port, out = route(state, 0, m, 0.0 if p[0] else 0.5)
+            assert p[port] > 0.0
+            inv = 1.0 / math.sqrt(p[port])
+            expected = [mul(inv, x) for x in z[2 * port:2 * port + 2]]
+            assert parts(*out) == parts(*expected)
+            old = amplitudes(route, 1.0, 0.0, *m, y1, y1, promoted, promoted_i)
+            differs |= parts(*out) != parts(*(promoted(inv, x)
+                                               for x in old[2 * port:2 * port + 2]))
+    assert differs  # the inputs tell the two rules apart
+
+
+def test_hadamard_is_sums_times_a_real():
+    s = INV_SQRT2
+    for m in signed_zero_messages():
+        h, v = m
+        expected = [complex((h.real + v.real) * s, (h.imag + v.imag) * s),
+                    complex((h.real - v.real) * s, (h.imag - v.imag) * s)]
+        assert parts(*hadamard_apply(m)) == parts(*expected)

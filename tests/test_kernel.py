@@ -14,8 +14,8 @@ from qwalk import _kernel, core
 from qwalk.cli import main
 from qwalk.core import BeamSplitter, PolarizingBeamSplitter, RngStream
 from qwalk.errors import QwalkError
-from qwalk.network import (_BS, _BS1, _MERGE, _PBS, _SPLIT, _plan, build_jeong,
-                           build_robens, run)
+from qwalk.network import (_BS, _BS1, _MERGE, _PBS, _SPLIT, _fixed_point, _plan,
+                           build_jeong, build_robens, run)
 from test_network import (CountingRng, build_mixed, build_rejoined, run_on_kernel,
                           splice_hadamard, splitter_registers)
 
@@ -153,6 +153,69 @@ def test_kernel_refuses_a_seed_count_other_than_its_drawing_units(change):
         _kernel.run(_kernel.load(), plan, plan.tag, plan.reg[:], 100, 3,
                     counts, array("q"))
     assert not any(counts)
+
+
+#: learning rates and K, the number of 2**-1074 steps up to the fixed point
+#: (0.5 and 0.75 tie at K = 1 and K = 2, which round to the even k)
+FIXED_POINTS = [(0.0, 0), (0.3, 0), (0.5, 0), (0.75, 2), (0.8, 2), (0.95, 9),
+                (0.98, 24), (0.999, 499)]
+
+
+@pytest.mark.parametrize("gamma,steps", FIXED_POINTS,
+                         ids=[str(g) for g, _ in FIXED_POINTS])
+def test_fixed_point_is_the_last_weight_gamma_leaves_alone(gamma, steps):
+    # every w = k * 2**-1074 with k <= K has gamma * w == w, and K + 1 has not
+    tiny = math.ulp(0.0)
+    t = _fixed_point(gamma)
+    assert t == steps * tiny
+    assert all(gamma * (k * tiny) == k * tiny for k in range(steps + 1))
+    assert gamma * (t + tiny) != t + tiny
+
+
+def test_fixed_point_of_the_largest_gamma_is_the_least_normal():
+    # 1 - gamma = 2**-53: K = 2**52, a tie that rounds to the even k
+    gamma, tiny = 1.0 - 2.0 ** -53, math.ulp(0.0)
+    t = _fixed_point(gamma)
+    assert t == 2.0 ** -1022 and gamma * t == t
+    assert gamma * (t + tiny) != t + tiny
+    assert gamma * (t - tiny) == t - tiny
+
+
+@pytest.mark.parametrize("build", [lambda: build_jeong(4, PHI1, PHI2, 0.8),
+                                   lambda: build_robens(0.8)],
+                         ids=["mesh", "robens"])
+def test_plan_marks_the_fixed_points_of_dead_ports(build):
+    # the mesh's top splitter and the splits of the polarized walk are fed
+    # on in-port 0 alone; every other port of theirs is live
+    net = build()
+    plan = _plan(net)
+    t = 2 * math.ulp(0.0)
+    assert set(plan.fixed) == {-1.0, t}
+    dead = {(j, k) for j in range(len(net.units)) for k in (0, 1)
+            if plan.fixed[2 * j + k] == t}
+    top = plan.dst[plan.start]
+    fed_once = {j for j, c in enumerate(plan.case) if c == _SPLIT} | {top}
+    assert {(j, 1) for j in fed_once} <= dead
+    assert all(plan.fixed[2 * j] == -1.0 for j in fed_once)
+
+
+@pytest.mark.parametrize("build", [lambda: build_jeong(4, PHI1, PHI2, 0.8),
+                                   lambda: build_robens(0.8)],
+                         ids=["mesh", "robens"])
+def test_loops_agree_past_a_subnormal_fixed_point(monkeypatch, build):
+    # at gamma 0.8 a dead port's weight 0.5 * 0.8**k reaches its fixed point
+    # 2 * 2**-1074 after 3 329 arrivals on the other port, and from there
+    # the kernel skips its product and square root; the Python loop does
+    # them all
+    net = build()
+    result, _arrivals = run_on_kernel(net, 5000, 8)
+    assert any(0.0 < abs(x) < sys.float_info.min for x in result.registers)
+    assert 2 * math.ulp(0.0) in result.registers
+    on_kernel = splitter_registers(net, result.registers)
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    on_loop = run(net, 5000, RngStream(8))
+    assert on_loop == result
+    assert splitter_registers(net, on_loop.registers) == on_kernel
 
 
 @pytest.fixture

@@ -203,7 +203,7 @@ def test_kernel_normalization_is_cores(harness):
             p = zh.real ** 2 + zh.imag ** 2 + zv.real ** 2 + zv.imag ** 2
             if p == 0.0:
                 continue
-            m = _normalized(zh, zv, p)
+            m = _normalized(zh.real, zh.imag, zv.real, zv.imag, p)
             assert abs(norm(m) - 1.0) < 1e-12
             items.append((zh, zv))
             inputs += [zh.real, zh.imag, zv.real, zv.imag, p]
@@ -225,7 +225,7 @@ def test_kernel_one_half_normalization_is_cores(harness):
             p = z.real ** 2 + z.imag ** 2
             if p == 0.0:
                 continue
-            h = _normalized(z, 0j, p).c_h
+            h = _normalized(z.real, z.imag, 0.0, 0.0, p).c_h
             inputs += [z.real, z.imag, p]
             expected += [h.real, h.imag]
     assert sum(p < 2.0 ** -1022 for p in inputs[2::3]) >= 200

@@ -623,7 +623,8 @@ def corrupted_mesh(monkeypatch):
     return net
 
 @pytest.mark.parametrize("make,error,message", [
-    (vanishing_mesh, DegenerateAmplitude, "routing amplitudes vanished "
+    (vanishing_mesh, DegenerateAmplitude, "routing amplitudes vanished at "
+     "BeamSplitter 1 on particle 1 of 1 "
      "(p0=3.0814879110195774e-33, p1=3.0814879110195774e-33)"),
     (live_port_unwired_mesh, UnwiredPort,
      "the path from BeamSplitter output port 1 ends unwired"),
@@ -1033,6 +1034,33 @@ def test_particle_count_must_be_an_int(loop, n):
     with pytest.raises(TypeError, match=f"^n_particles must be an int, "
                                         f"got {type(n).__name__}$"):
         run(build_jeong(2, PHI1, PHI2), n, RngStream(1))
+
+@pytest.mark.parametrize("rng", [5, 5.0, None, "RngStream(5)"])
+def test_stream_must_be_an_rng_stream(loop, rng):
+    # an int gave "'int' object has no attribute 'derive'": the kernel
+    # takes only a plain RngStream, so it fell back to the Python loop
+    with pytest.raises(TypeError, match=f"^rng must be an RngStream, "
+                                        f"got {type(rng).__name__}$"):
+        run(build_jeong(2, PHI1, PHI2), 10, rng)
+
+@pytest.mark.parametrize("removal", [("t2", 1), "t2", None])
+def test_filters_must_be_removal_filters(loop, removal):
+    # a plain tuple gave an AttributeError on .label
+    with pytest.raises(TypeError, match=f"^filters must hold RemovalFilter "
+                                        f"values, got {type(removal).__name__}$"):
+        run(build_robens(0.95), 10, RngStream(1), filters=[removal])
+
+def test_exact_cancellation_names_the_unit_and_the_particle(loop, capsys):
+    # at gamma 0.5 with real phases a splitter's registers can cancel
+    # exactly (y <- y/2 + z/2 with z = -y); the model routes no particle
+    # then, and both loops stop the run at the same particle
+    argv = ["jeong", "--steps", "7", "--phi1", "0", "--phi2", "0", "--gamma",
+            "0.5", "--particles", "3000", "--seed", "5"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "qwalk: internal invariant breach: routing amplitudes vanished at "
+        "BeamSplitter 36 on particle 935 of 3000 (p0=0.0, p1=0.0); these "
+        "parameters allow the splitter's registers to cancel exactly\n")
 
 def test_detector_parity_matches_depth():
     for levels in (3, 4):

@@ -270,9 +270,12 @@ def test_oracles_reject_a_non_finite_phase(oracle, shown, phi):
 @pytest.mark.parametrize("oracle,name", [
     (lambda n: jeong_evolve(n, 0.0, 0.0), "levels"),
     (lambda n: hadamard_walk(n, StateVector.basis(0, UP)), "steps"),
-], ids=["jeong_evolve", "hadamard_walk"])
+    (srw_distribution, "steps"),
+], ids=["jeong_evolve", "hadamard_walk", "srw_distribution"])
 def test_oracles_reject_a_count_that_is_not_an_int(oracle, name, count):
-    # 2.5 gave "can't multiply sequence by non-int", and True ran one step
+    # 2.5 gave "can't multiply sequence by non-int" ("'float' object cannot
+    # be interpreted as an integer" in srw_distribution), and True ran one
+    # step
     with pytest.raises(TypeError) as exc:
         oracle(count)
     assert str(exc.value) == f"{name} must be an int, got {type(count).__name__}"
