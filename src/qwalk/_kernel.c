@@ -37,12 +37,12 @@
  *   32-bit words of the seed, genrand_res53 for random()), except that a
  *   MERGE generates no number: its draw decides nothing, and no other
  *   unit reads its stream, so it has none.  Only the units that draw have
- *   a stream (mt[stream[j]]), seeded before the first particle, L = 16
- *   streams at a time in lockstep (seed_lanes).  A stream twists its whole
- *   state and tempers all 624 words into a block at once (refill), in
- *   loops that the compiler vectorizes, and each draw reads two words of
- *   that block: the same words CPython's genrand_uint32 returns one at a
- *   time;
+ *   a stream, mt[stream[j]] by network._plan's stream table, seeded before
+ *   the first particle, L = 16 streams at a time in lockstep (seed_lanes).
+ *   A stream twists its whole state and tempers all 624 words into a
+ *   block at once (refill), in loops that the compiler vectorizes, and
+ *   each draw reads two words of that block: the same words CPython's
+ *   genrand_uint32 returns one at a time;
  * - complex arithmetic is spelled out as the core functions spell it: a
  *   real times a complex is two products, i * z is (-z.im, z.re), a phase
  *   edge's complex * complex is CPython's _Py_c_prod, and a square is
@@ -251,8 +251,7 @@ enum { NONE = -1, ABSORB = -2 };
 /* edge transforms */
 enum { PASS = 0, HADAMARD = 1, PHASE = 2 };
 /* return codes */
-enum { OK = 0, VANISHED = 1, UNTAPPED = 2, NO_MEMORY = 3, NOT_UNIT = 4,
-       SEED_COUNT = 5 };
+enum { OK = 0, VANISHED = 1, UNTAPPED = 2, NO_MEMORY = 3, NOT_UNIT = 4 };
 /* what a hop leaves of a particle besides OK (it has left the network) and
    an error code: it moved on, or it waits for an older particle */
 enum { FLYING = -1, HELD = -2 };
@@ -265,30 +264,13 @@ enum { FLYING = -1, HELD = -2 };
    are y[2 q] and y[2 q + 1] */
 typedef struct { double w[2]; cpx y[4]; } regs;
 
-/* whether a unit of this kind generates numbers: a MERGE's draw decides
-   nothing, so it generates none */
-static int draws(int kind)
-{
-    return kind == BS || kind == PBS || kind == BS1 || kind == SPLIT;
-}
-
-/* sets stream[j] of every unit j < n that draws to q, if it is the q-th
-   such unit in unit order, and seeds the stream mt[q] with seed[q], L at a
-   time; a MERGE gets no stream (-1).  Returns the number of units that
-   draw; unless it is n_seeds, nothing is read of seed or seeded */
-static int seed_streams(mt_state *mt, int *stream, const uint64_t *seed,
-                        int n_seeds, const int *kind, int n)
+/* seeds the stream mt[q] with seed[q] for each q < n_seeds, L at a time */
+static void seed_streams(mt_state *mt, const uint64_t *seed, int n_seeds)
 {
     uint32_t base[N];
-    int drawing = 0;
-    for (int j = 0; j < n; j++)
-        stream[j] = draws(kind[j]) ? drawing++ : -1;
-    if (drawing != n_seeds)
-        return drawing;
     init_genrand(base, 19650218U);
-    for (int q = 0; q < drawing; q += L)
-        seed_lanes(mt + q, seed + q, drawing - q < L ? drawing - q : L, base);
-    return drawing;
+    for (int q = 0; q < n_seeds; q += L)
+        seed_lanes(mt + q, seed + q, n_seeds - q < L ? n_seeds - q : L, base);
 }
 
 /* adaptive_update's weights for an arrival on port; the port indexes the
@@ -437,10 +419,10 @@ static inline int hop(const tables *T, particle *q, int limit)
     case MERGE: {
         /* pbs_route with h only on port 0 and v only on port 1: port 0
            wins whatever the draw, so the merge counts the hop but
-           generates no number.  No other unit reads its stream, which is
-           therefore never seeded.  The update learns the dead half too,
-           as adaptive_update does: that is cheaper than picking the live
-           half by the port, which stalls the load of the picked half */
+           generates no number, and network._plan gives it no stream.
+           The update learns the dead half too, as adaptive_update does:
+           that is cheaper than picking the live half by the port, which
+           stalls the load of the picked half */
         update(r, port, g, c, fix, h, v);
         T->arrivals[j]++;
         z[0][0] = rmul(root(r->w[0], fix[0]), r->y[0]);
@@ -514,13 +496,14 @@ static inline int hop(const tables *T, particle *q, int limit)
 
 /*
  * Sends n_particles through the compiled network, as the header says.
- * Per unit j < n, the last one the sink that unwired ports lead to (kind
- * -1): kind[j], the detector's count slot[j], rank[j], and of an adaptive
- * unit gamma[j], the fixed point fixed[2 j + k] of in-port k's weight (-1
- * for a live port) and its registers reg[10 j .. 10 j + 9] (w0, w1, then
- * y0h, y0v, y1h, y1v as re, im pairs), read at the start and left holding
- * the final values.  seed[q] seeds the stream of the q-th unit, in unit
- * order, that draws, of which there are n_seeds.  Per edge e: dst[e],
+ * Per unit j, the last one the sink that unwired ports lead to (kind -1):
+ * kind[j], the detector's count slot[j], rank[j], stream[j], the index of
+ * the stream a unit that draws reads (-1 for any other unit), and of an
+ * adaptive unit gamma[j], the fixed point fixed[2 j + k] of in-port k's
+ * weight (-1 for a live port) and its registers reg[10 j .. 10 j + 9]
+ * (w0, w1, then y0h, y0v, y1h, y1v as re, im pairs), read at the start
+ * and left holding the final values.  seed[q] seeds stream q < n_seeds;
+ * the streams are the only memory the run allocates.  Per edge e: dst[e],
  * dst_port[e], tag[e], xform[e] and, for a phase edge, factor[2 e],
  * factor[2 e + 1].  source holds the emitted message (h.re, h.im, v.re,
  * v.im).
@@ -528,15 +511,15 @@ static inline int hop(const tables *T, particle *q, int limit)
  * Adds to counts[slot], t2[row * n_sites + slot] (when taps), removed and
  * arrivals[j], the particles that reached adaptive unit j.  Returns OK or
  * an error code: VANISHED leaves p0, p1 in err and the unit and the
- * particle (counted from 0) in where, NOT_UNIT the squared norm of the
- * message that reached a detector in err[0], and SEED_COUNT, which sends
- * no particle, the number of units that draw in err[0].
+ * particle (counted from 0) in where, and NOT_UNIT the squared norm of the
+ * message that reached a detector in err[0].
  */
-int qwalk_run(int n, long long n_particles, int start, const double *source,
+int qwalk_run(long long n_particles, int start, const double *source,
               const int *kind, const int *slot, const int *rank,
-              const double *gamma, const double *fixed, const uint64_t *seed,
-              double *reg, const int *dst, const int *dst_port, const int *tag,
-              const int *xform, const double *factor,
+              const int *stream, const double *gamma, const double *fixed,
+              const uint64_t *seed, double *reg, const int *dst,
+              const int *dst_port, const int *tag, const int *xform,
+              const double *factor,
               int taps, int n_sites, int n_seeds, long long *counts,
               long long *t2, long long *removed, long long *arrivals,
               long long *where, double *err)
@@ -548,20 +531,10 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
 
     /* the MT19937 stream of each unit that draws, mt[stream[j]] that of
        unit j, seeded before the first particle */
-    int *stream = malloc((size_t)n * sizeof *stream);
     mt_state *mt = malloc((size_t)n_seeds * sizeof *mt);
-    if (stream == NULL || (mt == NULL && n_seeds > 0)) {
-        free(stream);
-        free(mt);
+    if (mt == NULL && n_seeds > 0)
         return NO_MEMORY;
-    }
-    int drawing = seed_streams(mt, stream, seed, n_seeds, kind, n);
-    if (drawing != n_seeds) {
-        free(stream);
-        free(mt);
-        err[0] = drawing;
-        return SEED_COUNT;
-    }
+    seed_streams(mt, seed, n_seeds);
     const tables T = {kind, slot, rank, dst, dst_port, tag, xform, gamma,
                       fixed, factor, (regs *)reg, mt, stream, taps, n_sites,
                       counts, t2, removed, arrivals, where, err};
@@ -597,7 +570,6 @@ int qwalk_run(int n, long long n_particles, int start, const double *source,
         }
         flying = kept;
     }
-    free(stream);
     free(mt);
     return status;
 }

@@ -10,7 +10,8 @@ library is built once per machine and per source with the C compiler
 command, lives in ``$XDG_CACHE_HOME/qwalk`` (default ``~/.cache/qwalk``),
 and is written to a temporary file first and moved into place, so
 processes building it at the same time do not clash.
-Nothing happens at ``import qwalk``: the first ``run`` loads the library.
+Nothing happens at ``import qwalk``: the first ``run`` loads the library,
+and threads that start their first runs together wait for that one load.
 When it cannot be built or loaded, one ``qwalk:`` line on stderr says so,
 once per process, and runs use the Python loop.
 """
@@ -23,6 +24,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from array import array
 from pathlib import Path
 
@@ -43,7 +45,7 @@ COMPILE = ("cc", "-O3", "-ffp-contract=off", "-fno-math-errno", "-shared",
            "-fPIC")
 
 # the return codes of qwalk_run; the tables' codes are network.py's
-_VANISHED, _UNTAPPED, _NO_MEMORY, _NOT_UNIT, _SEED_COUNT = 1, 2, 3, 4, 5
+_VANISHED, _UNTAPPED, _NO_MEMORY, _NOT_UNIT = 1, 2, 3, 4
 
 
 def library_path() -> Path:
@@ -67,9 +69,11 @@ def library_path() -> Path:
     return path
 
 
+_load_lock = threading.Lock()
+
+
 @functools.cache
-def load():
-    """The kernel's ``qwalk_run``, or None (reported once) if it cannot be had."""
+def _load():
     try:
         fn = ctypes.CDLL(str(library_path())).qwalk_run
     except (OSError, subprocess.SubprocessError) as exc:
@@ -77,11 +81,22 @@ def load():
               "using the Python loop", file=sys.stderr)
         return None
     # the arrays go in as the addresses of array.array buffers
-    fn.argtypes = ((ctypes.c_int, ctypes.c_longlong, ctypes.c_int)
-                   + 13 * (ctypes.c_void_p,)
+    fn.argtypes = ((ctypes.c_longlong, ctypes.c_int) + 14 * (ctypes.c_void_p,)
                    + 3 * (ctypes.c_int,) + 6 * (ctypes.c_void_p,))
     fn.restype = ctypes.c_int
     return fn
+
+
+def load():
+    """The kernel's ``qwalk_run``, or None (reported once) if it cannot be had.
+
+    Threads that call it together wait for one load and share its outcome.
+    """
+    with _load_lock:  # functools.cache alone is no lock
+        return _load()
+
+
+load.cache_clear = _load.cache_clear  # the next call loads afresh
 
 
 def _zeros(typecode: str, n: int) -> array:
@@ -98,10 +113,11 @@ def run(fn, plan, tag: array, reg: array, n_particles: int, seed: int,
     to the slots of ``counts`` and, if it is not empty, of the t2 table
     ``t2`` in place.  Adaptive unit j draws the numbers
     ``RngStream(seed).derive(j)`` would give, except a merge, which draws
-    none; the seeds of the units that draw (``plan.drawing``) come from
-    ``core.derive_seed``.  Returns the removed tally and each unit's
-    arrivals, the particles that reached it (the Python loop draws once
-    per arrival), 0 for a stateless unit.
+    none: the kernel's stream ``plan.stream[j]`` is seeded with
+    ``core.derive_seed(seed, j)``, in the order of ``plan.drawing``.
+    Returns the removed tally and each unit's arrivals, the particles that
+    reached it (the Python loop draws once per arrival), 0 for a stateless
+    unit.
     """
     n = len(plan.case)  # the units and the sink that unwired ports lead to
     # derive_seed is looked up on each run: a wrapper put back is not kept
@@ -109,11 +125,11 @@ def run(fn, plan, tag: array, reg: array, n_particles: int, seed: int,
     seeds = array("Q", [derive_seed(seed, j) for j in plan.drawing])
     removed, arrivals, err = _zeros("q", 1), _zeros("q", n), _zeros("d", 2)
     where = _zeros("q", 2)
-    inputs = (plan.source, plan.case, plan.slot, plan.rank, plan.gamma,
-              plan.fixed, seeds, reg, plan.dst, plan.dst_port, tag, plan.xform,
-              plan.factor)
+    inputs = (plan.source, plan.case, plan.slot, plan.rank, plan.stream,
+              plan.gamma, plan.fixed, seeds, reg, plan.dst, plan.dst_port, tag,
+              plan.xform, plan.factor)
     outputs = (counts, t2, removed, arrivals, where, err)
-    status = fn(n, n_particles, plan.start, *(a.buffer_info()[0] for a in inputs),
+    status = fn(n_particles, plan.start, *(a.buffer_info()[0] for a in inputs),
                 1 if t2 else 0, len(plan.sites), len(seeds),
                 *(a.buffer_info()[0] for a in outputs))
     if status == _VANISHED:
@@ -124,9 +140,6 @@ def run(fn, plan, tag: array, reg: array, n_particles: int, seed: int,
         raise core._untapped()
     if status == _NOT_UNIT:
         raise core._not_unit(err[0])
-    if status == _SEED_COUNT:
-        raise core.QwalkError(f"compiled event loop: {len(seeds)} seeds for "
-                              f"{int(err[0])} units that draw")
     if status == _NO_MEMORY:
         raise MemoryError("compiled event loop: out of memory")
     return removed[0], arrivals[:n - 1].tolist()

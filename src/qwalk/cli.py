@@ -25,7 +25,8 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
-from .errors import EmptyRun, InsufficientReplicates, QwalkError
+from .errors import (DegenerateAmplitude, EmptyRun, InsufficientReplicates,
+                     QwalkError)
 from .core import RngStream, _INV_SQRT2
 from .leggett_garg import (
     SINGLE_RUN,
@@ -33,7 +34,7 @@ from .leggett_garg import (
     run_protocols,
 )
 from .network import (MAX_LEVELS, RemovalFilter, _MAX_PARTICLES, _compiled,
-                      _plan, build_jeong, build_robens, run)
+                      build_jeong, build_robens, run)
 from .theory import (
     DOWN,
     MAX_ORACLE_STEPS,
@@ -258,7 +259,7 @@ def _oracle_row(steps: int, phi1: float, phi2: float) -> dict[int, float]:
 def cmd_jeong(cfg: RunConfig) -> tuple[dict, str]:
     net = _compiled(build_jeong, cfg.steps, cfg.phi1, cfg.phi2, cfg.gamma)
     rng = RngStream(cfg.seed)
-    counts: dict[int, int] = {s: 0 for s in _plan(net).sites}
+    counts: dict[int, int] = {}
     for r in range(cfg.replicates):
         result = run(net, cfg.particles, rng.derive(r))
         _merge_counts(counts, result.counts)
@@ -281,7 +282,7 @@ def cmd_robens(cfg: RunConfig) -> tuple[dict, str]:
         filters = [RemovalFilter("t2", +1)]
     elif cfg.removal == "plus":
         filters = [RemovalFilter("t2", -1)]
-    counts: dict[int, int] = {s: 0 for s in _plan(net).sites}
+    counts: dict[int, int] = {}
     t2: dict[int, dict[int, int]] = {-1: {}, +1: {}}
     removed = 0
     for r in range(cfg.replicates):
@@ -460,6 +461,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"qwalk: configuration error: {exc}", file=sys.stderr)
         return 2
+    except DegenerateAmplitude as exc:
+        # routing amplitudes vanished, which valid parameters allow: the
+        # model defines no port for the particle, so the run cannot go on
+        print(f"qwalk: run stopped: {exc}", file=sys.stderr)
+        return 3
     except (QwalkError, AssertionError) as exc:
         print(f"qwalk: internal invariant breach: {exc}", file=sys.stderr)
         return 3

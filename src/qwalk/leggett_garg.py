@@ -197,8 +197,6 @@ def run_protocols(protocols: list[tuple[str, RngStream]], *, particles: int = 10
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    from . import _kernel
-
     for protocol, _rng in protocols:
         if protocol not in (THREE_RUN, SINGLE_RUN):
             raise ValueError(f"unknown protocol {protocol!r}")
@@ -215,9 +213,6 @@ def run_protocols(protocols: list[tuple[str, RngStream]], *, particles: int = 10
     # replicates they would run nothing; no protocols, or workers < 1,
     # still get the one thread a pool needs
     workers = min(cpus if workers is None else workers, cpus, len(jobs))
-    # loaded (or reported unavailable) once, here: functools.cache is not a
-    # lock, and the threads then share the outcome
-    _kernel.load()
     with ThreadPoolExecutor(max(workers, 1)) as pool:
         results = list(pool.map(_replicate_worker, jobs))
     return [_aggregate(protocol, results[i * replicates:(i + 1) * replicates])

@@ -397,6 +397,10 @@ def _plan(net: Network) -> SimpleNamespace:
       any other unit has _NONE), its ``rank`` (see ``_live_inputs``; 0 for
       the source, a stateless unit and the sink) and the ``gamma`` of an
       adaptive unit (0.0 for any other);
+    - ``stream``, per unit and the sink: q for the q-th unit of
+      ``drawing``, which draws from the C kernel's q-th stream, and _NONE
+      for any other unit and the sink.  This is the one place streams are
+      assigned;
     - ``fixed``, two per unit and the sink: ``fixed[2j + k]`` is
       ``_fixed_point(gamma)`` if in-port k of adaptive unit j is dead
       (``_live_inputs``), and -1.0, below every weight, otherwise.  The C
@@ -482,13 +486,17 @@ def _plan(net: Network) -> SimpleNamespace:
                 if g not in fixed_points:
                     fixed_points[g] = _fixed_point(g)
                 fixed[2 * j + k] = fixed_points[g]
+    drawing = [j for j in adaptive if case[j] != _MERGE]
+    stream = array("i", [_NONE]) * (n + 1)
+    for q, j in enumerate(drawing):
+        stream[j] = q
     net._plan = plan = SimpleNamespace(
         units=list(units), case=case, slot=slot, rank=rank, gamma=gamma,
         fixed=fixed, reg=reg, dst=dst, dst_port=dst_port, tag=tag, xform=xform,
         factor=factor,
         source=array("d", (h.real, h.imag, v.real, v.imag)), start=start,
         edge=edge, sites=sites, t2_sites=t2_sites, adaptive=adaptive,
-        drawing=[j for j in adaptive if case[j] != _MERGE])
+        drawing=drawing, stream=stream)
     return plan
 
 
@@ -508,12 +516,12 @@ def _compiled(builder, *args):
     the same object, which none may change: the networks, and the exact
     walk's rows that ``cli.cmd_jeong`` keeps here.
 
-    Sharing a network is safe for a caller that only passes it to ``run``
-    and reads nothing of it but its plan's ``sites``: ``run`` keeps only the
-    plan (``_plan``), whose tables no run changes, and writes nothing to the
-    network or its units; each run owns its registers, a copy of the plan's
-    template, and its streams.  A forked process keeps its own copy of the
-    cache; threads share it behind a lock.
+    Sharing a network is safe for a caller that only passes it to ``run``:
+    ``run`` keeps only the plan (``_plan``), whose tables no run changes,
+    and writes nothing to the network or its units; each run owns its
+    registers, a copy of the plan's template, and its streams.  A forked
+    process keeps its own copy of the cache; threads share it behind a
+    lock.
     """
     key = (builder, *((type(a), repr(a)) for a in args))
     with _compiled_lock:

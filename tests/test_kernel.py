@@ -3,21 +3,20 @@ import ctypes
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
-from array import array
 
 import pytest
 
-from qwalk import _kernel, core
+from qwalk import _kernel, core, network
 from qwalk.cli import main
 from qwalk.core import BeamSplitter, PolarizingBeamSplitter, RngStream
-from qwalk.errors import QwalkError
-from qwalk.network import (_BS, _BS1, _MERGE, _PBS, _SPLIT, _fixed_point, _plan,
-                           build_jeong, build_robens, run)
-from test_network import (CountingRng, build_mixed, build_rejoined, run_on_kernel,
-                          splice_hadamard, splitter_registers)
+from qwalk.network import (_BS, _BS1, _MERGE, _NONE, _PBS, _SPLIT, _fixed_point,
+                           _plan, build_jeong, build_robens, run)
+from test_network import (RUN_SHAPES, CountingRng, build_mixed, build_rejoined,
+                          run_on_kernel, splice_hadamard, splitter_registers)
 
 PHI1 = math.pi / 2
 PHI2 = -math.pi / 2
@@ -138,21 +137,49 @@ def test_a_restored_derive_seed_is_the_one_later_runs_call():
     assert total == first
 
 
-@pytest.mark.parametrize("change", [lambda drawing: drawing[:-1],
-                                    lambda drawing: drawing + drawing[-1:]],
-                         ids=["one short", "one over"])
-def test_kernel_refuses_a_seed_count_other_than_its_drawing_units(change):
-    # the kernel counts the units that draw itself, so seeds made for a
-    # different list stop the run before it reads them or sends a particle
-    net = build_jeong(4, PHI1, PHI2, 0.98)
-    plan = _plan(net)
-    plan.drawing = change(plan.drawing)
-    counts = array("q", [0]) * len(plan.sites)
-    with pytest.raises(QwalkError, match=rf"^compiled event loop: "
-                       rf"{len(plan.drawing)} seeds for 10 units that draw$"):
-        _kernel.run(_kernel.load(), plan, plan.tag, plan.reg[:], 100, 3,
-                    counts, array("q"))
-    assert not any(counts)
+@RUN_SHAPES
+def test_plan_gives_each_unit_that_draws_its_own_stream(build, filters, taps):
+    # stream q belongs to the q-th unit that draws, in unit order; a merge,
+    # any other unit and the sink have none.  Filters and taps change no
+    # table of the plan
+    plan = _plan(build())
+    drawing = [j for j, c in enumerate(plan.case) if c in (_BS, _PBS, _BS1, _SPLIT)]
+    assert plan.drawing == drawing
+    assert plan.stream.typecode == "i"
+    assert plan.stream.tolist() == [drawing.index(j) if j in drawing else _NONE
+                                    for j in range(len(plan.case))]
+
+
+def test_kernel_codes_are_the_plans_and_the_loaders():
+    # the kernel reads the plan's tables as they are, and _kernel.run must
+    # tell apart every code qwalk_run returns; OK and a hop's FLYING and
+    # HELD stay inside the kernel
+    source = re.sub(r"/\*.*?\*/", "", _kernel.SOURCE.read_text(), flags=re.S)
+    items = ",".join(re.findall(r"\benum\s*\{([^}]*)\}", source)).split(",")
+    enums = {name.strip(): int(value)
+             for name, value in (item.split("=") for item in items)}
+    expected = {"OK": 0, "FLYING": -1, "HELD": -2}
+    expected |= {name: getattr(network, f"_{name}")
+                 for name in ("DETECTOR", "BS", "PBS", "BS1", "SPLIT", "MERGE",
+                              "NONE", "ABSORB", "PASS", "HADAMARD", "PHASE")}
+    expected |= {name: getattr(_kernel, f"_{name}")
+                 for name in ("VANISHED", "UNTAPPED", "NO_MEMORY", "NOT_UNIT")}
+    assert enums == expected
+
+
+def test_loader_argtypes_match_the_kernels_prototype():
+    # ctypes converts each argument by argtypes alone, so they must follow
+    # qwalk_run's parameters one to one
+    [params] = re.findall(r"^int qwalk_run\(([^)]*)\)",
+                          _kernel.SOURCE.read_text(), flags=re.M)
+    c_types = {"int": ctypes.c_int, "long long": ctypes.c_longlong}
+    expected = [ctypes.c_void_p if "*" in param
+                else c_types[" ".join(param.split()[:-1])]
+                for param in params.split(",")]
+    fn = _kernel.load()
+    assert fn is not None, "the compiled kernel did not load"
+    assert list(fn.argtypes) == expected
+    assert fn.restype is ctypes.c_int
 
 
 #: learning rates and K, the number of 2**-1074 steps up to the fixed point
@@ -299,16 +326,46 @@ def test_failed_compile_leaves_no_file(fresh_loader, monkeypatch, capsys):
     assert run(net, 200, RngStream(5)).removed == 0
 
 
+def stderr_without_compiler(tmp_path, *args) -> list[str]:
+    """The stderr lines of ``python *args`` with no compiler and an empty cache."""
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path), "PATH": str(tmp_path)}
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stderr.splitlines()
+
+
 def test_pool_job_reports_a_missing_compiler_once(tmp_path):
-    # the kernel is loaded before the pool's threads start, so they share
-    # one load() instead of each reporting the fallback
+    # the pool's threads start their first runs together, and share one
+    # load() instead of each reporting the fallback
     code = ("import sys; from qwalk.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
-    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path), "PATH": str(tmp_path)}
-    done = subprocess.run([sys.executable, "-c", code, "lgi", "--particles", "300",
-                           "--replicates", "2", "--workers", "2"],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    reports = [line for line in done.stderr.splitlines()
+    lines = stderr_without_compiler(tmp_path, "-c", code, "lgi", "--particles",
+                                    "300", "--replicates", "2", "--workers", "2")
+    reports = [line for line in lines
                if line.startswith("qwalk: compiled event loop unavailable (")]
     assert len(reports) == 1
+
+
+def test_threads_starting_together_share_one_load(tmp_path):
+    # functools.cache alone is no lock: four threads that make their first
+    # run at once would each try the missing compiler and each report it
+    code = textwrap.dedent("""
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+        from qwalk.core import RngStream
+        from qwalk.network import build_jeong, run
+
+        barrier = threading.Barrier(4, timeout=60)
+
+        def first_run(seed):
+            net = build_jeong(2, 1.5, -1.5)
+            barrier.wait()  # each of the pool's 4 threads takes one
+            return sum(run(net, 10, RngStream(seed)).counts.values())
+
+        with ThreadPoolExecutor(4) as pool:
+            assert list(pool.map(first_run, range(4))) == [10] * 4
+    """)
+    [line] = stderr_without_compiler(tmp_path, "-c", code)
+    assert re.fullmatch(r"qwalk: compiled event loop unavailable \(.*\); "
+                        r"using the Python loop", line)

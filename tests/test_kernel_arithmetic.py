@@ -50,30 +50,20 @@ void normalized_array(const double *in, double *out, long n)
     }}
 }}
 
-/* the streams of k units that all draw, seeded as qwalk_run seeds them,
-   L at a time; out[q * draws + i] is the stream q's (i + 1)-th random() */
+/* k streams seeded as qwalk_run seeds them, L at a time; out[q * draws + i]
+   is the stream q's (i + 1)-th random() */
 const int lanes = L;
 
 int first_draws(const uint64_t *seed, double *out, long k, long draws)
 {{
     mt_state *mt = malloc((size_t)k * sizeof *mt);
-    int *kind = malloc((size_t)k * sizeof *kind);
-    int *stream = malloc((size_t)k * sizeof *stream);
-    if (mt == NULL || kind == NULL || stream == NULL) {{
-        free(mt);
-        free(kind);
-        free(stream);
+    if (mt == NULL)
         return -1;
-    }}
-    for (long q = 0; q < k; q++)
-        kind[q] = BS;
-    seed_streams(mt, stream, seed, (int)k, kind, (int)k);
+    seed_streams(mt, seed, (int)k);
     for (long q = 0; q < k; q++)
         for (long i = 0; i < draws; i++)
-            out[q * draws + i] = genrand_res53(&mt[stream[q]]);
+            out[q * draws + i] = genrand_res53(&mt[q]);
     free(mt);
-    free(kind);
-    free(stream);
     return 0;
 }}
 

@@ -633,13 +633,17 @@ def corrupted_mesh(monkeypatch):
 ], ids=["vanished", "unwired", "register breach"])
 def test_errors_keep_messages_and_exit_codes(loop, monkeypatch, capsys, make,
                                              error, message):
+    # vanished routing amplitudes, which valid parameters allow, stop the
+    # run; every other error is a breach of what the network guarantees
     net = make(monkeypatch)
     with pytest.raises(error) as exc:
         run(net, 1, RngStream(1))
     assert str(exc.value) == message
     monkeypatch.setattr("qwalk.cli.build_jeong", lambda *args: net)
     assert main(["jeong", "--steps", "1", "--particles", "1"]) == 3
-    assert capsys.readouterr().err == f"qwalk: internal invariant breach: {message}\n"
+    prefix = ("run stopped" if error is DegenerateAmplitude
+              else "internal invariant breach")
+    assert capsys.readouterr().err == f"qwalk: {prefix}: {message}\n"
 
 def test_tapped_particle_must_cross_t2(loop):
     # a detector reached without crossing t2 has no row in the t2 table
@@ -1058,7 +1062,7 @@ def test_exact_cancellation_names_the_unit_and_the_particle(loop, capsys):
             "0.5", "--particles", "3000", "--seed", "5"]
     assert main(argv) == 3
     assert capsys.readouterr().err == (
-        "qwalk: internal invariant breach: routing amplitudes vanished at "
+        "qwalk: run stopped: routing amplitudes vanished at "
         "BeamSplitter 36 on particle 935 of 3000 (p0=0.0, p1=0.0); these "
         "parameters allow the splitter's registers to cancel exactly\n")
 
