@@ -20,10 +20,14 @@
  *   different particles overlap in the processor, and the port a draw
  *   picks selects its doubles instead of taking a branch, which would
  *   stall them;
- * - a splitter whose messages have dead halves (network._live_inputs
- *   picks them) runs the case BS1, SPLIT or MERGE, which skips terms that
- *   are +0.0 squares or +-0 registers and so computes the same doubles as
- *   the core functions;
+ * - two kinds of splitter whose messages have dead halves
+ *   (network._live_inputs picks them) run a case of their own, which skips
+ *   terms that are +0.0 squares or +-0 registers and so computes the same
+ *   doubles as the core functions: BS1, a beam splitter no v half
+ *   reaches, and MERGE, a PBS whose out-port 1 is dead.  Each measured
+ *   faster than the general case BS or PBS, which every other splitter
+ *   runs; a PBS fed on in-port 0 alone takes PBS, and its dead halves come
+ *   out as the same signed zeros as pbs_route's;
  * - a dead in-port, one no particle reaches, keeps y = +-0, and its weight
  *   w is multiplied by gamma at every arrival on the other port until it
  *   reaches a subnormal fixed point, where g * w == w: 9 * 2**-1074 after
@@ -231,8 +235,7 @@ static inline void normalized(cpx zh, cpx zv, double p, cpx *h, cpx *v)
 }
 
 /* normalized() for a message whose other half is dead: z / sqrt(p), p the
-   sum of z's squares; the caller sets the dead half.  inline, because GCC
-   -O2 called it otherwise, which cost the mesh's scalar hop about 5 % */
+   sum of z's squares; the caller, BS1, sets the dead half */
 static inline cpx normalized_half(cpx z, double p)
 {
     if (p < DBL_MIN) {
@@ -244,8 +247,9 @@ static inline cpx normalized_half(cpx z, double p)
 
 /* --- the event loop -------------------------------------------------------- */
 
-/* unit cases: network.py's kinds, then _kernel.py's dead-half cases */
-enum { DETECTOR = 0, BS = 1, PBS = 2, BS1 = 3, SPLIT = 4, MERGE = 5 };
+/* unit cases: network.py's kinds, then network._live_inputs's dead-half
+   cases */
+enum { DETECTOR = 0, BS = 1, PBS = 2, BS1 = 3, MERGE = 4 };
 /* edge tags: NONE, ABSORB, or the t2 row the edge crosses (>= 0) */
 enum { NONE = -1, ABSORB = -2 };
 /* edge transforms */
@@ -327,7 +331,7 @@ typedef struct {
     mt_state *mt;
     const int *stream;
     int taps, n_sites;
-    long long *counts, *t2, *removed, *arrivals, *where;
+    long long *counts, *t2, *removed, *where;
     double *err;
 } tables;
 
@@ -374,7 +378,6 @@ static inline int hop(const tables *T, particle *q, int limit)
            it is */
         weigh(r, port, g, c, fix);
         learn(r, 2 * port, g, c, h);
-        T->arrivals[j]++;
         double u = genrand_res53(&T->mt[T->stream[j]]);
         cpx v0h = rmul(root(r->w[0], fix[0]), r->y[0]);
         cpx v1h = rmul(root(r->w[1], fix[1]), r->y[2]);
@@ -391,40 +394,14 @@ static inline int hop(const tables *T, particle *q, int limit)
         q->e = 2 * j + k;
         return FLYING;
     }
-    case SPLIT: {
-        /* pbs_route fed on port 0 only: y1h and y1v stay zero */
-        update(r, port, g, c, fix, h, v);
-        T->arrivals[j]++;
-        double u = genrand_res53(&T->mt[T->stream[j]]), a = sqrt(r->w[0]);
-        z[0][0] = rmul(a, r->y[0]);
-        z[1][1] = muli(rmul(a, r->y[1]));
-        p[0] = sq(z[0][0].re) + sq(z[0][0].im);
-        p[1] = sq(z[1][1].re) + sq(z[1][1].im);
-        total = p[0] + p[1];
-        if (!(total >= 1e-30))
-            break;
-        /* port 0 leaves (z0h, z0v), port 1 (z1h, z1v), with the dead
-           halves z0v = i * (b * y1v) = (-0.0, 0.0) and z1h = b * y1h =
-           (0.0, 0.0) of pbs_route: half k lives */
-        static const cpx dead[2] = {{-0.0, 0.0}, {0.0, 0.0}};
-        k = !(u < p[0] / total);
-        cpx m[2];
-        m[k] = normalized_half(z[k][k], p[k]);
-        m[k ^ 1] = dead[k];
-        q->h = m[0];
-        q->v = m[1];
-        q->e = 2 * j + k;
-        return FLYING;
-    }
     case MERGE: {
         /* pbs_route with h only on port 0 and v only on port 1: port 0
-           wins whatever the draw, so the merge counts the hop but
-           generates no number, and network._plan gives it no stream.
-           The update learns the dead half too, as adaptive_update does:
-           that is cheaper than picking the live half by the port, which
-           stalls the load of the picked half */
+           wins whatever the draw, so the merge generates no number, and
+           network._plan gives it no stream.  The update learns the dead
+           half too, as adaptive_update does: that is cheaper than picking
+           the live half by the port, which stalls the load of the picked
+           half */
         update(r, port, g, c, fix, h, v);
-        T->arrivals[j]++;
         z[0][0] = rmul(root(r->w[0], fix[0]), r->y[0]);
         z[0][1] = muli(rmul(root(r->w[1], fix[1]), r->y[3]));
         p[0] = sq(z[0][0].re) + sq(z[0][0].im) + sq(z[0][1].re) + sq(z[0][1].im);
@@ -439,7 +416,6 @@ static inline int hop(const tables *T, particle *q, int limit)
     case PBS: {
         /* adaptive_update, then bs_route or pbs_route */
         update(r, port, g, c, fix, h, v);
-        T->arrivals[j]++;
         double u = genrand_res53(&T->mt[T->stream[j]]);
         double a = root(r->w[0], fix[0]), b = root(r->w[1], fix[1]);
         if (T->kind[j] == BS) {
@@ -497,7 +473,8 @@ static inline int hop(const tables *T, particle *q, int limit)
 /*
  * Sends n_particles through the compiled network, as the header says.
  * Per unit j, the last one the sink that unwired ports lead to (kind -1):
- * kind[j], the detector's count slot[j], rank[j], stream[j], the index of
+ * kind[j], its case (DETECTOR, BS, PBS, or the dead-half case BS1 or
+ * MERGE), the detector's count slot[j], rank[j], stream[j], the index of
  * the stream a unit that draws reads (-1 for any other unit), and of an
  * adaptive unit gamma[j], the fixed point fixed[2 j + k] of in-port k's
  * weight (-1 for a live port) and its registers reg[10 j .. 10 j + 9]
@@ -508,11 +485,10 @@ static inline int hop(const tables *T, particle *q, int limit)
  * factor[2 e + 1].  source holds the emitted message (h.re, h.im, v.re,
  * v.im).
  *
- * Adds to counts[slot], t2[row * n_sites + slot] (when taps), removed and
- * arrivals[j], the particles that reached adaptive unit j.  Returns OK or
- * an error code: VANISHED leaves p0, p1 in err and the unit and the
- * particle (counted from 0) in where, and NOT_UNIT the squared norm of the
- * message that reached a detector in err[0].
+ * Adds to counts[slot], t2[row * n_sites + slot] (when taps) and removed.
+ * Returns OK or an error code: VANISHED leaves p0, p1 in err and the unit
+ * and the particle (counted from 0) in where, and NOT_UNIT the squared
+ * norm of the message that reached a detector in err[0].
  */
 int qwalk_run(long long n_particles, int start, const double *source,
               const int *kind, const int *slot, const int *rank,
@@ -521,8 +497,8 @@ int qwalk_run(long long n_particles, int start, const double *source,
               const int *dst_port, const int *tag, const int *xform,
               const double *factor,
               int taps, int n_sites, int n_seeds, long long *counts,
-              long long *t2, long long *removed, long long *arrivals,
-              long long *where, double *err)
+              long long *t2, long long *removed, long long *where,
+              double *err)
 {
     const cpx h0 = {source[0], source[1]}, v0 = {source[2], source[3]};
     int status = OK, flying = 0;
@@ -537,7 +513,7 @@ int qwalk_run(long long n_particles, int start, const double *source,
     seed_streams(mt, seed, n_seeds);
     const tables T = {kind, slot, rank, dst, dst_port, tag, xform, gamma,
                       fixed, factor, (regs *)reg, mt, stream, taps, n_sites,
-                      counts, t2, removed, arrivals, where, err};
+                      counts, t2, removed, where, err};
 
     for (;;) {
         for (; flying < K && emitted < n_particles && status == OK; emitted++) {

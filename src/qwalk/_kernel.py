@@ -82,7 +82,7 @@ def _load():
         return None
     # the arrays go in as the addresses of array.array buffers
     fn.argtypes = ((ctypes.c_longlong, ctypes.c_int) + 14 * (ctypes.c_void_p,)
-                   + 3 * (ctypes.c_int,) + 6 * (ctypes.c_void_p,))
+                   + 3 * (ctypes.c_int,) + 5 * (ctypes.c_void_p,))
     fn.restype = ctypes.c_int
     return fn
 
@@ -104,7 +104,7 @@ def _zeros(typecode: str, n: int) -> array:
 
 
 def run(fn, plan, tag: array, reg: array, n_particles: int, seed: int,
-        counts: array, t2: array) -> tuple[int, list[int]]:
+        counts: array, t2: array) -> int:
     """Send the particles through a ``network._plan``'s tables with the kernel ``fn``.
 
     The kernel reads the plan's arrays as they are, the run's edge tags
@@ -115,20 +115,19 @@ def run(fn, plan, tag: array, reg: array, n_particles: int, seed: int,
     ``RngStream(seed).derive(j)`` would give, except a merge, which draws
     none: the kernel's stream ``plan.stream[j]`` is seeded with
     ``core.derive_seed(seed, j)``, in the order of ``plan.drawing``.
-    Returns the removed tally and each unit's arrivals, the particles that
-    reached it (the Python loop draws once per arrival), 0 for a stateless
-    unit.
+    Each splitter runs its ``plan.case``: the general ``_BS`` or ``_PBS``,
+    or one of the two dead-half cases the kernel keeps, ``_BS1`` and
+    ``_MERGE``, each of which measured faster than the general case.
+    Returns the removed tally.
     """
-    n = len(plan.case)  # the units and the sink that unwired ports lead to
     # derive_seed is looked up on each run: a wrapper put back is not kept
     derive_seed = core.derive_seed
     seeds = array("Q", [derive_seed(seed, j) for j in plan.drawing])
-    removed, arrivals, err = _zeros("q", 1), _zeros("q", n), _zeros("d", 2)
-    where = _zeros("q", 2)
+    removed, where, err = _zeros("q", 1), _zeros("q", 2), _zeros("d", 2)
     inputs = (plan.source, plan.case, plan.slot, plan.rank, plan.stream,
               plan.gamma, plan.fixed, seeds, reg, plan.dst, plan.dst_port, tag,
               plan.xform, plan.factor)
-    outputs = (counts, t2, removed, arrivals, where, err)
+    outputs = (counts, t2, removed, where, err)
     status = fn(n_particles, plan.start, *(a.buffer_info()[0] for a in inputs),
                 1 if t2 else 0, len(plan.sites), len(seeds),
                 *(a.buffer_info()[0] for a in outputs))
@@ -142,4 +141,4 @@ def run(fn, plan, tag: array, reg: array, n_particles: int, seed: int,
         raise core._not_unit(err[0])
     if status == _NO_MEMORY:
         raise MemoryError("compiled event loop: out of memory")
-    return removed[0], arrivals[:n - 1].tolist()
+    return removed[0]

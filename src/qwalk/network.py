@@ -253,7 +253,7 @@ def build_robens(gamma: float = 0.95) -> Network:
 #: unit cases: a detector, a splitter, and a splitter whose messages have
 #: dead halves (``_live_inputs``); _NONE for the source, a stateless unit and
 #: the sink
-_DETECTOR, _BS, _PBS, _BS1, _SPLIT, _MERGE = 0, 1, 2, 3, 4, 5
+_DETECTOR, _BS, _PBS, _BS1, _MERGE = 0, 1, 2, 3, 4
 #: edge tags: _NONE, _ABSORB (a removal filter's edge, which ``run``
 #: overlays) or the row of the t2 site the edge crosses
 _NONE, _ABSORB = -1, -2
@@ -280,23 +280,23 @@ def _live_inputs(units: list, case: array, rank: array, dst: array,
     so that rank grows strictly along every wired edge; the C kernel orders
     the particles it has in flight by it.
 
-    The C kernel skips terms of a dead half, each a +0.0 square or a ±0
-    register, so it computes the same doubles as ``adaptive_update`` and
-    ``bs_route``/``pbs_route``, which the Python loop runs for every case:
+    Two cases let the C kernel skip terms of a dead half, each a +0.0
+    square or a ±0 register, so it computes the same doubles as
+    ``adaptive_update`` and ``bs_route``/``pbs_route``, which the Python
+    loop runs for every case.  Each measured faster than the general case:
 
     - ``_BS1``: a beam splitter that no v half reaches; it updates and
       routes the h half alone.
     - ``_MERGE``: a PBS whose out-port 1 is dead (h only on in-port 0, v
       only on in-port 1).  Its p1 is +0.0, so p0/total is exactly 1.0 and
       port 0 always wins.  The kernel updates both halves, as
-      ``adaptive_update`` does, and counts the hop but draws no number (the
-      Python loop draws one and discards it); no other unit reads its
-      stream.
-    - ``_SPLIT``: a PBS that nothing reaches on in-port 1.  z0 is (z0h, 0)
-      and z1 is (0, z1v).
+      ``adaptive_update`` does, but draws no number (the Python loop draws
+      one and discards it); no other unit reads its stream.
 
-    Any other splitter keeps its case, ``_BS`` or ``_PBS``.  Returns the
-    sets, ``live[j][k]`` for in-port k of unit j; 0 marks a dead port, one
+    Any other splitter keeps its case, ``_BS`` or ``_PBS``; a PBS that
+    nothing reaches on in-port 1 keeps ``_PBS``, whose arithmetic is
+    ``pbs_route``'s, dead halves and all.  Returns the sets,
+    ``live[j][k]`` for in-port k of unit j; 0 marks a dead port, one
     no particle reaches.  Raises ``UnwiredPort`` for an unwired port that
     can emit a half, and ``QwalkError`` if a unit is never visited, which
     puts it on a cycle.
@@ -324,8 +324,6 @@ def _live_inputs(units: list, case: array, rank: array, dst: array,
             emitted = ((in0 & _H) | (in1 & _V), (in1 & _H) | (in0 & _V))
             if not emitted[1]:
                 case[j] = _MERGE
-            elif not in1:
-                case[j] = _SPLIT
         else:
             continue
         for port, halves in enumerate(emitted):
@@ -546,11 +544,13 @@ def _loop(plan: SimpleNamespace, tag: array, reg: array, n_particles: int,
     ``reg`` and writes the final ones back at its end.
 
     Every adaptive hop is ``adaptive_update`` followed by ``bs_route`` (case
-    _BS or _BS1) or ``pbs_route`` (_PBS, _SPLIT or _MERGE), with one number
-    drawn after the update; an edge multiplies both halves by its phase
-    factor, or applies ``hadamard_apply``.  The loop reads list copies
-    of the tables: reading an ``array`` makes a new int for every value
-    above 256.
+    _BS or _BS1) or ``pbs_route`` (_PBS or _MERGE), with one number drawn
+    after the update: the kernel's two dead-half cases, _BS1 and _MERGE,
+    which each measured faster in the kernel than the general case, run
+    here as the general case does.  An edge multiplies both halves by its
+    phase factor, or applies ``hadamard_apply``.  The loop reads list
+    copies of the tables: reading an ``array`` makes a new int for every
+    value above 256.
     """
     route = [bs_route if c in (_BS, _BS1) else pbs_route if c > _DETECTOR
              else None for c in plan.case]
@@ -685,8 +685,8 @@ def run(net: Network, n_particles: int, rng: RngStream,
     if fn is None:
         removed = _loop(plan, tag, reg, n_particles, rng, counts, t2)
     else:
-        removed, _arrivals = _kernel.run(fn, plan, tag, reg, n_particles,
-                                         rng.seed, counts, t2)
+        removed = _kernel.run(fn, plan, tag, reg, n_particles, rng.seed,
+                              counts, t2)
     if sum(counts) + removed != n_particles:
         raise QwalkError("conservation breach: emitted != detected + removed")
     hypot = math.hypot

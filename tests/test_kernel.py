@@ -1,5 +1,7 @@
 """The compiled event loop: its splitter cases, one build per source, a reported fallback."""
+import ast
 import ctypes
+import inspect
 import math
 import os
 import random
@@ -13,8 +15,8 @@ import pytest
 from qwalk import _kernel, core, network
 from qwalk.cli import main
 from qwalk.core import BeamSplitter, PolarizingBeamSplitter, RngStream
-from qwalk.network import (_BS, _BS1, _MERGE, _NONE, _PBS, _SPLIT, _fixed_point,
-                           _plan, build_jeong, build_robens, run)
+from qwalk.network import (_BS, _BS1, _MERGE, _NONE, _PBS, _fixed_point, _plan,
+                           build_jeong, build_robens, run)
 from test_network import (RUN_SHAPES, CountingRng, build_mixed, build_rejoined,
                           run_on_kernel, splice_hadamard, splitter_registers)
 
@@ -31,22 +33,22 @@ def adaptive_kinds(net):
 
 def test_only_polarization_free_networks_get_scalar_splitters():
     # the mesh routes a scalar message; a Hadamard on its source wire puts
-    # it back on the two-component branch.  The polarized walk's PBSs split
-    # (nothing reaches in-port 1) or merge (out-port 1 is dead, and exactly
-    # the merges leave it unwired); a PBS fed on both in-ports and emitting
-    # on both out-ports keeps the general one
+    # it back on the two-component branch.  The polarized walk's PBSs
+    # merge (out-port 1 is dead, and exactly the merges leave it unwired)
+    # or split; a split, fed on in-port 0 alone, keeps the general case, as
+    # does a PBS fed on both in-ports and emitting on both out-ports
     def kinds(net):
         return set(adaptive_kinds(net).values())
 
     assert kinds(build_jeong(4, PHI1, PHI2)) == {_BS1}
     assert kinds(build_mixed(4, PHI1, PHI2)) == {_BS}
     robens = build_robens(0.95)
-    assert kinds(robens) == {_SPLIT, _MERGE}
+    assert kinds(robens) == {_PBS, _MERGE}
     case = adaptive_kinds(robens)
     pbs = [u for u in robens.units if isinstance(u, PolarizingBeamSplitter)]
     assert ({id(u) for u in pbs if u.out[1] is None}
             == {id(u) for u in pbs if case[id(u)] == _MERGE})
-    assert kinds(build_rejoined()) == {_SPLIT, _PBS}
+    assert kinds(build_rejoined()) == {_PBS}
 
 
 @pytest.mark.parametrize("build", [lambda: build_jeong(4, PHI1, PHI2),
@@ -79,8 +81,8 @@ def test_cases_follow_add_and_connect():
 def test_kernel_seeds_only_the_units_that_draw(monkeypatch, build, seeded):
     # of the Robens network's 24 PBSs the 14 merges generate no number, so
     # the kernel derives seeds for the 10 splits alone; every splitter of
-    # the mesh draws.  Counts, registers and arrivals stay those of the
-    # Python loop, which derives a stream for every adaptive unit
+    # the mesh draws.  Counts and registers stay those of the Python loop,
+    # which derives a stream for every adaptive unit
     real, calls = core.derive_seed, []
 
     def counted(seed, *indices):
@@ -91,7 +93,7 @@ def test_kernel_seeds_only_the_units_that_draw(monkeypatch, build, seeded):
     expected = run(reference_net, 500, reference)
     net = build()
     monkeypatch.setattr(core, "derive_seed", counted)
-    result, arrivals = run_on_kernel(net, 500, 17)
+    result = run_on_kernel(net, 500, 17)
     case = _plan(net).case
     assert len(calls) == seeded
     assert calls == [(j,) for j, c in enumerate(case)
@@ -99,7 +101,6 @@ def test_kernel_seeds_only_the_units_that_draw(monkeypatch, build, seeded):
     assert result == expected
     assert (splitter_registers(net, result.registers)
             == splitter_registers(reference_net, expected.registers))
-    assert arrivals == reference.draws
     run_on_kernel(net, 1, 18)
     assert calls == 2 * calls[:seeded]  # looked up again by the next run
 
@@ -143,7 +144,7 @@ def test_plan_gives_each_unit_that_draws_its_own_stream(build, filters, taps):
     # any other unit and the sink have none.  Filters and taps change no
     # table of the plan
     plan = _plan(build())
-    drawing = [j for j, c in enumerate(plan.case) if c in (_BS, _PBS, _BS1, _SPLIT)]
+    drawing = [j for j, c in enumerate(plan.case) if c in (_BS, _PBS, _BS1)]
     assert plan.drawing == drawing
     assert plan.stream.typecode == "i"
     assert plan.stream.tolist() == [drawing.index(j) if j in drawing else _NONE
@@ -160,11 +161,29 @@ def test_kernel_codes_are_the_plans_and_the_loaders():
              for name, value in (item.split("=") for item in items)}
     expected = {"OK": 0, "FLYING": -1, "HELD": -2}
     expected |= {name: getattr(network, f"_{name}")
-                 for name in ("DETECTOR", "BS", "PBS", "BS1", "SPLIT", "MERGE",
+                 for name in ("DETECTOR", "BS", "PBS", "BS1", "MERGE",
                               "NONE", "ABSORB", "PASS", "HADAMARD", "PHASE")}
     expected |= {name: getattr(_kernel, f"_{name}")
                  for name in ("VANISHED", "UNTAPPED", "NO_MEMORY", "NOT_UNIT")}
     assert enums == expected
+
+
+def test_hop_has_one_arm_per_unit_case():
+    # every unit case network.py defines (the codes _plan and _live_inputs
+    # assign) has exactly one case arm in hop(), and every arm one of them:
+    # a case removed from network.py leaves no dead arm, and a case added
+    # there needs its arm
+    [codes] = [[target.id.lstrip("_") for target in node.targets[0].elts]
+               for node in ast.parse(inspect.getsource(network)).body
+               if isinstance(node, ast.Assign)
+               and isinstance(node.targets[0], ast.Tuple)
+               and "_DETECTOR" in [getattr(t, "id", None)
+                                   for t in node.targets[0].elts]]
+    source = re.sub(r"/\*.*?\*/", "", _kernel.SOURCE.read_text(), flags=re.S)
+    [body] = re.findall(r"^static inline int hop\(.*?^}$", source,
+                        flags=re.M | re.S)
+    arms = re.findall(r"\bcase\s+(\w+)\s*:", body)
+    assert sorted(arms) == sorted(codes)
 
 
 def test_loader_argtypes_match_the_kernels_prototype():
@@ -212,8 +231,9 @@ def test_fixed_point_of_the_largest_gamma_is_the_least_normal():
                                    lambda: build_robens(0.8)],
                          ids=["mesh", "robens"])
 def test_plan_marks_the_fixed_points_of_dead_ports(build):
-    # the mesh's top splitter and the splits of the polarized walk are fed
-    # on in-port 0 alone; every other port of theirs is live
+    # the mesh's top splitter and the splits of the polarized walk, its
+    # PBSs that do not merge, are fed on in-port 0 alone; every other port
+    # of theirs is live
     net = build()
     plan = _plan(net)
     t = 2 * math.ulp(0.0)
@@ -221,7 +241,7 @@ def test_plan_marks_the_fixed_points_of_dead_ports(build):
     dead = {(j, k) for j in range(len(net.units)) for k in (0, 1)
             if plan.fixed[2 * j + k] == t}
     top = plan.dst[plan.start]
-    fed_once = {j for j, c in enumerate(plan.case) if c == _SPLIT} | {top}
+    fed_once = {j for j, c in enumerate(plan.case) if c == _PBS} | {top}
     assert {(j, 1) for j in fed_once} <= dead
     assert all(plan.fixed[2 * j] == -1.0 for j in fed_once)
 
@@ -235,7 +255,7 @@ def test_loops_agree_past_a_subnormal_fixed_point(monkeypatch, build):
     # the kernel skips its product and square root; the Python loop does
     # them all
     net = build()
-    result, _arrivals = run_on_kernel(net, 5000, 8)
+    result = run_on_kernel(net, 5000, 8)
     assert any(0.0 < abs(x) < sys.float_info.min for x in result.registers)
     assert 2 * math.ulp(0.0) in result.registers
     on_kernel = splitter_registers(net, result.registers)

@@ -237,26 +237,23 @@ class CountingRng(RngStream):
         return child
 
 def run_on_kernel(net, n, seed, filters=(), taps=False):
-    """run() on the compiled kernel, with its arrivals at each adaptive unit.
+    """run() on the compiled kernel.
 
-    The arrival counts are keyed like ``CountingRng.draws``, since the
-    Python loop draws once per arrival; a kernel that does not load fails
-    the caller instead of being skipped.
+    A kernel that does not load fails the caller instead of being skipped.
     """
-    real, arrivals = _kernel.run, []
+    real, calls = _kernel.run, []
 
     def spy(*args):
-        removed, per_unit = real(*args)
-        arrivals.append({(j,): a for j, a in enumerate(per_unit) if a})
-        return removed, per_unit
+        calls.append(args)
+        return real(*args)
 
     _kernel.run = spy
     try:
         result = run(net, n, RngStream(seed), filters=filters, taps_enabled=taps)
     finally:
         _kernel.run = real
-    assert len(arrivals) == 1, "the compiled kernel did not run"
-    return result, arrivals[0]
+    assert len(calls) == 1, "the compiled kernel did not run"
+    return result
 
 finite_phases = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 
@@ -278,8 +275,7 @@ def test_compiled_loop_matches_reference_stepper(shape, gamma, seed, n):
     # loop, must reproduce, bit for bit, the walk that calls the core
     # functions unit by unit: counts, t2 table, removed tally and every
     # final register.  The Python loops draw from a unit's stream once per
-    # arrival (a merge too, although its port is fixed), and the kernel
-    # counts the same arrivals (a merge's without drawing).  The shapes
+    # arrival (a merge too, although its port is fixed).  The shapes
     # reach every case of the kernel (see tests/test_kernel.py), and the
     # revived mesh feeds splitters with a dead v half into ones where it
     # lives again.
@@ -300,9 +296,8 @@ def test_compiled_loop_matches_reference_stepper(shape, gamma, seed, n):
     counts, t2, removed, states = reference_run(net, n, reference, filters, taps)
     expected = {j: state_registers(state) for j, state in states.items()}
 
-    result, arrivals = run_on_kernel(net, n, seed, filters, taps)
+    result = run_on_kernel(net, n, seed, filters, taps)
     assert (result.counts, result.t2, result.removed) == (counts, t2, removed)
-    assert arrivals == reference.draws
     assert {j: registers(result.registers, j) for j in states} == expected
     on_kernel = splitter_registers(net, result.registers)
 
@@ -449,7 +444,7 @@ def test_python_loop_gives_identical_run_results(monkeypatch, build, filters, ta
     # with the loader stubbed as unavailable, run() takes the Python loop
     # and returns the kernel's result and registers
     net = build()
-    result, _arrivals = run_on_kernel(net, 3000, 99, filters, taps)
+    result = run_on_kernel(net, 3000, 99, filters, taps)
     on_kernel = splitter_registers(net, result.registers)
     monkeypatch.setattr(_kernel, "load", lambda: None)
     on_loop = run(net, 3000, RngStream(99), filters=filters, taps_enabled=taps)
@@ -528,7 +523,7 @@ def test_kernel_orders_particles_by_rank_not_by_hop_count(monkeypatch):
     seeds = range(20)
     on_kernel = []
     for seed in seeds:
-        result, _arrivals = run_on_kernel(net, 2000, seed)
+        result = run_on_kernel(net, 2000, seed)
         on_kernel.append((result.counts, splitter_registers(net, result.registers)))
     monkeypatch.setattr(_kernel, "load", lambda: None)
     for seed, expected in zip(seeds, on_kernel):
@@ -693,15 +688,15 @@ def test_counts_conserved_across_configurations():
         assert sum(result.counts.values()) + result.removed == 400
         assert sum(sum(row.values()) for row in result.t2.values()) + result.removed == 400
 
-@pytest.mark.parametrize("register,value,shown", [("w1", 0.7, "w0=0.55, w1=0.63,"),
-                                                  ("y1h", 3.0, "|y1|=3.0")])
+@pytest.mark.parametrize("register,value,shown", [("y1h", 3.0, "|y1|=3.0")])
 def test_corrupted_registers_stop_the_run(monkeypatch, capsys, register, value,
                                           shown):
     # unit 1 of the one-level mesh is its splitter; one particle enters it on
-    # port 0, which leaves w0 + w1 = 1.18 and |y1| = 3.0.  The corruption
-    # goes into the plan's template, which every run copies
+    # port 0, which leaves |y1| = 3.0.  The corruption goes into the plan's
+    # template, which every run copies.  A corrupted weight is the register
+    # breach of test_errors_keep_messages_and_exit_codes
     net = build_jeong(1, PHI1, PHI2, 0.9)
-    _plan(net).reg[10 * 1 + {"w1": 1, "y1h": 6}[register]] = value
+    _plan(net).reg[10 * 1 + {"y1h": 6}[register]] = value
     with pytest.raises(QwalkError,
                        match=r"^register invariant breach at BeamSplitter 1: ") as exc:
         run(net, 1, RngStream(1))
