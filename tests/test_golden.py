@@ -24,6 +24,24 @@ GOLDEN = [
      "bdb0ca386c1c27ed1107d4ab41a8bf4aa97b35778f514d2c8e2f6b049042acb1"),
     ("lgi", ("lgi", "--replicates", "2", "--particles", "2000", "--workers", "1"),
      "598e2397d6db84514f82475a02c121488c8903f00331b8e3919437c5d9a6ba50"),
+    # the JSON report of every command, and the summed replicates of both
+    # site commands
+    ("oracle_json", ("oracle", "--steps", "5", "--format", "json"),
+     "c1b3e29ed6cf49cc3989ff0782ecba3248198f18a8159cff9644f3f385a9c6bf"),
+    ("compare_jeong_json", ("compare", "--network", "jeong", "--steps", "6",
+                            "--gamma", "0.98", "--format", "json",
+                            "--particles", "2000"),
+     "2c11478ee619e3a9ce8ad37c77c577c64ff0208ada30b93a3bc9c90a2437af63"),
+    ("lgi_json", ("lgi", "--replicates", "2", "--particles", "2000",
+                  "--workers", "1", "--format", "json"),
+     "93383ded54b865f31a9da81cbec94e63fb9b3782710871ddca0ac8f54e8c2544"),
+    ("robens_plus_taps_replicates", ("robens", "--removal", "plus", "--taps",
+                                     "--replicates", "2", "--format", "json",
+                                     "--particles", "2000"),
+     "52e84957703bab6e4e8f8db6134bd673b1d726fc4e8ab08de2a7c354a50b048e"),
+    ("jeong_replicates_json", ("jeong", "--steps", "4", "--replicates", "3",
+                               "--format", "json", "--particles", "2000"),
+     "2b83f49ac5d9b67d0c6d2e8e13177d324cbfde2eaad5a4f4cffadea2f7f900c0"),
 ]
 
 
