@@ -8,10 +8,13 @@ Subcommands
     compare  DES vs theory difference report for either network
 
 Site reports use the CSV header ``site,count,frequency,oracle_probability``
-(for ``oracle`` the count/frequency columns are zero) or a JSON document
-``{config, results, metrics}``.  The seed resolves from --seed, then the
-QWALK_SEED environment variable, then a fixed default, so documented
-invocations are reproducible; ``--seed random`` opts into a fresh seed.
+(for ``oracle`` the count/frequency columns are zero).  Each command returns
+its results, metrics and CSV text; ``main`` assembles every JSON document
+``{config, results, metrics}`` from them, and a CSV job builds no JSON.
+The site commands share one replicate loop and one row builder.  The seed
+resolves from --seed, then the QWALK_SEED environment variable, then a fixed
+default, so documented invocations are reproducible; ``--seed random`` opts
+into a fresh seed.
 Identical configurations produce byte-identical outputs; files are written
 atomically (write-then-rename).
 """
@@ -23,20 +26,16 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, fields
 
 from .errors import (DegenerateAmplitude, EmptyRun, InsufficientReplicates,
                      QwalkError)
-from .core import RngStream, _INV_SQRT2
-from .leggett_garg import (
-    SINGLE_RUN,
-    THREE_RUN,
-    run_protocols,
-)
+from .core import RngStream
+from .leggett_garg import SINGLE_RUN, T2_BRANCHES, THREE_RUN, run_protocols
 from .network import (MAX_LEVELS, RemovalFilter, _MAX_PARTICLES, _compiled,
                       build_jeong, build_robens, run)
 from .theory import (
-    DOWN,
     MAX_ORACLE_STEPS,
     StateVector,
     UP,
@@ -202,49 +201,50 @@ def _config_echo(cfg: RunConfig) -> dict:
     return echo
 
 
-def _site_rows(counts: dict[int, int], emitted: int,
-               oracle: dict[int, float]) -> list[dict]:
-    sites = sorted(set(counts) | set(oracle))
-    return [{
+def _site_report(counts: dict[int, int], emitted: int, oracle: dict[int, float],
+                 /, **extra) -> tuple[dict, dict, str]:
+    """Results, metrics and CSV of detector counts next to exact probabilities.
+
+    The results hold one row per site and ``extra``.  A run's report adds
+    the particles it emitted, and metrics of its frequencies' distance to
+    the oracle.  The oracle command emits none: its counts and frequencies
+    are zero, and it adds its own metrics.
+    """
+    rows = [{
         "site": x,
         "count": counts.get(x, 0),
         "frequency": counts.get(x, 0) / emitted if emitted else 0.0,
         "oracle_probability": oracle.get(x, 0.0),
-    } for x in sites]
-
-
-def _site_metrics(rows: list[dict]) -> dict:
-    freq = {r["site"]: r["frequency"] for r in rows}
-    prob = {r["site"]: r["oracle_probability"] for r in rows}
-    return {
-        "total_variation": total_variation(freq, prob),
-        "max_abs_site_error": max(
+    } for x in sorted(set(counts) | set(oracle))]
+    results: dict = {"sites": rows, **extra}
+    metrics: dict = {}
+    if emitted:
+        results["emitted"] = emitted
+        metrics["total_variation"] = total_variation(
+            {r["site"]: r["frequency"] for r in rows},
+            {r["site"]: r["oracle_probability"] for r in rows})
+        metrics["max_abs_site_error"] = max(
             (abs(r["frequency"] - r["oracle_probability"]) for r in rows),
-            default=0.0),
-    }
+            default=0.0)
+    lines = [CSV_HEADER] + [
+        f"{r['site']},{r['count']},{r['frequency']!r},{r['oracle_probability']!r}"
+        for r in rows]
+    return results, metrics, "\n".join(lines) + "\n"
 
 
-def _csv_sites(rows: list[dict]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(f"{r['site']},{r['count']},{r['frequency']!r},"
-                     f"{r['oracle_probability']!r}")
-    return "\n".join(lines) + "\n"
-
-
-def _robens_oracle(removal: str) -> dict[int, float]:
-    if removal == "minus":  # x2=-1 branch kept: conditioned state at (-1, up)
-        _, probs = hadamard_walk(3, StateVector.basis(-1, UP, _INV_SQRT2))
-    elif removal == "plus":
-        _, probs = hadamard_walk(3, StateVector.basis(+1, DOWN, _INV_SQRT2))
-    else:
-        _, probs = hadamard_walk(4, StateVector.basis(0, UP))
-    return probs
-
-
-def _merge_counts(target: dict[int, int], extra: dict[int, int]) -> None:
-    for site, count in extra.items():
-        target[site] = target.get(site, 0) + count
+def _replicates(cfg: RunConfig, net, **options) -> tuple[Counter, dict, int]:
+    """Counts, t2 table and removed tally summed over the replicate runs."""
+    rng = RngStream(cfg.seed)
+    counts: Counter = Counter()
+    t2 = {-1: Counter(), +1: Counter()}
+    removed = 0
+    for r in range(cfg.replicates):
+        result = run(net, cfg.particles, rng.derive(r), **options)
+        counts.update(result.counts)
+        for x2, row in result.t2.items():
+            t2[x2].update(row)
+        removed += result.removed
+    return counts, t2, removed
 
 
 def _oracle_row(steps: int, phi1: float, phi2: float) -> dict[int, float]:
@@ -256,93 +256,59 @@ def _oracle_row(steps: int, phi1: float, phi2: float) -> dict[int, float]:
     return jeong_evolve(steps, phi1, phi2)[-1]
 
 
-def cmd_jeong(cfg: RunConfig) -> tuple[dict, str]:
+def cmd_jeong(cfg: RunConfig) -> tuple[dict, dict, str]:
     net = _compiled(build_jeong, cfg.steps, cfg.phi1, cfg.phi2, cfg.gamma)
-    rng = RngStream(cfg.seed)
-    counts: dict[int, int] = {}
-    for r in range(cfg.replicates):
-        result = run(net, cfg.particles, rng.derive(r))
-        _merge_counts(counts, result.counts)
-    emitted = cfg.particles * cfg.replicates
+    counts, _t2, _removed = _replicates(cfg, net)
     oracle = _compiled(_oracle_row, cfg.steps, cfg.phi1, cfg.phi2)
-    rows = _site_rows(counts, emitted, oracle)
-    report = {
-        "config": _config_echo(cfg),
-        "results": {"sites": rows, "emitted": emitted},
-        "metrics": _site_metrics(rows),
-    }
-    return report, _csv_sites(rows)
+    return _site_report(counts, cfg.particles * cfg.replicates, oracle)
 
 
-def cmd_robens(cfg: RunConfig) -> tuple[dict, str]:
+def cmd_robens(cfg: RunConfig) -> tuple[dict, dict, str]:
     net = _compiled(build_robens, cfg.gamma)
-    rng = RngStream(cfg.seed)
-    filters = []
-    if cfg.removal == "minus":
-        filters = [RemovalFilter("t2", +1)]
-    elif cfg.removal == "plus":
-        filters = [RemovalFilter("t2", -1)]
-    counts: dict[int, int] = {}
-    t2: dict[int, dict[int, int]] = {-1: {}, +1: {}}
-    removed = 0
-    for r in range(cfg.replicates):
-        result = run(net, cfg.particles, rng.derive(r), filters=filters,
-                     taps_enabled=cfg.taps)
-        _merge_counts(counts, result.counts)
-        removed += result.removed
-        for x2, row in result.t2.items():
-            _merge_counts(t2[x2], row)
+    # the branch x2 that the negative measurement at t2 keeps; it absorbs
+    # the other rail
+    kept = {"none": None, "minus": -1, "plus": +1}[cfg.removal]
+    filters = [] if kept is None else [RemovalFilter("t2", -kept)]
+    counts, t2, removed = _replicates(cfg, net, filters=filters,
+                                      taps_enabled=cfg.taps)
+    if kept is None:
+        _, oracle = hadamard_walk(4, StateVector.basis(0, UP))
+    else:  # the kept branch walks its last 3 steps from its t2 state
+        _, oracle = hadamard_walk(3, T2_BRANCHES[kept])
     emitted = cfg.particles * cfg.replicates
-    oracle = _robens_oracle(cfg.removal)
-    rows = _site_rows(counts, emitted, oracle)
-    results: dict = {"sites": rows, "emitted": emitted, "removed": removed}
+    extra: dict = {"removed": removed}
     if cfg.taps:
-        results["panels"] = {
+        extra["panels"] = {
             name: [{"site": x, "count": c, "frequency": c / emitted}
                    for x, c in sorted(t2[x2].items())]
             for name, x2 in (("t2_minus", -1), ("t2_plus", +1))}
-    report = {
-        "config": _config_echo(cfg),
-        "results": results,
-        "metrics": _site_metrics(rows),
-    }
-    return report, _csv_sites(rows)
+    return _site_report(counts, emitted, oracle, **extra)
 
 
-def cmd_oracle(cfg: RunConfig) -> tuple[dict, str]:
+def cmd_oracle(cfg: RunConfig) -> tuple[dict, dict, str]:
     if cfg.walk == "hadamard":
         _, probs = hadamard_walk(cfg.steps, StateVector.basis(0, UP))
     else:
         probs = jeong_evolve(cfg.steps, cfg.phi1, cfg.phi2)[-1]
-    rows = [{"site": x, "count": 0, "frequency": 0.0, "oracle_probability": p}
-            for x, p in sorted(probs.items())]
-    metrics: dict = {"probability_sum": sum(probs.values())}
+    results, metrics, csv_text = _site_report({}, 0, probs)
+    metrics["probability_sum"] = sum(probs.values())
     if cfg.walk == "jeong" and cfg.steps <= 5:
         closed = table1_closed_form(cfg.steps, cfg.phi2)
         metrics["closed_form_max_abs_diff"] = max(
             abs(probs.get(x, 0.0) - closed.get(x, 0.0))
             for x in set(probs) | set(closed))
-    report = {
-        "config": _config_echo(cfg),
-        "results": {"sites": rows},
-        "metrics": metrics,
-    }
-    return report, _csv_sites(rows)
+    return results, metrics, csv_text
 
 
-def cmd_compare(cfg: RunConfig) -> tuple[dict, str]:
-    if cfg.network == "robens":
-        report, csv_text = cmd_robens(
-            replace(cfg, mode="robens", network=None, removal="none"))
-    else:
-        report, csv_text = cmd_jeong(replace(cfg, mode="jeong", network=None))
-    report["config"] = _config_echo(cfg)
-    rows = report["results"]["sites"]
-    report["results"]["abs_errors"] = [
+def cmd_compare(cfg: RunConfig) -> tuple[dict, dict, str]:
+    # compare has no --removal or --taps, so robens runs its plain network
+    command = cmd_robens if cfg.network == "robens" else cmd_jeong
+    results, metrics, csv_text = command(cfg)
+    results["abs_errors"] = [
         {"site": r["site"],
          "abs_error": abs(r["frequency"] - r["oracle_probability"])}
-        for r in rows]
-    return report, csv_text
+        for r in results["sites"]]
+    return results, metrics, csv_text
 
 
 def _verdict(k: float, stderr: float) -> str:
@@ -358,7 +324,7 @@ def _excess_in_stderr(k: float, stderr: float) -> float:
     return math.copysign(math.inf, k - 1.0)
 
 
-def cmd_lgi(cfg: RunConfig, workers: int | None) -> tuple[dict, str]:
+def cmd_lgi(cfg: RunConfig, workers: int | None) -> tuple[dict, dict, str]:
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     rng = RngStream(cfg.seed)
@@ -376,38 +342,25 @@ def cmd_lgi(cfg: RunConfig, workers: int | None) -> tuple[dict, str]:
     except InsufficientReplicates as exc:
         # raised before any replicate runs: error bars need two of them
         raise ConfigError(f"lgi: {exc}") from exc
-    rows = []
+    lines = [LGI_CSV_HEADER]
     results: dict = {}
     for protocol, (aggregate, reps) in zip(protocols, outcomes):
-        verdict = _verdict(aggregate.k, aggregate.stderr)
-        comp = aggregate.components
-        rows.append({
-            "protocol": protocol, "K": aggregate.k, "stderr": aggregate.stderr,
-            "q3_mean": comp.q3_mean, "q3q2_mean": comp.q3q2_mean,
-            "p_plus": comp.p_plus, "p_minus": comp.p_minus,
-            "replicates": aggregate.replicates, "verdict": verdict,
-        })
+        k, stderr, comp = aggregate.k, aggregate.stderr, aggregate.components
+        verdict = _verdict(k, stderr)
+        lines.append(f"{protocol},{k!r},{stderr!r},{comp.q3_mean!r},"
+                     f"{comp.q3q2_mean!r},{comp.p_plus!r},{comp.p_minus!r},"
+                     f"{aggregate.replicates},{verdict}")
         results[protocol] = {
-            "K": aggregate.k, "stderr": aggregate.stderr,
+            "K": k, "stderr": stderr,
             "components": asdict(comp),
             "per_replicate_K": [r.k for r in reps],
             "verdict": verdict,
         }
-        sigmas = _excess_in_stderr(aggregate.k, aggregate.stderr)
-        print(f"{protocol}: K = {aggregate.k:.4f} +- {aggregate.stderr:.4f}  "
+        sigmas = _excess_in_stderr(k, stderr)
+        print(f"{protocol}: K = {k:.4f} +- {stderr:.4f}  "
               f"-> {verdict} (K - 1 = {sigmas:+.1f} stderr)", file=sys.stderr)
-    report = {
-        "config": _config_echo(cfg),
-        "results": results,
-        "metrics": {"verdicts": {r["protocol"]: r["verdict"] for r in rows}},
-    }
-    lines = [LGI_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r['protocol']},{r['K']!r},{r['stderr']!r},{r['q3_mean']!r},"
-            f"{r['q3q2_mean']!r},{r['p_plus']!r},{r['p_minus']!r},"
-            f"{r['replicates']},{r['verdict']}")
-    return report, "\n".join(lines) + "\n"
+    metrics = {"verdicts": {p: r["verdict"] for p, r in results.items()}}
+    return results, metrics, "\n".join(lines) + "\n"
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -420,7 +373,7 @@ def _write_output(text: str, out: str | None) -> None:
         mode = os.stat(out).st_mode & 0o7777
     except FileNotFoundError:
         mode = None
-    directory = os.path.dirname(os.path.abspath(out))
+    directory = os.path.dirname(out) or os.curdir
     tmp = os.path.join(directory, f".qwalk-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
@@ -449,15 +402,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _config_from_args(args)
         if cfg.mode == "jeong":
-            report, csv_text = cmd_jeong(cfg)
+            results, metrics, text = cmd_jeong(cfg)
         elif cfg.mode == "robens":
-            report, csv_text = cmd_robens(cfg)
+            results, metrics, text = cmd_robens(cfg)
         elif cfg.mode == "oracle":
-            report, csv_text = cmd_oracle(cfg)
+            results, metrics, text = cmd_oracle(cfg)
         elif cfg.mode == "compare":
-            report, csv_text = cmd_compare(cfg)
+            results, metrics, text = cmd_compare(cfg)
         else:
-            report, csv_text = cmd_lgi(cfg, getattr(args, "workers", None))
+            results, metrics, text = cmd_lgi(cfg, args.workers)
     except ConfigError as exc:
         print(f"qwalk: configuration error: {exc}", file=sys.stderr)
         return 2
@@ -473,18 +426,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"qwalk: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if cfg.format == "json":
+        report = {"config": _config_echo(cfg), "results": results,
+                  "metrics": metrics}
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    else:
-        text = csv_text
-    out = getattr(args, "out", None)
     try:
-        _write_output(text, out)
+        _write_output(text, args.out)
     except OSError as exc:
-        print(f"qwalk: cannot write {out or 'stdout'}: {exc.strerror or exc}",
+        target = "stdout" if args.out is None else args.out
+        print(f"qwalk: cannot write {target}: {exc.strerror or exc}",
               file=sys.stderr)
         return 2
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -27,12 +27,18 @@ import os
 import statistics
 from dataclasses import dataclass
 
-from .core import RngStream
+from .core import RngStream, _INV_SQRT2
 from .errors import EmptyRun, InsufficientReplicates
 from .network import RemovalFilter, _compiled, build_robens, run
+from .theory import DOWN, StateVector, UP, hadamard_walk
 
 THREE_RUN = "three_run"
 SINGLE_RUN = "single_run"
+
+#: the walk's state on each branch x2 at t2: the first Hadamard step from
+#: (0, up) leaves amplitude 1/sqrt(2) at (-1, up) and at (+1, down)
+T2_BRANCHES = {-1: StateVector.basis(-1, UP, _INV_SQRT2),
+               +1: StateVector.basis(+1, DOWN, _INV_SQRT2)}
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,29 @@ def k_single_run(t2_table: dict[int, dict[int, int]],
     k = 1.0 + q3q2_mean - q3_mean
     return LgiResult(k, 0.0, SINGLE_RUN,
                      LgiComponents(q3_mean, q3q2_mean, n_plus / n, n_minus / n), 1)
+
+
+def _exact_q3(state: StateVector, steps: int) -> tuple[float, float]:
+    """(probability, <Q(t3)>) of ``state`` walked ``steps`` Hadamard steps on."""
+    _, probs = hadamard_walk(steps, state)
+    p = sum(probs.values())
+    return p, sum(q3_of_site(x) * px for x, px in probs.items()) / p
+
+
+def k_quantum() -> float:
+    """The exact quantum K of the four-jump walk, from the state vectors.
+
+    K = 1 + sum over x2 of P(x2) <Q(t3)>_{x2} - <Q(t3)>, where the
+    unconditioned walk takes 4 steps from (0, up) and branch x2 its last 3
+    from ``T2_BRANCHES[x2]``.  The three-run protocol estimates this K;
+    it exceeds the bound: 1 + (-3/4 + 1/2)/2 + 5/8 = 3/2.
+    """
+    _, q3_mean = _exact_q3(StateVector.basis(0, UP), 4)
+    q3q2_mean = 0.0
+    for state in T2_BRANCHES.values():
+        p, q3 = _exact_q3(state, 3)
+        q3q2_mean += p * q3
+    return 1.0 + q3q2_mean - q3_mean
 
 
 def replicate_stats(values: list[float]) -> tuple[float, float]:

@@ -332,6 +332,15 @@ def test_unwritable_out_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["a_directory"]
     assert list(target.iterdir()) == []
 
+def test_empty_out_is_named_as_given(tmp_path, monkeypatch, capsys):
+    # an empty --out names no file; it is not stdout, and the temp file,
+    # written in the working directory, is removed
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "jeong", "--particles", "10", "--out", "")
+    assert (code, out) == (2, "")
+    assert err == "qwalk: cannot write : No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
 def test_out_file_mode_is_that_of_a_plain_open(tmp_path, capsys):
     argv = ["oracle", "--steps", "3", "--out"]
     new, kept = tmp_path / "new.csv", tmp_path / "kept.csv"

@@ -11,9 +11,12 @@ from qwalk.core import RngStream
 from qwalk.errors import EmptyRun, InsufficientReplicates
 from qwalk.leggett_garg import (
     SINGLE_RUN,
+    T2_BRANCHES,
     THREE_RUN,
     LgiComponents,
     LgiResult,
+    _exact_q3,
+    k_quantum,
     k_single_run,
     k_three_run,
     q3_of_site,
@@ -23,6 +26,7 @@ from qwalk.leggett_garg import (
     three_run_replicate,
 )
 from qwalk.network import build_jeong, run
+from qwalk.theory import StateVector, UP, hadamard_walk
 
 
 # --- readout ------------------------------------------------------------------
@@ -135,6 +139,22 @@ def classical_three_run_k() -> Fraction:
 
 def test_classical_walk_saturates_but_never_violates():
     assert classical_three_run_k() == 1
+
+
+# --- exact quantum K -----------------------------------------------------------------
+
+def test_t2_branches_are_the_first_step_of_the_walk():
+    state, _ = hadamard_walk(1, StateVector.basis(0, UP))
+    branches = {**T2_BRANCHES[-1].amplitudes, **T2_BRANCHES[+1].amplitudes}
+    assert state.amplitudes == pytest.approx(branches, abs=1e-15)
+
+def test_exact_quantum_k_is_three_halves():
+    # P(x2 = +-1) = 1/2; <Q3> = -0.625, and -0.75 and +0.5 on the branches
+    assert _exact_q3(StateVector.basis(0, UP), 4) == pytest.approx((1.0, -0.625),
+                                                                  abs=1e-12)
+    assert _exact_q3(T2_BRANCHES[-1], 3) == pytest.approx((0.5, -0.75), abs=1e-12)
+    assert _exact_q3(T2_BRANCHES[+1], 3) == pytest.approx((0.5, 0.5), abs=1e-12)
+    assert k_quantum() == pytest.approx(1.5, abs=1e-12)
 
 
 # --- protocol drivers (small sizes; full sizes run in the acceptance suite) ----
