@@ -13,7 +13,9 @@ processes building it at the same time do not clash.
 Nothing happens at ``import qwalk``: the first ``run`` loads the library,
 and threads that start their first runs together wait for that one load.
 When it cannot be built or loaded, one ``qwalk:`` line on stderr says so,
-once per process, and runs use the Python loop.
+once per process, and runs use the Python loop.  The compiler's modules,
+``subprocess`` and ``tempfile``, are imported only on a cache miss, so a
+process that finds the library cached never loads them.
 """
 from __future__ import annotations
 
@@ -21,9 +23,7 @@ import ctypes
 import functools
 import hashlib
 import os
-import subprocess
 import sys
-import tempfile
 import threading
 from array import array
 from pathlib import Path
@@ -55,6 +55,9 @@ def library_path() -> Path:
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
     path = cache / "qwalk" / f"_kernel-{key.hexdigest()[:20]}.so"
     if not path.exists():
+        import subprocess  # only a cache miss runs the compiler
+        import tempfile
+
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=path.parent)
         os.close(fd)
@@ -76,7 +79,11 @@ _load_lock = threading.Lock()
 def _load():
     try:
         fn = ctypes.CDLL(str(library_path())).qwalk_run
-    except (OSError, subprocess.SubprocessError) as exc:
+    except Exception as exc:
+        import subprocess  # imported already if the compiler ran
+
+        if not isinstance(exc, (OSError, subprocess.SubprocessError)):
+            raise
         print(f"qwalk: compiled event loop unavailable ({exc}); "
               "using the Python loop", file=sys.stderr)
         return None

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 from .errors import (DegenerateAmplitude, EmptyRun, InsufficientReplicates,
                      QwalkError)
@@ -54,8 +53,7 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to exit code 2."""
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """One resolved invocation; the field defaults are the CLI's defaults."""
 
     mode: str
@@ -121,12 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qwalk",
         description="Event-by-event quantum-walk simulator with exact theory reference.")
     sub = parser.add_subparsers(dest="mode", required=True)
+    # on a NamedTuple, RunConfig.particles is the field's accessor
+    defaults = RunConfig._field_defaults
 
     def add_common(p: argparse.ArgumentParser,
-                   replicates_default=RunConfig.replicates) -> None:
-        p.add_argument("--particles", type=int, default=RunConfig.particles,
+                   replicates_default=defaults["replicates"]) -> None:
+        p.add_argument("--particles", type=int, default=defaults["particles"],
                        help="particles per run (default %(default)s)")
-        p.add_argument("--gamma", type=float, default=RunConfig.gamma,
+        p.add_argument("--gamma", type=float, default=defaults["gamma"],
                        help="learning rate of the adaptive units, in [0,1) "
                             "(default %(default)s; 0 gives the classical walk)")
         p.add_argument("--seed", default=None,
@@ -135,15 +135,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--replicates", type=int, default=replicates_default,
                        help="independent replicate runs (default %(default)s)")
         p.add_argument("--format", choices=("csv", "json"),
-                       default=RunConfig.format)
+                       default=defaults["format"])
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     def add_mesh_params(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--steps", type=int, default=RunConfig.steps,
+        p.add_argument("--steps", type=int, default=defaults["steps"],
                        help="walk steps / mesh levels (default %(default)s)")
-        p.add_argument("--phi1", type=float, default=RunConfig.phi1,
+        p.add_argument("--phi1", type=float, default=defaults["phi1"],
                        help="phase on the up input rail (default pi/2)")
-        p.add_argument("--phi2", type=float, default=RunConfig.phi2,
+        p.add_argument("--phi2", type=float, default=defaults["phi2"],
                        help="phase on the down output rail (default -pi/2)")
 
     p = sub.add_parser("jeong", help="beam-splitter mesh walk vs exact theory")
@@ -152,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("robens", help="four-jump polarized walk")
     p.add_argument("--removal", choices=("none", "plus", "minus"),
-                   default=RunConfig.removal,
+                   default=defaults["removal"],
                    help="negative measurement at t2: 'minus' keeps the x2=-1 "
                         "branch (absorbs the +1 rail), 'plus' keeps x2=+1")
     p.add_argument("--taps", action="store_true",
@@ -184,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """The subcommand's options; a field it has no option for keeps its default."""
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-             if hasattr(args, f.name)}
+    given = {name: getattr(args, name) for name in RunConfig._fields
+             if hasattr(args, name)}
     given["seed"] = _resolve_seed(args.seed)
     cfg = RunConfig(**given)
     cfg.validate()
@@ -193,7 +193,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    echo = asdict(cfg)
+    echo = cfg._asdict()
     if cfg.walk is None:
         echo.pop("walk")
     if cfg.network is None:
@@ -352,7 +352,7 @@ def cmd_lgi(cfg: RunConfig, workers: int | None) -> tuple[dict, dict, str]:
                      f"{aggregate.replicates},{verdict}")
         results[protocol] = {
             "K": k, "stderr": stderr,
-            "components": asdict(comp),
+            "components": comp._asdict(),
             "per_replicate_K": [r.k for r in reps],
             "verdict": verdict,
         }
@@ -426,6 +426,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"qwalk: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if cfg.format == "json":
+        import json  # only a JSON report reads it
+
         report = {"config": _config_echo(cfg), "results": results,
                   "metrics": metrics}
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"

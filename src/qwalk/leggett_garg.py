@@ -24,8 +24,7 @@ on a pool of threads; error bars are standard errors over replicates.
 from __future__ import annotations
 
 import os
-import statistics
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import RngStream, _INV_SQRT2
 from .errors import EmptyRun, InsufficientReplicates
@@ -41,16 +40,14 @@ T2_BRANCHES = {-1: StateVector.basis(-1, UP, _INV_SQRT2),
                +1: StateVector.basis(+1, DOWN, _INV_SQRT2)}
 
 
-@dataclass(frozen=True)
-class LgiComponents:
+class LgiComponents(NamedTuple):
     q3_mean: float
     q3q2_mean: float
     p_plus: float
     p_minus: float
 
 
-@dataclass(frozen=True)
-class LgiResult:
+class LgiResult(NamedTuple):
     k: float
     stderr: float
     protocol: str
@@ -154,6 +151,8 @@ def k_quantum() -> float:
 
 def replicate_stats(values: list[float]) -> tuple[float, float]:
     """Sample mean and standard error of the mean over replicate values."""
+    import statistics  # with fractions and decimal: only lgi reads it
+
     if len(values) < 2:
         raise InsufficientReplicates(
             f"need at least 2 replicates, got {len(values)}")
@@ -195,6 +194,8 @@ def _replicate_worker(args: tuple[str, int, int, float]) -> LgiResult:
 
 def _aggregate(protocol: str,
                results: list[LgiResult]) -> tuple[LgiResult, list[LgiResult]]:
+    import statistics
+
     _mean_k, stderr = replicate_stats([r.k for r in results])
     comps = LgiComponents(
         statistics.fmean(r.components.q3_mean for r in results),

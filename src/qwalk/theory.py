@@ -17,8 +17,7 @@ classical binomial baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import _INV_SQRT2, _check_int, _check_phases
 from .errors import UnsupportedStep
@@ -29,11 +28,10 @@ DOWN = 1  # moves to x+1; maps to v polarization
 MAX_ORACLE_STEPS = 20
 
 
-@dataclass
-class StateVector:
+class StateVector(NamedTuple):
     """Map (site, spin) -> complex amplitude over the occupied lattice points."""
 
-    amplitudes: dict[tuple[int, int], complex] = field(default_factory=dict)
+    amplitudes: dict[tuple[int, int], complex]
 
     @classmethod
     def basis(cls, x: int, spin: int, amplitude: complex = 1.0 + 0.0j) -> "StateVector":

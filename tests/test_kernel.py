@@ -4,6 +4,7 @@ import ctypes
 import inspect
 import math
 import os
+import pathlib
 import random
 import re
 import subprocess
@@ -283,7 +284,9 @@ def compiles(monkeypatch):
         calls.append(cmd)
         return real(cmd, **kwargs)
 
-    monkeypatch.setattr(_kernel.subprocess, "run", counted)
+    # _kernel imports subprocess only to compile, so the patch goes on the
+    # module it reads then
+    monkeypatch.setattr(subprocess, "run", counted)
     return calls
 
 
@@ -291,6 +294,40 @@ def test_import_loads_no_kernel():
     code = ("import sys, qwalk, qwalk.cli; "
             "sys.exit(bool({'ctypes', 'qwalk._kernel'} & set(sys.modules)))")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def modules_after(code: str) -> set[str]:
+    """The modules a fresh ``python -S`` has loaded after running ``code``.
+
+    ``-S`` keeps ``site`` from loading modules that would hide qwalk's own.
+    """
+    env = {**os.environ,
+           "PYTHONPATH": str(pathlib.Path(_kernel.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", f"{code}\nimport sys; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    return set(done.stdout.split())
+
+
+def test_import_loads_only_what_every_command_runs():
+    # dataclasses pulls in inspect, statistics pulls in fractions and
+    # decimal; only lgi reads statistics, only a JSON report json, and
+    # only a compile subprocess and tempfile
+    late = {"dataclasses", "inspect", "statistics", "json", "subprocess",
+            "tempfile"}
+    assert not late & modules_after("import qwalk, qwalk.cli")
+
+
+def test_cached_kernel_runs_without_the_compilers_modules():
+    assert _kernel.load() is not None  # builds the library if it is missing
+    code = textwrap.dedent("""
+        from qwalk import _kernel
+        from qwalk.core import RngStream
+        from qwalk.network import build_jeong, run
+        assert _kernel.load() is not None
+        assert sum(run(build_jeong(2, 1.5, -1.5), 10, RngStream(1)).counts.values()) == 10
+    """)
+    assert not {"subprocess", "tempfile"} & modules_after(code)
 
 
 def test_compile_flags_keep_pythons_float_arithmetic():
