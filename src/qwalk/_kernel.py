@@ -6,10 +6,11 @@ stream is a plain ``RngStream``; the kernel reproduces the Python loop
 loops read one set of tables, the ``array``s of ``network._plan`` in the
 codes ``network.py`` defines, which the kernel takes as they are.  The
 library is built once per machine and per source with the C compiler
-``cc``: the file is keyed by the sha256 of the C source and the compile
-command, lives in ``$XDG_CACHE_HOME/qwalk`` (default ``~/.cache/qwalk``),
-and is written to a temporary file first and moved into place, so
-processes building it at the same time do not clash.
+``cc``: the file is keyed by the blake2b of the C source and the compile
+command (the builtin blake2b that ``core`` seeds with, so no process loads
+``hashlib`` or OpenSSL), lives in ``$XDG_CACHE_HOME/qwalk`` (default
+``~/.cache/qwalk``), and is written to a temporary file first and moved into
+place, so processes building it at the same time do not clash.
 Nothing happens at ``import qwalk``: the first ``run`` loads the library,
 and threads that start their first runs together wait for that one load.
 When it cannot be built or loaded, one ``qwalk:`` line on stderr says so,
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import os
 import sys
 import threading
@@ -50,7 +50,7 @@ _VANISHED, _UNTAPPED, _NO_MEMORY, _NOT_UNIT = 1, 2, 3, 4
 
 def library_path() -> Path:
     """The cached library for this source and command, compiled if missing."""
-    key = hashlib.sha256(SOURCE.read_bytes())
+    key = core.blake2b(SOURCE.read_bytes())
     key.update("\0".join(COMPILE).encode())
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
     path = cache / "qwalk" / f"_kernel-{key.hexdigest()[:20]}.so"

@@ -30,10 +30,12 @@ exactly 0.0 and particles are conserved exactly.
 """
 from __future__ import annotations
 
-import hashlib
 import math
-import random
 from typing import NamedTuple
+
+# hashlib's blake2b is this builtin one; importing hashlib would also load
+# OpenSSL, which nothing here uses
+from _blake2 import blake2b
 
 from .errors import DegenerateAmplitude, QwalkError
 
@@ -41,6 +43,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _MIN_NORMAL = 2.0 ** -1022
 _UPSCALE = 2.0 ** 600
 _MASK64 = (1 << 64) - 1
+#: the most particles one run takes: the C kernel counts them in a long long
+_MAX_PARTICLES = 2 ** 63 - 1
 
 
 class Message(NamedTuple):
@@ -56,7 +60,7 @@ SOURCE_MESSAGE = Message(1.0 + 0.0j, 0.0 + 0.0j)
 
 #: the state every child seed's hash starts from: a copy is cheaper than a
 #: new blake2b
-_BLAKE2B_8 = hashlib.blake2b(digest_size=8)
+_BLAKE2B_8 = blake2b(digest_size=8)
 
 
 def derive_seed(seed: int, *indices: int) -> int:
@@ -96,6 +100,8 @@ class RngStream:
         # called only while a slot is unset, that is before the first use
         if name not in ("_gen", "random"):
             raise AttributeError(name)
+        import random  # only the Python loop draws from the generator
+
         self._gen = random.Random(self.seed)
         self.random = self._gen.random  # bound method, hot path
         return getattr(self, name)

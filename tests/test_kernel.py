@@ -312,10 +312,37 @@ def modules_after(code: str) -> set[str]:
 def test_import_loads_only_what_every_command_runs():
     # dataclasses pulls in inspect, statistics pulls in fractions and
     # decimal; only lgi reads statistics, only a JSON report json, and
-    # only a compile subprocess and tempfile
+    # only a compile subprocess and tempfile.  hashlib loads OpenSSL for
+    # a blake2b that _blake2 has, random serves only the Python loop,
+    # and only the commands that run a network or lgi load their modules
     late = {"dataclasses", "inspect", "statistics", "json", "subprocess",
-            "tempfile"}
+            "tempfile", "hashlib", "_hashlib", "random", "qwalk.network",
+            "qwalk.leggett_garg"}
     assert not late & modules_after("import qwalk, qwalk.cli")
+
+
+def cli_modules(*argv: str) -> set[str]:
+    """The modules a fresh process has loaded after one ``main(argv)``."""
+    return modules_after("import os; from qwalk.cli import main\n"
+                         f"assert main([*{argv!r}, '--out', os.devnull]) == 0")
+
+
+def test_oracle_loads_no_network():
+    assert not {"qwalk.network", "qwalk._kernel", "ctypes"} & cli_modules(
+        "oracle", "--steps", "5")
+
+
+def test_jeong_on_the_cached_kernel_loads_no_hash_library_or_lgi():
+    assert _kernel.load() is not None  # builds the library if it is missing
+    loaded = cli_modules("jeong", "--steps", "7", "--particles", "100")
+    assert "qwalk._kernel" in loaded
+    assert not {"hashlib", "_hashlib", "random", "qwalk.leggett_garg",
+                "subprocess", "tempfile"} & loaded
+
+
+def test_lgi_loads_its_module():
+    assert "qwalk.leggett_garg" in cli_modules(
+        "lgi", "--particles", "300", "--replicates", "2", "--workers", "1")
 
 
 def test_cached_kernel_runs_without_the_compilers_modules():
@@ -328,6 +355,17 @@ def test_cached_kernel_runs_without_the_compilers_modules():
         assert sum(run(build_jeong(2, 1.5, -1.5), 10, RngStream(1)).counts.values()) == 10
     """)
     assert not {"subprocess", "tempfile"} & modules_after(code)
+
+
+def test_seeds_and_the_library_key_are_hashlibs_blake2b():
+    # core takes blake2b from _blake2 so that no command loads OpenSSL;
+    # it is the object hashlib hands out, so every seed stays the same
+    import hashlib
+
+    assert core.blake2b is hashlib.blake2b
+    key = hashlib.blake2b(_kernel.SOURCE.read_bytes())
+    key.update("\0".join(_kernel.COMPILE).encode())
+    assert _kernel.library_path().name == f"_kernel-{key.hexdigest()[:20]}.so"
 
 
 def test_compile_flags_keep_pythons_float_arithmetic():
