@@ -10,48 +10,31 @@ non-invasive single-run measurement protocols are included.
 The top level exports what the demos and the README example use, plus the
 per-hop routing functions; everything else lives in ``qwalk.core``,
 ``qwalk.network``, ``qwalk.theory``, ``qwalk.leggett_garg`` and
-``qwalk.errors``.  Importing the package runs no submodule: each top-level
-name, and each submodule read as an attribute (``qwalk.network``), imports
-its module the first time it is read, so ``import qwalk.cli`` loads only
-what the CLI imports.
+``qwalk.errors``.
 """
 
-import sys
+from .core import RngStream, adaptive_update, bs_route, derive_seed, pbs_route
+from .errors import QwalkError
+from .leggett_garg import SINGLE_RUN, THREE_RUN, run_protocol
+from .network import RemovalFilter, build_jeong, build_robens, run
+from .theory import (
+    DOWN,
+    StateVector,
+    UP,
+    hadamard_walk,
+    jeong_evolve,
+    srw_distribution,
+    total_variation,
+)
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    "core": ("RngStream", "adaptive_update", "bs_route", "derive_seed",
-             "pbs_route"),
-    "errors": ("QwalkError",),
-    "leggett_garg": ("SINGLE_RUN", "THREE_RUN", "run_protocol"),
-    "network": ("RemovalFilter", "build_jeong", "build_robens", "run"),
-    "theory": ("DOWN", "StateVector", "UP", "hadamard_walk", "jeong_evolve",
-               "srw_distribution", "total_variation"),
-}
-#: the submodule each top-level name comes from
-_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("cli", *_EXPORTS)
-
-__all__ = [*_HOMES, "__version__"]
-
-
-def _submodule(name: str):
-    module = f"{__name__}.{name}"
-    __import__(module)  # which returns the package, not the submodule
-    return sys.modules[module]
-
-
-def __getattr__(name: str):
-    # runs only for a name not bound yet: an imported submodule is bound on
-    # the package, and a top-level name is kept once read
-    if name in _SUBMODULES:
-        return _submodule(name)
-    if name not in _HOMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(_submodule(_HOMES[name]), name)
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+__all__ = [
+    "RngStream", "adaptive_update", "bs_route", "derive_seed", "pbs_route",
+    "QwalkError",
+    "SINGLE_RUN", "THREE_RUN", "run_protocol",
+    "RemovalFilter", "build_jeong", "build_robens", "run",
+    "DOWN", "StateVector", "UP", "hadamard_walk", "jeong_evolve",
+    "srw_distribution", "total_variation",
+    "__version__",
+]

@@ -11,12 +11,10 @@ Site reports use the CSV header ``site,count,frequency,oracle_probability``
 (for ``oracle`` the count/frequency columns are zero).  Each command returns
 its results, metrics and CSV text; ``main`` assembles every JSON document
 ``{config, results, metrics}`` from them, and a CSV job builds no JSON.
-The site commands share one replicate loop and one row builder.  A command
-imports ``network`` and ``leggett_garg`` only if it runs them, so a fresh
-process loads no more than its command needs.  The seed resolves from
---seed, then the QWALK_SEED environment variable, then a fixed default, so
-documented invocations are reproducible; ``--seed random`` opts into a fresh
-seed.
+The site commands share one replicate loop and one row builder.  The seed
+resolves from --seed, then the QWALK_SEED environment variable, then a fixed
+default, so documented invocations are reproducible; ``--seed random`` opts
+into a fresh seed.
 Identical configurations produce byte-identical outputs; files are written
 atomically (write-then-rename).
 """
@@ -32,10 +30,12 @@ from typing import NamedTuple
 
 from .errors import (DegenerateAmplitude, EmptyRun, InsufficientReplicates,
                      QwalkError)
-from .core import _MAX_PARTICLES, RngStream
+from .core import RngStream
+from .leggett_garg import SINGLE_RUN, T2_BRANCHES, THREE_RUN, run_protocols
+from .network import (MAX_LEVELS, RemovalFilter, _MAX_PARTICLES, _compiled,
+                      build_jeong, build_robens, run)
 from .theory import (
     MAX_ORACLE_STEPS,
-    T2_BRANCHES,
     StateVector,
     UP,
     hadamard_walk,
@@ -84,16 +84,12 @@ class RunConfig(NamedTuple):
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+        mesh_bound = MAX_ORACLE_STEPS if self.mode == "oracle" else MAX_LEVELS
         runs_mesh = (self.mode in ("jeong", "oracle")
                      or (self.mode == "compare" and self.network == "jeong"))
-        if runs_mesh and self.walk != "hadamard":
-            if self.mode == "oracle":  # runs no network, so loads none
-                mesh_bound = MAX_ORACLE_STEPS
-            else:
-                from .network import MAX_LEVELS as mesh_bound
-            if self.steps > mesh_bound:
-                raise ConfigError(f"steps must be <= {mesh_bound} for this "
-                                  f"mode, got {self.steps}")
+        if runs_mesh and self.walk != "hadamard" and self.steps > mesh_bound:
+            raise ConfigError(
+                f"steps must be <= {mesh_bound} for this mode, got {self.steps}")
 
 
 def _resolve_seed(raw: str | None) -> int:
@@ -238,7 +234,6 @@ def _site_report(counts: dict[int, int], emitted: int, oracle: dict[int, float],
 
 def _replicates(cfg: RunConfig, net, **options) -> tuple[Counter, dict, int]:
     """Counts, t2 table and removed tally summed over the replicate runs."""
-    from .network import run
     rng = RngStream(cfg.seed)
     counts: Counter = Counter()
     t2 = {-1: Counter(), +1: Counter()}
@@ -262,7 +257,6 @@ def _oracle_row(steps: int, phi1: float, phi2: float) -> dict[int, float]:
 
 
 def cmd_jeong(cfg: RunConfig) -> tuple[dict, dict, str]:
-    from .network import _compiled, build_jeong
     net = _compiled(build_jeong, cfg.steps, cfg.phi1, cfg.phi2, cfg.gamma)
     counts, _t2, _removed = _replicates(cfg, net)
     oracle = _compiled(_oracle_row, cfg.steps, cfg.phi1, cfg.phi2)
@@ -270,7 +264,6 @@ def cmd_jeong(cfg: RunConfig) -> tuple[dict, dict, str]:
 
 
 def cmd_robens(cfg: RunConfig) -> tuple[dict, dict, str]:
-    from .network import RemovalFilter, _compiled, build_robens
     net = _compiled(build_robens, cfg.gamma)
     # the branch x2 that the negative measurement at t2 keeps; it absorbs
     # the other rail
@@ -332,7 +325,6 @@ def _excess_in_stderr(k: float, stderr: float) -> float:
 
 
 def cmd_lgi(cfg: RunConfig, workers: int | None) -> tuple[dict, dict, str]:
-    from .leggett_garg import SINGLE_RUN, THREE_RUN, run_protocols
     if workers is not None and workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     rng = RngStream(cfg.seed)

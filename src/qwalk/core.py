@@ -43,8 +43,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _MIN_NORMAL = 2.0 ** -1022
 _UPSCALE = 2.0 ** 600
 _MASK64 = (1 << 64) - 1
-#: the most particles one run takes: the C kernel counts them in a long long
-_MAX_PARTICLES = 2 ** 63 - 1
 
 
 class Message(NamedTuple):

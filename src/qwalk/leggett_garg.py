@@ -26,13 +26,18 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-from .core import RngStream
+from .core import RngStream, _INV_SQRT2
 from .errors import EmptyRun, InsufficientReplicates
 from .network import RemovalFilter, _compiled, build_robens, run
-from .theory import T2_BRANCHES, StateVector, UP, hadamard_walk
+from .theory import DOWN, StateVector, UP, hadamard_walk
 
 THREE_RUN = "three_run"
 SINGLE_RUN = "single_run"
+
+#: the walk's state on each branch x2 at t2: the first Hadamard step from
+#: (0, up) leaves amplitude 1/sqrt(2) at (-1, up) and at (+1, down)
+T2_BRANCHES = {-1: StateVector.basis(-1, UP, _INV_SQRT2),
+               +1: StateVector.basis(+1, DOWN, _INV_SQRT2)}
 
 
 class LgiComponents(NamedTuple):

@@ -59,7 +59,6 @@ from .core import (
     RngStream,
     Source,
     SOURCE_MESSAGE,
-    _MAX_PARTICLES,
     _check_int,
     _check_phases,
     _not_unit,
@@ -73,6 +72,8 @@ from .core import (
 from .errors import DegenerateAmplitude, InvalidLevels, QwalkError, UnwiredPort
 
 MAX_LEVELS = 12  # unit count grows as levels^2; desk-scale bound
+#: the most particles one run takes: the C kernel counts them in a long long
+_MAX_PARTICLES = 2 ** 63 - 1
 
 
 class RemovalFilter(NamedTuple):

@@ -45,12 +45,6 @@ class StateVector(NamedTuple):
         return dict(sorted(probs.items()))
 
 
-#: the walk's state on each branch x2 at t2: the first Hadamard step from
-#: (0, up) leaves amplitude 1/sqrt(2) at (-1, up) and at (+1, down)
-T2_BRANCHES = {-1: StateVector.basis(-1, UP, _INV_SQRT2),
-               +1: StateVector.basis(+1, DOWN, _INV_SQRT2)}
-
-
 def _occupied_sites(amps: dict[tuple[int, int], complex]) -> list[int]:
     return sorted({x for (x, _s) in amps})
 

@@ -4,7 +4,6 @@ Also the package's record types: tuples with named fields, fixed once made.
 """
 import argparse
 import ast
-import importlib
 import math
 import pathlib
 import re
@@ -15,7 +14,6 @@ import qwalk
 from qwalk.cli import RunConfig, build_parser
 from qwalk.leggett_garg import LgiComponents, LgiResult
 from qwalk.theory import DOWN, UP, StateVector
-from test_kernel import modules_after
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: also kept at the top level: the per-hop routing functions and seed
@@ -45,39 +43,6 @@ def test_all_is_what_the_demos_and_readme_import():
     assert sorted(qwalk.__all__) == sorted(used | KEPT)
     for name in qwalk.__all__:
         assert getattr(qwalk, name) is not None
-
-
-def test_import_qwalk_runs_no_submodule():
-    assert not {m for m in modules_after("import qwalk")
-                if m.startswith("qwalk.")}
-
-
-def test_top_level_names_are_their_modules():
-    for name in qwalk.__all__:
-        if name != "__version__":
-            home = importlib.import_module(f"qwalk.{qwalk._HOMES[name]}")
-            assert getattr(qwalk, name) is getattr(home, name), name
-    assert set(qwalk.__all__) <= set(dir(qwalk))
-
-
-def test_submodules_are_attributes_of_a_fresh_package():
-    # bench/setup_probe.py reads qwalk.network right after import qwalk.cli
-    code = ("import qwalk.cli\n"
-            "assert qwalk.network.build_jeong(2, 0.0, 0.0, 0.5).units\n"
-            "for name in ('core', 'errors', 'theory', 'leggett_garg', 'cli'):\n"
-            "    assert getattr(qwalk, name).__name__ == 'qwalk.' + name")
-    modules_after(code)  # raises if an assertion fails
-
-
-def test_star_import_binds_all():
-    namespace: dict = {}
-    exec("from qwalk import *", namespace)
-    assert set(namespace) - {"__builtins__"} == set(qwalk.__all__)
-
-
-def test_unknown_top_level_name_is_an_attribute_error():
-    with pytest.raises(AttributeError, match="'no_such_name'"):
-        qwalk.no_such_name
 
 
 def test_readme_example_runs(capsys):

