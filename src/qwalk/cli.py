@@ -84,10 +84,9 @@ class RunConfig(NamedTuple):
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates}")
+        # a command that walks no mesh takes no --steps (see IGNORED)
         mesh_bound = MAX_ORACLE_STEPS if self.mode == "oracle" else MAX_LEVELS
-        runs_mesh = (self.mode in ("jeong", "oracle")
-                     or (self.mode == "compare" and self.network == "jeong"))
-        if runs_mesh and self.walk != "hadamard" and self.steps > mesh_bound:
+        if self.walk != "hadamard" and self.steps > mesh_bound:
             raise ConfigError(
                 f"steps must be <= {mesh_bound} for this mode, got {self.steps}")
 
@@ -112,6 +111,59 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"qwalk: usage error: {message} (see '{self.prog} --help')\n")
 
 
+#: each subcommand: its help line and its options, in --help order
+COMMANDS = {
+    "jeong": ("beam-splitter mesh walk vs exact theory",
+              "steps phi1 phi2 particles gamma seed replicates format out"),
+    "robens": ("four-jump polarized walk",
+               "removal taps particles gamma seed replicates format out"),
+    "lgi": ("Leggett-Garg K for both protocols",
+            "workers particles gamma seed replicates format out"),
+    "oracle": ("exact theory, no simulation",
+               "steps phi1 phi2 walk seed format out"),
+    "compare": ("DES vs theory difference report", "network steps phi1 phi2 "
+                "particles gamma seed replicates format out"),
+}
+
+#: per command, the option and choice of a walk, and the mesh options it ignores
+IGNORED = {"compare": ("network", "robens", ("steps", "phi1", "phi2")),
+           "oracle": ("walk", "hadamard", ("phi1", "phi2"))}
+
+#: each option's add_argument keywords, by default RunConfig's default; a mesh
+#: option sets no value unless given, so a walk that ignores it can refuse it
+OPTIONS = {
+    "steps": dict(type=int, default=argparse.SUPPRESS,
+                  help="walk steps / mesh levels "
+                       f"(default {RunConfig._field_defaults['steps']})"),
+    "phi1": dict(type=float, default=argparse.SUPPRESS,
+                 help="phase on the up input rail (default pi/2)"),
+    "phi2": dict(type=float, default=argparse.SUPPRESS,
+                 help="phase on the down output rail (default -pi/2)"),
+    "particles": dict(type=int, help="particles per run (default %(default)s)"),
+    "gamma": dict(type=float, help="learning rate of the adaptive units, in "
+                  "[0,1) (default %(default)s; 0 gives the classical walk)"),
+    "seed": dict(help="integer seed or 'random' (default: $QWALK_SEED, "
+                      f"else {DEFAULT_SEED})"),
+    "replicates": dict(type=int,
+                       help="independent replicate runs (default %(default)s)"),
+    "format": dict(choices=("csv", "json")),
+    "out": dict(help="output path (default stdout)"),
+    "removal": dict(choices=("none", "plus", "minus"),
+                    help="negative measurement at t2: 'minus' keeps the x2=-1 "
+                         "branch (absorbs the +1 rail), 'plus' keeps x2=+1"),
+    "taps": dict(action="store_true", help="tally each detection by the t2 "
+                 "site the particle crossed, without touching it, and add the "
+                 "t2-partitioned sub-distributions to the JSON panels"),
+    "workers": dict(type=int, help="most replicate threads, >= 1; capped at "
+                    "the replicate count and at the CPUs this process may "
+                    "run on (the default); without a C compiler the "
+                    "threads take turns, so more buy nothing"),
+    "walk": dict(choices=("jeong", "hadamard"), default="jeong",
+                 help="which evolution to evaluate (default %(default)s)"),
+    "network": dict(choices=("jeong", "robens"), default="jeong"),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process and shared by every ``main``."""
@@ -119,73 +171,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qwalk",
         description="Event-by-event quantum-walk simulator with exact theory reference.")
     sub = parser.add_subparsers(dest="mode", required=True)
-    # on a NamedTuple, RunConfig.particles is the field's accessor
     defaults = RunConfig._field_defaults
-
-    def add_common(p: argparse.ArgumentParser,
-                   replicates_default=defaults["replicates"]) -> None:
-        p.add_argument("--particles", type=int, default=defaults["particles"],
-                       help="particles per run (default %(default)s)")
-        p.add_argument("--gamma", type=float, default=defaults["gamma"],
-                       help="learning rate of the adaptive units, in [0,1) "
-                            "(default %(default)s; 0 gives the classical walk)")
-        p.add_argument("--seed", default=None,
-                       help="integer seed or 'random' (default: $QWALK_SEED, "
-                            f"else {DEFAULT_SEED})")
-        p.add_argument("--replicates", type=int, default=replicates_default,
-                       help="independent replicate runs (default %(default)s)")
-        p.add_argument("--format", choices=("csv", "json"),
-                       default=defaults["format"])
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-
-    def add_mesh_params(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--steps", type=int, default=defaults["steps"],
-                       help="walk steps / mesh levels (default %(default)s)")
-        p.add_argument("--phi1", type=float, default=defaults["phi1"],
-                       help="phase on the up input rail (default pi/2)")
-        p.add_argument("--phi2", type=float, default=defaults["phi2"],
-                       help="phase on the down output rail (default -pi/2)")
-
-    p = sub.add_parser("jeong", help="beam-splitter mesh walk vs exact theory")
-    add_mesh_params(p)
-    add_common(p)
-
-    p = sub.add_parser("robens", help="four-jump polarized walk")
-    p.add_argument("--removal", choices=("none", "plus", "minus"),
-                   default=defaults["removal"],
-                   help="negative measurement at t2: 'minus' keeps the x2=-1 "
-                        "branch (absorbs the +1 rail), 'plus' keeps x2=+1")
-    p.add_argument("--taps", action="store_true",
-                   help="tally each detection by the t2 site the particle "
-                        "crossed, without touching it, and add the "
-                        "t2-partitioned sub-distributions to the JSON panels")
-    add_common(p)
-
-    p = sub.add_parser("lgi", help="Leggett-Garg K for both protocols")
-    p.add_argument("--workers", type=int, default=None,
-                   help="most replicate threads, >= 1; capped at the "
-                        "replicate count and at the CPUs this process may "
-                        "run on (the default); without a C compiler the "
-                        "threads take turns, so more buy nothing")
-    add_common(p, replicates_default=10)
-
-    p = sub.add_parser("oracle", help="exact theory, no simulation")
-    add_mesh_params(p)
-    p.add_argument("--walk", choices=("jeong", "hadamard"), default="jeong",
-                   help="which evolution to evaluate (default %(default)s)")
-    add_common(p)
-
-    p = sub.add_parser("compare", help="DES vs theory difference report")
-    p.add_argument("--network", choices=("jeong", "robens"), default="jeong")
-    add_mesh_params(p)
-    add_common(p)
+    for mode, (help_line, options) in COMMANDS.items():
+        p = sub.add_parser(mode, help=help_line)
+        for name in options.split():
+            p.add_argument(f"--{name}", **{"default": defaults.get(name),
+                                           **OPTIONS[name]})
+    sub.choices["lgi"].set_defaults(replicates=10)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The subcommand's options; a field it has no option for keeps its default."""
+    """The subcommand's options; a field they set no value for keeps its default."""
     given = {name: getattr(args, name) for name in RunConfig._fields
              if hasattr(args, name)}
+    flag, walk, ignored = IGNORED.get(args.mode, (None, None, ()))
+    refused = [f"--{name}" for name in ignored if name in given]
+    if refused and given[flag] == walk:
+        raise ConfigError(f"{refused[0]} does not apply to {args.mode} --{flag} {walk}")
     given["seed"] = _resolve_seed(args.seed)
     cfg = RunConfig(**given)
     cfg.validate()
@@ -193,12 +196,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    echo = cfg._asdict()
-    if cfg.walk is None:
-        echo.pop("walk")
-    if cfg.network is None:
-        echo.pop("network")
-    return echo
+    # walk and network, the only fields that can be None, echo only when set
+    return {name: value for name, value in cfg._asdict().items()
+            if value is not None}
 
 
 def _site_report(counts: dict[int, int], emitted: int, oracle: dict[int, float],

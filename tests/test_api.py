@@ -11,7 +11,7 @@ import re
 import pytest
 
 import qwalk
-from qwalk.cli import RunConfig, build_parser
+from qwalk.cli import DEFAULT_SEED, RunConfig, _config_from_args, build_parser
 from qwalk.leggett_garg import LgiComponents, LgiResult
 from qwalk.theory import DOWN, UP, StateVector
 
@@ -71,21 +71,22 @@ def test_record_types_keep_their_fields_in_order():
         "network": None}
 
 
-def test_every_option_default_is_the_configs():
+def test_every_option_default_is_the_configs(monkeypatch):
     # three subcommands set their own: lgi's replicates, and the network
     # that oracle's --walk and compare's --network pick when not given
     own = {("lgi", "replicates"): 10, ("oracle", "walk"): "jeong",
            ("compare", "network"): "jeong"}
+    monkeypatch.delenv("QWALK_SEED", raising=False)
     [sub] = [a for a in build_parser()._actions
              if isinstance(a, argparse._SubParsersAction)]
     checked = set()
     for mode, parser in sub.choices.items():
-        for action in parser._actions:
-            if action.dest in RunConfig._field_defaults:
-                expected = own.get((mode, action.dest),
-                                   RunConfig._field_defaults[action.dest])
-                assert action.default == expected, (mode, action.dest)
-                checked.add(action.dest)
+        # a bare `qwalk <mode>`, resolved as main resolves it
+        cfg = _config_from_args(build_parser().parse_args([mode]))
+        assert (cfg.mode, cfg.seed) == (mode, DEFAULT_SEED)
+        for name, default in RunConfig._field_defaults.items():
+            assert getattr(cfg, name) == own.get((mode, name), default), (mode, name)
+        checked |= {a.dest for a in parser._actions} & set(RunConfig._field_defaults)
     assert checked == set(RunConfig._field_defaults)
 
 

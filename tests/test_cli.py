@@ -1,4 +1,6 @@
 """Command-line interface: schemas, exit codes, seeding, idempotence."""
+import argparse
+import hashlib
 import json
 import math
 import os
@@ -194,14 +196,74 @@ def test_unknown_flag_exits_2(capsys):
 
 @pytest.mark.parametrize("argv", [("jeong", "--steps", "x"),
                                   ("robens", "--removal", "sideways"),
-                                  ("jeong", "--bogus")],
-                         ids=["bad type", "bad choice", "unknown flag"])
+                                  ("jeong", "--bogus"),
+                                  ("oracle", "--particles", "9"),
+                                  ("oracle", "--gamma", "0.3"),
+                                  ("oracle", "--replicates", "4")],
+                         ids=["bad type", "bad choice", "unknown flag",
+                              "oracle --particles", "oracle --gamma",
+                              "oracle --replicates"])
 def test_usage_error_is_one_line(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
         main(list(argv))
     assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("qwalk: ") and len(err.splitlines()) == 1
+
+def test_each_command_takes_only_the_options_it_reads():
+    # written out apart from cli.COMMANDS, so a drift in either one fails
+    mesh = {"--steps", "--phi1", "--phi2"}
+    run = {"--particles", "--gamma", "--replicates"}
+    report = {"--seed", "--format", "--out"}
+    expected = {
+        "jeong": mesh | run | report,
+        "robens": {"--removal", "--taps"} | run | report,
+        "lgi": {"--workers"} | run | report,
+        "oracle": mesh | {"--walk"} | report,
+        "compare": {"--network"} | mesh | run | report,
+    }
+    [sub] = [a for a in cli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    taken = {mode: {s for a in parser._actions for s in a.option_strings}
+             for mode, parser in sub.choices.items()}
+    assert taken == {mode: options | {"-h", "--help"}
+                     for mode, options in expected.items()}
+
+@pytest.mark.parametrize("argv,option,walk", [
+    (("compare", "--network", "robens", "--steps", "4"), "--steps",
+     "compare --network robens"),  # refused even at its default value
+    (("compare", "--network", "robens", "--phi1", "3"), "--phi1",
+     "compare --network robens"),
+    (("compare", "--phi2", "0", "--network", "robens"), "--phi2",
+     "compare --network robens"),
+    (("oracle", "--walk", "hadamard", "--phi1", "0"), "--phi1",
+     "oracle --walk hadamard"),
+    # checked before the seed and the values are
+    (("oracle", "--walk", "hadamard", "--seed", "x", "--phi2", "nan"), "--phi2",
+     "oracle --walk hadamard"),
+], ids=["compare robens --steps 4", "compare robens --phi1",
+        "compare robens --phi2", "oracle hadamard --phi1",
+        "oracle hadamard --phi2 before --seed"])
+def test_a_mesh_option_the_walk_ignores_is_refused(capsys, argv, option, walk):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"qwalk: configuration error: {option} does not apply to {walk}\n"
+
+@pytest.mark.parametrize("argv,digest", [
+    (("oracle", "--seed", "9"),
+     "64e6a8945a11cfc843ab4b8f322453477cb23ab2633e64d9370b918acf1f952c"),
+    (("oracle", "--walk", "hadamard", "--steps", "21"),
+     "7bfa0f31671df609df7c0801c83e927dbb7f8359b899a72ea3ba41539d63311e"),
+    (("compare", "--network", "robens", "--gamma", "0.9", "--replicates", "2"),
+     "5dda2eeeb4e8b42742db21b5f3f919288db66013e3f40e918b0315d98765c349"),
+], ids=["oracle --seed", "oracle hadamard --steps", "compare robens run options"])
+def test_an_option_the_command_reads_writes_the_same_bytes(capsys, monkeypatch,
+                                                           argv, digest):
+    # command lines that stay valid write the bytes they wrote before
+    monkeypatch.delenv("QWALK_SEED", raising=False)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 def test_main_shares_one_parser():
     assert cli.build_parser() is cli.build_parser()
@@ -242,7 +304,10 @@ def valid_alone(tmp_path_factory):
     ("robens", "--removal", "sideways"),
     ("robens", "--particles", "many"),
     ("robens", "--gamma", "1.5"),
-], ids=["unknown flag", "bad choice", "bad type", "config error"])
+    ("oracle", "--gamma", "0.3"),
+    ("compare", "--network", "robens", "--steps", "9"),
+], ids=["unknown flag", "bad choice", "bad type", "config error",
+        "option not taken", "option the walk ignores"])
 def test_a_bad_command_line_leaves_nothing_behind(tmp_path, capsys, valid_alone,
                                                   bad):
     # the parser and the networks outlive a main() call; after a rejected
