@@ -31,7 +31,7 @@ from typing import NamedTuple
 from .errors import (DegenerateAmplitude, EmptyRun, InsufficientReplicates,
                      QwalkError)
 from .core import RngStream
-from .leggett_garg import SINGLE_RUN, T2_BRANCHES, THREE_RUN, run_protocols
+from .leggett_garg import SINGLE_RUN, THREE_RUN, run_protocols, t3_probabilities
 from .network import (MAX_LEVELS, RemovalFilter, _MAX_PARTICLES, _compiled,
                       build_jeong, build_robens, run)
 from .theory import (
@@ -174,6 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = RunConfig._field_defaults
     for mode, (help_line, options) in COMMANDS.items():
         p = sub.add_parser(mode, help=help_line)
+        p.set_defaults(command_parser=p)  # names its own help in a usage error
         for name in options.split():
             p.add_argument(f"--{name}", **{"default": defaults.get(name),
                                            **OPTIONS[name]})
@@ -247,19 +248,10 @@ def _replicates(cfg: RunConfig, net, **options) -> tuple[Counter, dict, int]:
     return counts, t2, removed
 
 
-def _oracle_row(steps: int, phi1: float, phi2: float) -> dict[int, float]:
-    """The exact walk's last row; ``cmd_jeong`` keeps it in ``_compiled``.
-
-    Every job with the same arguments gets the same dict, so no caller may
-    change it.
-    """
-    return jeong_evolve(steps, phi1, phi2)[-1]
-
-
 def cmd_jeong(cfg: RunConfig) -> tuple[dict, dict, str]:
     net = _compiled(build_jeong, cfg.steps, cfg.phi1, cfg.phi2, cfg.gamma)
     counts, _t2, _removed = _replicates(cfg, net)
-    oracle = _compiled(_oracle_row, cfg.steps, cfg.phi1, cfg.phi2)
+    oracle = _compiled(jeong_evolve, cfg.steps, cfg.phi1, cfg.phi2)[-1]
     return _site_report(counts, cfg.particles * cfg.replicates, oracle)
 
 
@@ -271,10 +263,7 @@ def cmd_robens(cfg: RunConfig) -> tuple[dict, dict, str]:
     filters = [] if kept is None else [RemovalFilter("t2", -kept)]
     counts, t2, removed = _replicates(cfg, net, filters=filters,
                                       taps_enabled=cfg.taps)
-    if kept is None:
-        _, oracle = hadamard_walk(4, StateVector.basis(0, UP))
-    else:  # the kept branch walks its last 3 steps from its t2 state
-        _, oracle = hadamard_walk(3, T2_BRANCHES[kept])
+    oracle = t3_probabilities(kept)
     emitted = cfg.particles * cfg.replicates
     extra: dict = {"removed": removed}
     if cfg.taps:
@@ -289,7 +278,7 @@ def cmd_oracle(cfg: RunConfig) -> tuple[dict, dict, str]:
     if cfg.walk == "hadamard":
         _, probs = hadamard_walk(cfg.steps, StateVector.basis(0, UP))
     else:
-        probs = jeong_evolve(cfg.steps, cfg.phi1, cfg.phi2)[-1]
+        probs = _compiled(jeong_evolve, cfg.steps, cfg.phi1, cfg.phi2)[-1]
     results, metrics, csv_text = _site_report({}, 0, probs)
     metrics["probability_sum"] = sum(probs.values())
     if cfg.walk == "jeong" and cfg.steps <= 5:
@@ -392,13 +381,15 @@ def main(argv: list[str] | None = None) -> int:
     """Run one ``qwalk`` command line; returns its exit code.
 
     Within a process every call shares what no command changes: the parser
-    (``parse_args`` copies a subcommand's values into a new namespace and
+    (``parse_known_args`` copies a subcommand's values into a new namespace and
     never writes to the parser) and, through ``network._compiled``, the
     network of each (builder, arguments) configuration, which ``run`` gives
     fresh registers and streams.  So a call writes the same bytes whatever
     ran before it in the process.
     """
-    args = build_parser().parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
+    if unread:
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         cfg = _config_from_args(args)
         if cfg.mode == "jeong":

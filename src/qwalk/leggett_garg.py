@@ -26,18 +26,13 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-from .core import RngStream, _INV_SQRT2
+from .core import RngStream
 from .errors import EmptyRun, InsufficientReplicates
 from .network import RemovalFilter, _compiled, build_robens, run
-from .theory import DOWN, StateVector, UP, hadamard_walk
+from .theory import StateVector, UP, hadamard_walk
 
 THREE_RUN = "three_run"
 SINGLE_RUN = "single_run"
-
-#: the walk's state on each branch x2 at t2: the first Hadamard step from
-#: (0, up) leaves amplitude 1/sqrt(2) at (-1, up) and at (+1, down)
-T2_BRANCHES = {-1: StateVector.basis(-1, UP, _INV_SQRT2),
-               +1: StateVector.basis(+1, DOWN, _INV_SQRT2)}
 
 
 class LgiComponents(NamedTuple):
@@ -60,8 +55,8 @@ def q3_of_site(x: int) -> int:
     return 1 if x > 0 else -1
 
 
-def _q3_stats(dist: dict[int, int]) -> tuple[int, int]:
-    """(sum of q3 over counts, total count) for a site distribution."""
+def _q3_stats(dist: dict[int, float]) -> tuple[float, float]:
+    """(sum of q3 over the weights, total weight): counts or probabilities."""
     total = 0
     acc = 0
     for site, count in dist.items():
@@ -126,27 +121,30 @@ def k_single_run(t2_table: dict[int, dict[int, int]],
                      LgiComponents(q3_mean, q3q2_mean, n_plus / n, n_minus / n), 1)
 
 
-def _exact_q3(state: StateVector, steps: int) -> tuple[float, float]:
-    """(probability, <Q(t3)>) of ``state`` walked ``steps`` Hadamard steps on."""
-    _, probs = hadamard_walk(steps, state)
-    p = sum(probs.values())
-    return p, sum(q3_of_site(x) * px for x, px in probs.items()) / p
+def t3_probabilities(kept: int | None = None) -> dict[int, float]:
+    """The exact detector distribution of the four-jump walk from (0, up).
+
+    With ``kept`` = -1 or +1, the negative measurement at t2 keeps only the
+    branch x2 = ``kept``: the walk's state after its first jump loses every
+    other site before its last 3 jumps, so the probabilities sum to P(x2).
+    """
+    state, _ = hadamard_walk(1, StateVector.basis(0, UP))
+    if kept is not None:
+        state = StateVector({key: a for key, a in state.amplitudes.items()
+                             if key[0] == kept})
+    return hadamard_walk(3, state)[1]
 
 
 def k_quantum() -> float:
     """The exact quantum K of the four-jump walk, from the state vectors.
 
-    K = 1 + sum over x2 of P(x2) <Q(t3)>_{x2} - <Q(t3)>, where the
-    unconditioned walk takes 4 steps from (0, up) and branch x2 its last 3
-    from ``T2_BRANCHES[x2]``.  The three-run protocol estimates this K;
-    it exceeds the bound: 1 + (-3/4 + 1/2)/2 + 5/8 = 3/2.
+    K = 1 + sum over x2 of P(x2) <Q(t3)>_{x2} - <Q(t3)>, each term the q3
+    sum of a ``t3_probabilities`` distribution.  The three-run protocol
+    estimates this K; it exceeds the bound: 1 + (-3/4 + 1/2)/2 + 5/8 = 3/2.
     """
-    _, q3_mean = _exact_q3(StateVector.basis(0, UP), 4)
-    q3q2_mean = 0.0
-    for state in T2_BRANCHES.values():
-        p, q3 = _exact_q3(state, 3)
-        q3q2_mean += p * q3
-    return 1.0 + q3q2_mean - q3_mean
+    minus, plus, whole = (_q3_stats(t3_probabilities(kept))[0]
+                          for kept in (-1, +1, None))
+    return 1.0 + minus + plus - whole
 
 
 def replicate_stats(values: list[float]) -> tuple[float, float]:

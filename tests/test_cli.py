@@ -210,6 +210,20 @@ def test_usage_error_is_one_line(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("qwalk: ") and len(err.splitlines()) == 1
 
+@pytest.mark.parametrize("argv,line", [
+    (("oracle", "--gamma", "0.3"),
+     "unrecognized arguments: --gamma 0.3 (see 'qwalk oracle --help')"),
+    (("jeong", "--bogus"),
+     "unrecognized arguments: --bogus (see 'qwalk jeong --help')"),
+    ((), "the following arguments are required: mode (see 'qwalk --help')"),
+], ids=["oracle --gamma", "jeong --bogus", "no command"])
+def test_a_usage_error_names_the_commands_own_help(capsys, argv, line):
+    # qwalk --help lists no subcommand's options; the subcommand's help does
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err == f"qwalk: usage error: {line}\n"
+
 def test_each_command_takes_only_the_options_it_reads():
     # written out apart from cli.COMMANDS, so a drift in either one fails
     mesh = {"--steps", "--phi1", "--phi2"}
@@ -273,7 +287,7 @@ def test_jeong_oracle_is_computed_once_per_exact_argument(capsys):
     # shared by every call with the same arguments; 0.0 and -0.0 (and 1
     # and 1.0) key different rows
     def oracle(*args):
-        return _compiled(cli._oracle_row, *args)
+        return _compiled(cli.jeong_evolve, *args)[-1]
 
     row = oracle(5, math.pi / 2, 0.0)
     assert row == jeong_evolve(5, math.pi / 2, 0.0)[-1]
@@ -282,9 +296,10 @@ def test_jeong_oracle_is_computed_once_per_exact_argument(capsys):
     assert oracle(5, math.pi / 2, 0) is not row
     # a report uses the shared row and leaves it as it was
     before = dict(row)
-    for mode in ("jeong", "compare"):
-        code, _, _ = run_cli(capsys, mode, "--steps", "5", "--phi2", "0.0",
-                             "--particles", "200", "--format", "json")
+    for argv in (("jeong", "--particles", "200", "--format", "json"),
+                 ("compare", "--particles", "200", "--format", "json"),
+                 ("oracle",)):
+        code, _, _ = run_cli(capsys, *argv, "--steps", "5", "--phi2", "0.0")
         assert code == 0
     assert oracle(5, math.pi / 2, 0.0) is row and row == before
 

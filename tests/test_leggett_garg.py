@@ -1,5 +1,6 @@
 """Correlation estimators for both measurement protocols."""
 import itertools
+import math
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -11,11 +12,10 @@ from qwalk.core import RngStream
 from qwalk.errors import EmptyRun, InsufficientReplicates
 from qwalk.leggett_garg import (
     SINGLE_RUN,
-    T2_BRANCHES,
     THREE_RUN,
     LgiComponents,
     LgiResult,
-    _exact_q3,
+    _q3_stats,
     k_quantum,
     k_single_run,
     k_three_run,
@@ -23,10 +23,11 @@ from qwalk.leggett_garg import (
     replicate_stats,
     run_protocol,
     single_run_replicate,
+    t3_probabilities,
     three_run_replicate,
 )
 from qwalk.network import build_jeong, run
-from qwalk.theory import StateVector, UP, hadamard_walk
+from qwalk.theory import DOWN, StateVector, UP, hadamard_walk
 
 
 # --- readout ------------------------------------------------------------------
@@ -144,16 +145,20 @@ def test_classical_walk_saturates_but_never_violates():
 # --- exact quantum K -----------------------------------------------------------------
 
 def test_t2_branches_are_the_first_step_of_the_walk():
-    state, _ = hadamard_walk(1, StateVector.basis(0, UP))
-    branches = {**T2_BRANCHES[-1].amplitudes, **T2_BRANCHES[+1].amplitudes}
-    assert state.amplitudes == pytest.approx(branches, abs=1e-15)
+    # the first Hadamard step from (0, up) leaves amplitude 1/sqrt(2) at
+    # (-1, up) and at (+1, down); each kept branch walks its last 3 steps
+    # from there, typed out here apart from the walk
+    for kept, spin in ((-1, UP), (+1, DOWN)):
+        branch = StateVector.basis(kept, spin, 1 / math.sqrt(2))
+        assert t3_probabilities(kept) == hadamard_walk(3, branch)[1]
+    assert t3_probabilities() == hadamard_walk(4, StateVector.basis(0, UP))[1]
 
 def test_exact_quantum_k_is_three_halves():
-    # P(x2 = +-1) = 1/2; <Q3> = -0.625, and -0.75 and +0.5 on the branches
-    assert _exact_q3(StateVector.basis(0, UP), 4) == pytest.approx((1.0, -0.625),
-                                                                  abs=1e-12)
-    assert _exact_q3(T2_BRANCHES[-1], 3) == pytest.approx((0.5, -0.75), abs=1e-12)
-    assert _exact_q3(T2_BRANCHES[+1], 3) == pytest.approx((0.5, 0.5), abs=1e-12)
+    # P(x2 = +-1) = 1/2; <Q3> = -0.625, and -0.75 and +0.5 on the branches,
+    # so the q3 sums are P(x2) <Q3>_{x2} = -0.375 and 0.25
+    for kept, stats in ((-1, (-0.375, 0.5)), (+1, (0.25, 0.5)),
+                        (None, (-0.625, 1.0))):
+        assert _q3_stats(t3_probabilities(kept)) == pytest.approx(stats, abs=1e-12)
     assert k_quantum() == pytest.approx(1.5, abs=1e-12)
 
 
